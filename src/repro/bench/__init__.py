@@ -19,27 +19,7 @@ from repro.bench.fabric import (
     plan_shards,
     run_fabric_worker,
 )
-from repro.bench.fabricperf import (
-    DEFAULT_FABRIC_BENCH_PATH,
-    FabricPerfReport,
-    run_fabric_perf,
-)
-from repro.bench.perf import (
-    DEFAULT_NAIVE_MAX_P,
-    MAPPING_P_VALUES,
-    MappingPerfCase,
-    MappingPerfReport,
-    PerfReport,
-    naive_sweep,
-    run_mapping_perf,
-    run_perf,
-)
 from repro.bench.report import format_sweep_table, size_label
-from repro.bench.serveperf import (
-    DEFAULT_SERVE_BENCH_PATH,
-    ServePerfReport,
-    run_serve_perf,
-)
 from repro.bench.suite import QUICK_SIZES, SuiteResult, run_suite
 
 __all__ = [
@@ -54,17 +34,6 @@ __all__ = [
     "run_suite",
     "SuiteResult",
     "QUICK_SIZES",
-    "PerfReport",
-    "naive_sweep",
-    "run_perf",
-    "run_mapping_perf",
-    "MappingPerfCase",
-    "MappingPerfReport",
-    "DEFAULT_NAIVE_MAX_P",
-    "MAPPING_P_VALUES",
-    "DEFAULT_SERVE_BENCH_PATH",
-    "ServePerfReport",
-    "run_serve_perf",
     "FabricError",
     "FabricMergeResult",
     "FabricStatus",
@@ -75,7 +44,4 @@ __all__ = [
     "fabric_status",
     "plan_shards",
     "run_fabric_worker",
-    "DEFAULT_FABRIC_BENCH_PATH",
-    "FabricPerfReport",
-    "run_fabric_perf",
 ]

@@ -16,10 +16,6 @@ The subcommands mirror the paper's workflow:
 * ``faults``    — fault injection: price fail-stop vs. shrink-keep vs.
   shrink-remap recovery after node failures;
 * ``reproduce`` — regenerate the core paper artefacts in one command;
-* ``perf``      — time the batched sweep pipeline vs. the naive per-size
-  loop and persist the measurement to ``BENCH_sweep.json``
-  (``--serve`` instead load-tests the daemon: cold vs. warm latency to
-  ``BENCH_serve.json``);
 * ``serve``     — run the warm-state reordering daemon (JSON-lines over
   a unix socket and/or TCP; see ``docs/serving.md``);
 * ``verify``    — static schedule / mapping verification (no simulation);
@@ -29,7 +25,9 @@ The subcommands mirror the paper's workflow:
   and SARIF report output (see ``docs/static_analysis.md``).
 
 Simulation commands accept ``--nodes`` to size the GPC-class cluster
-(processes = 8 x nodes) and print plain-text tables.
+(processes = 8 x nodes) and print plain-text tables.  Timing is not a
+subcommand: the benchmark of record is ``python3 perf/run.py`` (see
+``perf/README.md``).
 """
 
 from __future__ import annotations
@@ -197,73 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep = sub.add_parser("reproduce", help="regenerate the core paper artefacts")
     add_nodes(p_rep)
     p_rep.add_argument("--out", default=None, help="directory to write the reports to")
-
-    p_perf = sub.add_parser(
-        "perf", help="time the batched sweep pipeline vs. the naive per-size loop"
-    )
-    p_perf.add_argument(
-        "--nodes", type=int, default=None,
-        help="compute nodes (8 cores each; default 32, or 8 with --quick)",
-    )
-    p_perf.add_argument(
-        "--quick", action="store_true",
-        help="reduced grid for CI smoke runs (fewer sizes/layouts/mappers)",
-    )
-    p_perf.add_argument(
-        "--workers", type=int, default=None,
-        help="fan (layout, mapper) grid cells out over N processes",
-    )
-    p_perf.add_argument("--repeats", type=int, default=1, help="best-of-N timing")
-    p_perf.add_argument(
-        "--out", default="BENCH_sweep.json", help="where to write the JSON measurement"
-    )
-    p_perf.add_argument(
-        "--min-speedup", type=float, default=1.0,
-        help="exit non-zero if the batched path is below this speedup",
-    )
-    p_perf.add_argument(
-        "--mappings", action="store_true",
-        help="benchmark the placement engines (naive/vectorized/jit) instead of the sweep",
-    )
-    p_perf.add_argument(
-        "-p", "--p-values", dest="p_values", type=int, nargs="+", default=None,
-        help="communicator sizes for --mappings (default: 256 1024 4096 8192 16384)",
-    )
-    p_perf.add_argument(
-        "--naive-max-p", dest="naive_max_p", type=int, default=4096,
-        help="largest p at which --mappings still times the naive engine "
-        "(above it naive_seconds is null and speedup compares jit vs vectorized)",
-    )
-    p_perf.add_argument(
-        "--profile", action="store_true",
-        help="cProfile one batched sweep and report the top-20 cumulative hotspots",
-    )
-    p_perf.add_argument(
-        "--serve", action="store_true",
-        help="load-test the reordering daemon (cold vs. warm latency) "
-        "instead of the sweep; writes BENCH_serve.json",
-    )
-    p_perf.add_argument(
-        "--clients", type=int, default=None,
-        help="concurrent client connections for --serve (default 8, or 4 with --quick)",
-    )
-    p_perf.add_argument(
-        "--fabric", action="store_true",
-        help="benchmark the distributed sweep fabric (N-worker scaling "
-        "curve vs. the serial checkpointed runner, bit-identity "
-        "verified); writes BENCH_fabric.json",
-    )
-    p_perf.add_argument(
-        "--fabric-workers", type=int, nargs="+", default=None,
-        help="worker counts for the --fabric scaling curve "
-        "(default: 1 2 4, or 1 2 with --quick)",
-    )
-    p_perf.add_argument(
-        "--cell-delay", type=float, default=None,
-        help="injected per-cell stall seconds for --fabric (models the "
-        "I/O/queueing latency of real multi-host cells; default 1.0, "
-        "0.25 with --quick; 0 measures pure-compute scaling)",
-    )
 
     p_srv = sub.add_parser(
         "serve", help="run the warm-state reordering daemon (JSON-lines protocol)"
@@ -671,115 +602,6 @@ def _cmd_reproduce(args) -> int:
     return 0
 
 
-def _cmd_perf(args) -> int:
-    from repro.bench.perf import run_mapping_perf, run_perf
-
-    if args.serve:
-        from repro.bench.serveperf import DEFAULT_SERVE_BENCH_PATH, run_serve_perf
-
-        out = args.out if args.out != "BENCH_sweep.json" else DEFAULT_SERVE_BENCH_PATH
-        report = run_serve_perf(
-            n_nodes=args.nodes,
-            quick=args.quick,
-            clients=args.clients,
-            out=out,
-        )
-        print(report.summary())
-        print(f"measurement written to {out}")
-        if report.mismatches:
-            print(f"FAIL: {report.mismatches} serve-vs-solo identity mismatches")
-            return 1
-        if report.warm_speedup_p50 < args.min_speedup:
-            print(
-                f"FAIL: warm speedup {report.warm_speedup_p50:.2f}x below "
-                f"required {args.min_speedup:.2f}x"
-            )
-            return 1
-        return 0
-
-    if args.fabric:
-        from repro.bench.fabricperf import DEFAULT_FABRIC_BENCH_PATH, run_fabric_perf
-
-        out = args.out if args.out != "BENCH_sweep.json" else DEFAULT_FABRIC_BENCH_PATH
-        report = run_fabric_perf(
-            n_nodes=args.nodes,
-            workers_list=args.fabric_workers,
-            quick=args.quick,
-            cell_delay=args.cell_delay,
-            out_path=out,
-        )
-        print(report.summary())
-        print(f"measurement written to {out}")
-        if report.mismatches:
-            print(f"FAIL: {report.mismatches} fabric-vs-serial identity mismatches")
-            return 1
-        if report.speedup < args.min_speedup:
-            print(
-                f"FAIL: fabric speedup {report.speedup:.2f}x below "
-                f"required {args.min_speedup:.2f}x"
-            )
-            return 1
-        return 0
-
-    if args.mappings:
-        out = args.out if args.out != "BENCH_sweep.json" else "BENCH_mappings.json"
-        report = run_mapping_perf(
-            p_values=args.p_values if args.p_values else None,
-            repeats=max(args.repeats, 1 if args.quick else 5),
-            quick=args.quick,
-            naive_max_p=args.naive_max_p,
-            out_path=out,
-        )
-        print(report.summary())
-        print(f"measurement written to {out}")
-        bad = [c for c in report.cases if c.mismatches]
-        # min-speedup gates the naive-baseline rows; rows past the naive
-        # cutoff instead require the jit tier to stay within 10% of the
-        # vectorized tier (it beats it outright when numba is present).
-        slow = [
-            c for c in report.cases
-            if c.speedup_baseline == "naive" and c.speedup < args.min_speedup
-        ]
-        lagging = [
-            c for c in report.cases
-            if c.speedup_baseline == "vectorized" and c.speedup < 0.9
-        ]
-        if bad:
-            print(f"FAIL: placement mismatch at p={[c.p for c in bad]}")
-            return 1
-        if slow:
-            print(
-                f"FAIL: speedup below required {args.min_speedup:.2f}x "
-                f"at p={[c.p for c in slow]}"
-            )
-            return 1
-        if lagging:
-            print(
-                "FAIL: jit tier more than 10% behind vectorized "
-                f"at p={[c.p for c in lagging]}"
-            )
-            return 1
-        return 0
-
-    n_nodes = args.nodes if args.nodes is not None else (8 if args.quick else 32)
-    report = run_perf(
-        n_nodes=n_nodes,
-        workers=args.workers,
-        quick=args.quick,
-        repeats=args.repeats,
-        profile=args.profile,
-        out_path=args.out,
-    )
-    print(report.summary())
-    print(f"measurement written to {args.out}")
-    if report.speedup < args.min_speedup:
-        print(
-            f"FAIL: speedup {report.speedup:.2f}x below required {args.min_speedup:.2f}x"
-        )
-        return 1
-    return 0
-
-
 def _cmd_verify(args) -> int:
     from repro.analysis.mapping_checker import (
         check_cluster,
@@ -916,7 +738,6 @@ _COMMANDS = {
     "profile": _cmd_profile,
     "faults": _cmd_faults,
     "reproduce": _cmd_reproduce,
-    "perf": _cmd_perf,
     "serve": _cmd_serve,
     "verify": _cmd_verify,
     "lint": _cmd_lint,

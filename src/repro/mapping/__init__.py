@@ -17,7 +17,6 @@ from repro.mapping.base import (
     as_distance_lookup,
     map_batch,
 )
-from repro.mapping.jitkernel import JitFreePool
 from repro.mapping.cache import (
     MAPPING_CACHE_ENV,
     MappingCache,
@@ -63,7 +62,6 @@ __all__ = [
     "locality_table",
     "CorePool",
     "HierarchicalFreePool",
-    "JitFreePool",
     "map_batch",
     "PoolExhaustedError",
     "Mapper",

@@ -48,11 +48,9 @@ __all__ = [
 ]
 
 #: Executor choices for the program-based heuristics.  ``"auto"`` picks
-#: the best supported driver for the backend: the compiled jit tier
-#: (which itself degrades to the vectorised loop when numba is absent)
-#: whenever the backend supports vectorised placement, else the naive
+#: the vectorised driver whenever the backend supports it, else the naive
 #: reference.  All engines are bit-identical, including the rng stream.
-PLACEMENT_ENGINES = ("auto", "naive", "vectorized", "jit")
+PLACEMENT_ENGINES = ("auto", "naive", "vectorized")
 
 
 class PoolExhaustedError(RuntimeError):
@@ -229,7 +227,6 @@ class _PoolStructure:
         "line_sizes",
         "all_positions",
         "np_members",
-        "jit_arrays",
     )
 
     def __init__(self, backend, cores: np.ndarray) -> None:
@@ -282,9 +279,6 @@ class _PoolStructure:
         # numpy mirrors of large member lists, built lazily on first gather
         # (shared across pools: contents are as immutable as the lists)
         self.np_members: Dict[int, np.ndarray] = {}
-        # flat CSR mirror for the compiled kernels, built lazily by
-        # repro.mapping.jitkernel.pool_arrays (immutable, shared too)
-        self.jit_arrays = None
 
     @staticmethod
     def _group_members(keys: np.ndarray) -> Dict[int, list]:
@@ -761,12 +755,8 @@ class GreedyPlacementMapper(Mapper):
     * ``"naive"`` — :class:`CorePool` masked row scans (the reference);
     * ``"vectorized"`` — :class:`HierarchicalFreePool` coordinate driver
       (requires an implicit backend with a strict ladder);
-    * ``"jit"`` — :class:`~repro.mapping.jitkernel.JitFreePool`: the
-      whole program walk in one numba-compiled kernel (same backend
-      requirement; degrades to the vectorised loop when numba is absent
-      or the rng is not the default PCG64 stream);
-    * ``"auto"`` (default) — jit whenever the backend supports
-      vectorised placement, else naive.
+    * ``"auto"`` (default) — vectorized whenever the backend supports
+      it, else naive.
 
     All executors consume the rng stream identically, so the produced
     permutations are bit-identical whatever the engine.
@@ -797,19 +787,14 @@ class GreedyPlacementMapper(Mapper):
         vectorizable = getattr(D, "supports_vectorized_placement", False)
         engine = self.engine
         if engine == "auto":
-            engine = "jit" if vectorizable else "naive"
-        if engine in ("vectorized", "jit"):
+            engine = "vectorized" if vectorizable else "naive"
+        if engine == "vectorized":
             if not vectorizable:
                 raise ValueError(
                     f"engine={engine!r} needs an ImplicitDistances backend with a "
                     "strict distance ladder; got a dense matrix or a backend with "
                     "collapsed levels — use engine='naive' or 'auto'"
                 )
-            if engine == "jit":
-                # Local import: jitkernel subclasses the pools above.
-                from repro.mapping.jitkernel import JitFreePool
-
-                return JitFreePool(D, L, rng=rng, tie_break=self.tie_break)
             return HierarchicalFreePool(D, L, rng=rng, tie_break=self.tie_break)
         return CorePool(D, L, rng=rng, tie_break=self.tie_break)
 
@@ -839,13 +824,13 @@ def map_batch(mappers, layout: Sequence[int], D, rngs, seconds_out=None) -> list
     """Run several mappers over one (layout, backend) pair in a single pass.
 
     The per-topology setup every :meth:`GreedyPlacementMapper.map` call
-    repeats — layout validation, the shared :class:`_PoolStructure`
-    (group membership, free-count templates) and, on the jit tier, the
-    flat kernel arrays — is warmed exactly once here and shared by all
-    mappers; only the per-run free state is rebuilt per mapper.  Each
-    mapper still draws from its *own* rng (``rngs[i]``), so every result
-    is bit-identical to the corresponding standalone ``map`` call — this
-    is the executor under :func:`repro.mapping.reorder.reorder_all`.
+    repeats — layout validation and the shared :class:`_PoolStructure`
+    (group membership, free-count templates) — is warmed exactly once
+    here and shared by all mappers; only the per-run free state is
+    rebuilt per mapper.  Each mapper still draws from its *own* rng
+    (``rngs[i]``), so every result is bit-identical to the corresponding
+    standalone ``map`` call — this is the executor under
+    :func:`repro.mapping.reorder.reorder_all`.
 
     Parameters
     ----------
@@ -881,12 +866,8 @@ def map_batch(mappers, layout: Sequence[int], D, rngs, seconds_out=None) -> list
     ):
         # Warm the shared immutable structure once; every pool the loop
         # below opens over (D, L) then hits the LRU instead of rebuilding
-        # group membership (and the jit tier reuses its kernel arrays).
-        st = HierarchicalFreePool._structure_for(D, L)
-        if any(m.engine in ("auto", "jit") for m in mappers):
-            from repro.mapping.jitkernel import pool_arrays
-
-            pool_arrays(st, D)
+        # group membership.
+        HierarchicalFreePool._structure_for(D, L)
     results = []
     for m, rng in zip(mappers, rngs):
         t0 = time.perf_counter()

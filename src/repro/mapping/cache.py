@@ -20,10 +20,9 @@ parallel sweep driver's workers inherit the directory via the
 
 Two deliberate exclusions from the key:
 
-* ``engine`` — the naive, vectorised and jit executors are bit-identical
-  by contract (enforced by the placement-identity tests and the CCH003
-  audit probe; the jit tier replays tie-break draws through a PCG64
-  replica, so even rng streams agree), so their results are
+* ``engine`` — the naive and vectorised executors are bit-identical by
+  contract, rng streams included (enforced by the placement-identity
+  tests and the CCH003 audit probe), so their results are
   interchangeable;
 * Generator rng objects — only plain integer seeds are reproducible
   content, so :func:`repro.mapping.reorder.reorder_ranks` bypasses the
@@ -81,8 +80,8 @@ def mapping_cache_key(
 ) -> str:
     """Content address of one mapping computation.
 
-    ``engine`` is dropped from ``mapper_kwargs``: every executor tier
-    (naive, vectorized, jit) produces bit-identical placements, so the
+    ``engine`` is dropped from ``mapper_kwargs``: both executors
+    (naive, vectorized) produce bit-identical placements, so the
     engine choice is not content.
     """
     kwargs = {

@@ -215,7 +215,7 @@ def reorder_all(
     would) — but the per-topology setup is paid once instead of once per
     heuristic: the backend fingerprint and layout serialisation for the
     cache keys, and (via :func:`repro.mapping.base.map_batch`) the
-    pool's group structure and the jit tier's kernel arrays.
+    pool's group structure.
 
     This is the entry point the evaluator, the sweep cells and the
     fault-recovery comparison use whenever they need several patterns'

@@ -3,8 +3,8 @@
 :class:`ServeClient` speaks the :mod:`repro.serve.protocol` JSON-lines
 framing over a unix socket or TCP connection, one request at a time
 (responses come back in request order, matching the server's
-per-connection semantics).  It is what the load generator
-(``repro perf --serve``), the CI smoke job and external callers use;
+per-connection semantics).  It is what the benchmark's serve workload
+(``perf/``), the CI smoke job and external callers use;
 concurrency comes from running several clients, not from pipelining one.
 """
 

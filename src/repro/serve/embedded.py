@@ -1,8 +1,8 @@
-"""In-process daemon harness for tests and the serve load generator.
+"""In-process daemon harness for tests and the benchmark's serve workload.
 
 :class:`EmbeddedServer` runs a :class:`~repro.serve.server.ReproServer`
 event loop on a background thread so synchronous code — pytest, the
-``repro perf --serve`` load generator — can talk to a real daemon
+serve workload of ``perf/run.py`` — can talk to a real daemon
 through real sockets without forking a subprocess.  The server object
 itself is exposed, so tests can read the coalescing/batching counters
 directly in addition to the ``stats`` op.

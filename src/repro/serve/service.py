@@ -8,8 +8,7 @@ one executor lane, so none of the caches underneath (mapping cache,
 pricing LRU, schedule cache, route tables) need locks.
 
 The service is also the daemon's measurement point: it counts requests,
-batch executions and cache traffic, which the ``stats`` op (and the
-``repro perf --serve`` report) surface.
+batch executions and cache traffic, which the ``stats`` op surfaces.
 """
 
 from __future__ import annotations

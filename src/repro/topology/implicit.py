@@ -35,44 +35,8 @@ from typing import Tuple, Union
 import numpy as np
 
 from repro.topology.cluster import ClusterTopology
-from repro.util.jit import HAS_NUMBA, maybe_njit
 
 __all__ = ["CoreCoords", "ImplicitDistances"]
-
-
-@maybe_njit(cache=True)
-def _ladder_row_kernel(  # pragma: no cover - compiled; numpy twin is tested
-    core, cols, out, ladder, cpn, cps, nspn, npl, nlines
-):
-    """Fill ``out[i] = ladder[shared_level(core, cols[i])]`` (compiled).
-
-    One integer-arithmetic pass per column, no intermediate arrays —
-    the jit twin of the vectorised level scan in
-    :meth:`ImplicitDistances.row`.  The float64 ladder value is cast to
-    float32 on store, the same single rounding the numpy path applies.
-    """
-    node_s = core // cpn
-    gs_s = node_s * nspn + (core % cpn) // cps
-    lf_s = node_s // npl
-    ln_s = lf_s % nlines
-    for i in range(cols.shape[0]):
-        c = cols[i]
-        if c == core:
-            lvl = 0
-        else:
-            node = c // cpn
-            if node == node_s:
-                lvl = 1 if node * nspn + (c % cpn) // cps == gs_s else 2
-            else:
-                lf = node // npl
-                if lf == lf_s:
-                    lvl = 3
-                elif lf % nlines == ln_s:
-                    lvl = 4
-                else:
-                    lvl = 5
-        out[i] = ladder[lvl]
-    return out
 
 
 @dataclass(frozen=True)
@@ -110,7 +74,7 @@ class ImplicitDistances:
         self.dtype = np.dtype(np.float32)
         self.fingerprint = cluster.fingerprint()
         self._ladder = self._build_ladder(cluster)
-        # integer constants for the ladder-scan paths of row():
+        # integer constants for the ladder scan of row():
         # (cores_per_node, cores_per_socket, sockets_per_node,
         #  nodes_per_leaf, lines_per_core)
         self._coord_consts = (
@@ -196,20 +160,14 @@ class ImplicitDistances:
         pair's distance is the ladder value of the deepest level the pair
         shares, and each ladder entry is accumulated in the same float64
         addition order as the dense path (the skipped terms there are
-        exact ``+ 0.0``s) before the same final float32 cast.  Served by
-        the compiled ladder-scan kernel when numba is available, else by
-        one vectorised level scan.
+        exact ``+ 0.0``s) before the same final float32 cast.  One
+        vectorised level scan.
         """
         core = int(core)
         if cols is None:
             cols = np.arange(self.shape[1], dtype=np.int64)
         else:
-            cols = np.ascontiguousarray(np.asarray(cols, dtype=np.int64))
-        if HAS_NUMBA:
-            out = np.empty(cols.size, dtype=np.float32)
-            return _ladder_row_kernel(
-                core, cols, out, self._ladder, *self._coord_consts
-            )
+            cols = np.asarray(cols, dtype=np.int64)
         # Shared-level scan: the level masks are nested (same socket =>
         # same node => same leaf => same line switch), so the deepest
         # shared level is 5 minus the count of satisfied masks.

@@ -85,15 +85,15 @@ class TestCch003EngineIdentity:
         report = probe_engine_identity(n_nodes=2)
         assert [str(d) for d in report.diagnostics] == []
 
-    def test_probe_covers_jit_engine(self, monkeypatch):
-        """The probe must flag a jit tier that drifts from naive."""
+    def test_probe_flags_vectorized_drift(self, monkeypatch):
+        """The probe must flag a vectorised engine that drifts from naive."""
         import repro.mapping.reorder as reorder_mod
 
         real = reorder_mod.reorder_ranks
 
         def doctored(pattern, layout, D, **kwargs):
             res = real(pattern, layout, D, **kwargs)
-            if kwargs.get("engine") == "jit":
+            if kwargs.get("engine") == "vectorized":
                 m = res.mapping.copy()
                 m[0], m[1] = m[1], m[0]
                 res.reordering.mapping[:] = m
@@ -101,7 +101,8 @@ class TestCch003EngineIdentity:
 
         monkeypatch.setattr(reorder_mod, "reorder_ranks", doctored)
         report = probe_engine_identity(n_nodes=2)
-        assert any("jit" in str(d) for d in report.diagnostics)
+        assert report.codes() == ["CCH003"]
+        assert any("vectorised" in str(d) for d in report.diagnostics)
 
 
 class TestCch004DiskTier:

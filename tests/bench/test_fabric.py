@@ -381,12 +381,23 @@ class TestSigkillRecovery:
                     "--lease-ttl", "2.0"],
             env=env_slow, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
         )
+        # Kill only while the victim holds the lease of an unfinished
+        # shard.  Between a shard's last cell landing and its lease
+        # release it holds only a finished shard's lease, which leaves
+        # the survivor nothing to steal; freezing the victim during the
+        # check makes the check and the kill see the same state.
         deadline = time.time() + 30
         cells = fabric_dir / "cells"
-        while time.time() < deadline:
-            if cells.is_dir() and any(cells.glob("*.json")):
-                break
+        while True:
+            assert time.time() < deadline, "victim never held an unfinished shard"
             time.sleep(0.05)
+            if not (cells.is_dir() and any(cells.glob("*.json"))):
+                continue
+            victim.send_signal(signal.SIGSTOP)
+            os.waitpid(victim.pid, os.WUNTRACED)
+            if any(s.state == "leased" for s in fabric_status(fabric_dir).shards):
+                break
+            victim.send_signal(signal.SIGCONT)
         victim.send_signal(signal.SIGKILL)
         victim.wait(timeout=30)
         assert not (fabric_dir / "sweep.json").exists()

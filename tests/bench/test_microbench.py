@@ -1,15 +1,96 @@
 """Sweep harness and reporting tests."""
 
+from typing import List, Sequence
+
 import pytest
 
-from repro.bench.microbench import OSU_SIZES, SweepPoint, sweep_hierarchical, sweep_nonhierarchical
+from repro.bench.microbench import (
+    OSU_SIZES,
+    SweepPoint,
+    _sweep,
+    sweep_hierarchical,
+    sweep_nonhierarchical,
+)
 from repro.bench.report import format_series_csv, format_sweep_table, size_label
 from repro.evaluation.evaluator import AllgatherEvaluator
+from repro.mapping.initial import make_layout
 
 
 @pytest.fixture(scope="module")
 def evaluator(mid_cluster):
     return AllgatherEvaluator(mid_cluster, rng=0)
+
+
+def naive_sweep(
+    evaluator: AllgatherEvaluator,
+    p: int,
+    layouts: Sequence[str],
+    sizes: Sequence[int],
+    mappers: Sequence[str],
+    strategies: Sequence[str],
+) -> List[SweepPoint]:
+    """The seed pipeline: size loop outermost, every point priced alone.
+
+    Each point re-selects the algorithm, rebuilds its schedule and
+    re-prices it from scratch through :meth:`TimingEngine.evaluate` —
+    the oracle the batched pipeline must reproduce.
+    """
+    points: List[SweepPoint] = []
+    for lname in layouts:
+        L = make_layout(lname, evaluator.cluster, p)
+        for bb in sizes:
+            base = evaluator.default_latency(L, bb)
+            for mapper in mappers:
+                for strategy in strategies:
+                    tuned = evaluator.reordered_latency(L, bb, mapper, strategy)
+                    points.append(
+                        SweepPoint(
+                            layout=lname,
+                            block_bytes=int(bb),
+                            mapper=mapper,
+                            strategy=strategy,
+                            hierarchical=False,
+                            intra="binomial",
+                            algorithm=tuned.algorithm,
+                            base_us=base.seconds * 1e6,
+                            tuned_us=tuned.seconds * 1e6,
+                        )
+                    )
+    return points
+
+
+SMALL = dict(
+    layouts=["block-bunch", "cyclic-scatter"],
+    sizes=[1, 1024, 4096, 65536],
+    mappers=["heuristic"],
+    strategies=["initcomm", "endshfl"],
+)
+
+
+class TestEquivalence:
+    def test_batched_matches_naive_pointwise(self, evaluator):
+        """Same grid through both pipelines: same points, same latencies."""
+        naive = naive_sweep(evaluator, 64, **SMALL)
+        batched = _sweep(
+            evaluator, 64, SMALL["layouts"], SMALL["sizes"], SMALL["mappers"],
+            SMALL["strategies"], False, "binomial", None,
+        )
+        assert len(naive) == len(batched)
+        for a, b in zip(naive, batched):
+            assert (a.layout, a.block_bytes, a.mapper, a.strategy) == (
+                b.layout, b.block_bytes, b.mapper, b.strategy
+            )
+            assert a.algorithm == b.algorithm
+            assert b.base_us == pytest.approx(a.base_us, rel=1e-9)
+            assert b.tuned_us == pytest.approx(a.tuned_us, rel=1e-9)
+
+    def test_workers_sweep_matches_serial(self, evaluator):
+        """The process-pool fan-out reproduces the serial sweep exactly."""
+        serial = sweep_nonhierarchical(evaluator, 64, **SMALL)
+        parallel = sweep_nonhierarchical(evaluator, 64, workers=2, **SMALL)
+        assert len(serial) == len(parallel)
+        for a, b in zip(serial, parallel):
+            assert a == b  # frozen dataclasses: full field equality
 
 
 class TestSizes:

@@ -40,12 +40,16 @@ def big_cluster():
     return gpc_cluster(n_nodes=32)
 
 
-def _both_engines(cls, cluster, layout, tie_break, seed):
+def _both_engines(cls, cluster, layout, tie_break, seed, vect_seed=None):
+    """Map once per engine; ``vect_seed`` gives the vectorised map its own
+    rng when ``seed`` is a live Generator (default: ``seed`` itself)."""
     naive = cls(tie_break=tie_break, engine="naive").map(
         layout, cluster.distance_matrix(), rng=seed
     )
     vect = cls(tie_break=tie_break, engine="vectorized").map(
-        layout, cluster.implicit_distances(), rng=seed
+        layout,
+        cluster.implicit_distances(),
+        rng=seed if vect_seed is None else vect_seed,
     )
     return naive, vect
 
@@ -86,12 +90,47 @@ class TestPlacementIdentity:
         naive, vect = _both_engines(cls, mid_cluster, survivors, "random", 5)
         assert np.array_equal(naive, vect)
 
+    @pytest.mark.parametrize("cls", HEURISTICS)
+    def test_rng_stream_identical_after_map(self, mid_cluster, cls):
+        """A shared Generator ends in the same state whatever the engine."""
+        L = make_layout("cyclic-bunch", mid_cluster, 64)
+        g1, g2 = make_rng(99), make_rng(99)
+        naive, vect = _both_engines(cls, mid_cluster, L, "random", g1, g2)
+        assert np.array_equal(naive, vect)
+        assert g1.bit_generator.state == g2.bit_generator.state
+        assert g1.integers(1 << 30) == g2.integers(1 << 30)
+
+    def test_non_pcg64_generator_identical(self, mid_cluster):
+        """Placements and streams agree for a non-default bit generator."""
+        L = make_layout("block-bunch", mid_cluster, 32)
+        g1 = np.random.Generator(np.random.MT19937(5))  # noqa: REP001
+        g2 = np.random.Generator(np.random.MT19937(5))  # noqa: REP001
+        naive, vect = _both_engines(RMH, mid_cluster, L, "random", g1, g2)
+        assert np.array_equal(naive, vect)
+        s1, s2 = g1.bit_generator.state["state"], g2.bit_generator.state["state"]
+        assert np.array_equal(s1["key"], s2["key"]) and s1["pos"] == s2["pos"]
+
+    @pytest.mark.parametrize("cls", HEURISTICS)
+    def test_engines_bit_identical_p1024(self, cls):
+        cluster = gpc_cluster(n_nodes=128)
+        for lname in ("block-bunch", "cyclic-scatter"):
+            L = make_layout(lname, cluster, 1024)
+            naive, vect = _both_engines(cls, cluster, L, "random", 0)
+            assert np.array_equal(naive, vect), lname
+
 
 class TestEngineSelection:
     def test_engine_validated_at_construction(self):
         with pytest.raises(ValueError, match="engine"):
             RMH(engine="bogus")
-        assert "vectorized" in PLACEMENT_ENGINES
+        assert PLACEMENT_ENGINES == ("auto", "naive", "vectorized")
+
+    def test_auto_opens_hierarchical_pool_on_implicit_backend(self, mid_cluster):
+        impl = mid_cluster.implicit_distances()
+        assert impl.supports_vectorized_placement
+        L = make_layout("block-bunch", mid_cluster, 16)
+        pool = RMH(engine="auto")._open_pool(impl, L, 0)
+        assert type(pool) is HierarchicalFreePool
 
     def test_vectorized_rejects_dense_matrix(self, mid_cluster):
         L = make_layout("block-bunch", mid_cluster, 16)

@@ -189,15 +189,6 @@ class TestFabricCLI:
         args = build_parser().parse_args(["sweep", "--status", "d"])
         assert args.status == "d"
 
-    def test_perf_fabric_options(self):
-        args = build_parser().parse_args(
-            ["perf", "--fabric", "--fabric-workers", "1", "2",
-             "--cell-delay", "0.5", "--quick"]
-        )
-        assert args.fabric
-        assert args.fabric_workers == [1, 2]
-        assert args.cell_delay == 0.5
-
     def test_fabric_worker_then_merge_then_status(self, tmp_path, capsys):
         fdir = str(tmp_path / "f")
         assert main(self.FLAGS + ["--fabric", fdir, "--worker-id", "w1"]) == 0
