@@ -29,7 +29,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from repro.collectives.schedule import CollectiveAlgorithm, Stage, make_stage
+from repro.collectives.schedule import CollectiveAlgorithm, Stage
 from repro.simmpi.costmodel import CostModel
 from repro.simmpi.data import DataExecutor
 
@@ -118,8 +118,13 @@ def init_comm_stage(reordering: RankReordering) -> Optional[Stage]:
     displaced = np.flatnonzero(reordering.old_of_new != np.arange(reordering.p))
     if displaced.size == 0:
         return None
-    msgs = [(int(reordering.new_of_old[b]), int(b), (int(b),)) for b in displaced]
-    return make_stage(msgs, label="initcomm")
+    return Stage(
+        src=reordering.new_of_old[displaced],
+        dst=displaced,
+        units=np.ones(displaced.size),
+        blocks=[(b,) for b in displaced.tolist()],
+        label="initcomm",
+    )
 
 
 def end_shuffle_seconds(

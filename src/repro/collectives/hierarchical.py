@@ -19,7 +19,7 @@ processes separately").
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -38,10 +38,14 @@ def contiguous_groups(p: int, group_size: int) -> List[List[int]]:
     return [list(range(g * group_size, (g + 1) * group_size)) for g in range(p // group_size)]
 
 
+#: One stage's (src, dst, units) message arrays.
+_Edges = Tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
 def _stage_from_triples(
-    msgs: List[Tuple[int, int, int]], blocks: Optional[List[Tuple[int, ...]]], label: str
+    msgs: List[Tuple[int, int, int]], blocks: List[Tuple[int, ...]], label: str
 ) -> Stage:
-    """Build a stage from (src, dst, units) triples, blocks optional."""
+    """Build a stage from (src, dst, units) triples and their blocks."""
     src = np.array([m[0] for m in msgs], dtype=np.int64)
     dst = np.array([m[1] for m in msgs], dtype=np.int64)
     units = np.array([m[2] for m in msgs], dtype=np.float64)
@@ -105,7 +109,7 @@ class HierarchicalAllgather(CollectiveAlgorithm):
     # ------------------------------------------------------------------
     # phase 1: intra-group gather
     # ------------------------------------------------------------------
-    def _gather_stages(self, with_blocks: bool) -> Iterator[Stage]:
+    def _gather_stages(self) -> Iterator[Stage]:
         if self.intra == "linear":
             msgs: List[Tuple[int, int, int]] = []
             blocks: List[Tuple[int, ...]] = []
@@ -115,7 +119,7 @@ class HierarchicalAllgather(CollectiveAlgorithm):
                     msgs.append((r, root, 1))
                     blocks.append((r,))
             if msgs:
-                yield _stage_from_triples(msgs, blocks if with_blocks else None, "hier:gather")
+                yield _stage_from_triples(msgs, blocks, "hier:gather")
             return
         # Binomial: merge the stage-s edges of every group into one stage.
         per_group = [binomial.gather_edges_by_stage(len(g)) for g in self.groups]
@@ -129,17 +133,14 @@ class HierarchicalAllgather(CollectiveAlgorithm):
                     for child, par in group_stages[s]:
                         sub = binomial.subtree_range(child, m)
                         msgs.append((g[child], g[par], len(sub)))
-                        if with_blocks:
-                            blocks.append(tuple(g[x] for x in sub))
+                        blocks.append(tuple(g[x] for x in sub))
             if msgs:
-                yield _stage_from_triples(
-                    msgs, blocks if with_blocks else None, f"hier:gather{s}"
-                )
+                yield _stage_from_triples(msgs, blocks, f"hier:gather{s}")
 
     # ------------------------------------------------------------------
     # phase 2: leader exchange
     # ------------------------------------------------------------------
-    def _leader_stages(self, with_blocks: bool) -> Iterator[Stage]:
+    def _leader_stages(self) -> Iterator[Stage]:
         G = len(self.groups)
         if G < 2:
             return
@@ -153,14 +154,11 @@ class HierarchicalAllgather(CollectiveAlgorithm):
                     owned_groups = rd_blocks_owned(i, s)
                     units = sum(len(self.groups[grp]) for grp in owned_groups)
                     msgs.append((leaders[i], leaders[i ^ dist], units))
-                    if with_blocks:
-                        blk: Tuple[int, ...] = ()
-                        for grp in owned_groups:
-                            blk += tuple(self.groups[grp])
-                        blocks.append(blk)
-                yield _stage_from_triples(
-                    msgs, blocks if with_blocks else None, f"hier:leaders-rd{s}"
-                )
+                    blk: Tuple[int, ...] = ()
+                    for grp in owned_groups:
+                        blk += tuple(self.groups[grp])
+                    blocks.append(blk)
+                yield _stage_from_triples(msgs, blocks, f"hier:leaders-rd{s}")
         else:
             for t in range(G - 1):
                 msgs = []
@@ -168,25 +166,21 @@ class HierarchicalAllgather(CollectiveAlgorithm):
                 for i in range(G):
                     grp = (i - t) % G
                     msgs.append((leaders[i], leaders[(i + 1) % G], len(self.groups[grp])))
-                    if with_blocks:
-                        blocks.append(tuple(self.groups[grp]))
-                yield _stage_from_triples(
-                    msgs, blocks if with_blocks else None, f"hier:leaders-ring{t}"
-                )
+                    blocks.append(tuple(self.groups[grp]))
+                yield _stage_from_triples(msgs, blocks, f"hier:leaders-ring{t}")
 
     # ------------------------------------------------------------------
     # phase 3: intra-group broadcast of the full vector
     # ------------------------------------------------------------------
-    def _bcast_stages(self, with_blocks: bool) -> Iterator[Stage]:
-        payload = tuple(range(self.p)) if with_blocks else None
+    def _bcast_stages(self) -> Iterator[Stage]:
+        payload = tuple(range(self.p))
         if self.intra == "linear":
             msgs = []
             for g in self.groups:
                 root = g[0]
                 msgs.extend((root, r, self.p) for r in g[1:])
             if msgs:
-                blocks = [payload] * len(msgs) if with_blocks else None
-                yield _stage_from_triples(msgs, blocks, "hier:bcast")
+                yield _stage_from_triples(msgs, [payload] * len(msgs), "hier:bcast")
             return
         per_group = [binomial.bcast_edges_by_stage(len(g)) for g in self.groups]
         max_stages = max((len(st) for st in per_group), default=0)
@@ -196,38 +190,140 @@ class HierarchicalAllgather(CollectiveAlgorithm):
                 if s < len(group_stages):
                     msgs.extend((g[par], g[child], self.p) for par, child in group_stages[s])
             if msgs:
-                blocks = [payload] * len(msgs) if with_blocks else None
-                yield _stage_from_triples(msgs, blocks, f"hier:bcast{s}")
+                yield _stage_from_triples(msgs, [payload] * len(msgs), f"hier:bcast{s}")
 
     # ------------------------------------------------------------------
     def stages(self, p: int) -> Iterator[Stage]:
         self._check_p(p)
-        yield from self._gather_stages(with_blocks=True)
-        yield from self._leader_stages(with_blocks=True)
-        yield from self._bcast_stages(with_blocks=True)
+        yield from self._gather_stages()
+        yield from self._leader_stages()
+        yield from self._bcast_stages()
 
-    def schedule(self, p: int) -> Schedule:
-        """Timing view; compresses the leader ring when groups are uniform."""
-        self._check_p(p)
-        stages: List[Stage] = list(self._gather_stages(with_blocks=False))
+    # ------------------------------------------------------------------
+    # timing view: the same messages as stages(), built array-wise
+    # ------------------------------------------------------------------
+    def _tree_edges(self, m: int, gather: bool) -> List[_Edges]:
+        """Per-stage (src, dst, units) of one size-``m`` group, group-local.
 
-        G = len(self.groups)
-        sizes = {len(g) for g in self.groups}
-        if self.leader_alg == "ring" and G >= 2 and len(sizes) == 1:
-            m = sizes.pop()
-            leaders = np.array(self.leaders, dtype=np.int64)
-            nxt = np.array([self.leaders[(i + 1) % G] for i in range(G)], dtype=np.int64)
+        Local index 0 is the group's leader; an empty list means a group of
+        this size sends nothing in the phase.
+        """
+        if self.intra == "linear":
+            if m == 1:
+                return []
+            others = np.arange(1, m, dtype=np.int64)
+            root = np.zeros(m - 1, dtype=np.int64)
+            if gather:
+                return [(others, root, np.ones(m - 1))]
+            return [(root, others, np.full(m - 1, float(self.p)))]
+        out = []
+        if gather:
+            for edges in binomial.gather_edges_by_stage(m):
+                child, par = (np.array(x, dtype=np.int64) for x in zip(*edges))
+                sub = [float(binomial.subtree_size(int(c), m)) for c in child]
+                out.append((child, par, np.array(sub)))
+        else:
+            for edges in binomial.bcast_edges_by_stage(m):
+                par, child = (np.array(x, dtype=np.int64) for x in zip(*edges))
+                out.append((par, child, np.full(par.size, float(self.p))))
+        return out
+
+    def _intra_schedule(self, gather: bool) -> List[Stage]:
+        """Gather (or broadcast) stages with each group size's tree built once.
+
+        Stage ``s`` holds every group's stage-``s`` edges, groups in order
+        and each group's edges in tree order — the message order of
+        :meth:`stages`.  Per distinct size the edges are broadcast over a
+        (groups, edges) array of flat positions; a stable sort on the
+        group index then interleaves the sizes back into group order.
+        """
+        flat = np.fromiter(
+            (r for g in self.groups for r in g), dtype=np.int64, count=self.p
+        )
+        sizes = np.array([len(g) for g in self.groups], dtype=np.int64)
+        offsets = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+        # (group indices, tree) per distinct size, sizes ascending
+        by_size = [
+            (np.flatnonzero(sizes == m), self._tree_edges(m, gather))
+            for m in sorted(set(sizes.tolist()))
+        ]
+        n_stages = max(len(tree) for _, tree in by_size)
+        phase = "gather" if gather else "bcast"
+        stages = []
+        for s in range(n_stages):
+            gid, src, dst, units = [], [], [], []
+            for grp, tree in by_size:
+                if s >= len(tree):
+                    continue
+                ls, ld, lu = tree[s]
+                base = offsets[grp][:, None]
+                gid.append(np.repeat(grp, ls.size))
+                src.append((base + ls).ravel())
+                dst.append((base + ld).ravel())
+                units.append(np.tile(lu, grp.size))
+            order = np.argsort(np.concatenate(gid), kind="stable")
+            label = f"hier:{phase}" if self.intra == "linear" else f"hier:{phase}{s}"
             stages.append(
+                Stage(
+                    src=flat[np.concatenate(src)[order]],
+                    dst=flat[np.concatenate(dst)[order]],
+                    units=np.concatenate(units)[order],
+                    label=label,
+                )
+            )
+        return stages
+
+    def _leader_schedule(self) -> List[Stage]:
+        """Leader-exchange stages; the ring compresses when groups are uniform."""
+        G = len(self.groups)
+        if G < 2:
+            return []
+        leaders = np.array(self.leaders, dtype=np.int64)
+        sizes = np.array([len(g) for g in self.groups], dtype=np.float64)
+        if self.leader_alg == "rd":
+            # Leader i owns groups [base, base + 2**s) entering stage s,
+            # base = i with its low s bits cleared (rd_blocks_owned).
+            prefix = np.concatenate(([0.0], np.cumsum(sizes)))
+            idx = np.arange(G, dtype=np.int64)
+            stages = []
+            for s in range(ilog2(G)):
+                dist = 1 << s
+                base = idx & ~(dist - 1)
+                stages.append(
+                    Stage(
+                        src=leaders,
+                        dst=leaders[idx ^ dist],
+                        units=prefix[base + dist] - prefix[base],
+                        label=f"hier:leaders-rd{s}",
+                    )
+                )
+            return stages
+        nxt = np.roll(leaders, -1)
+        if np.all(sizes == sizes[0]):
+            return [
                 Stage(
                     src=leaders,
                     dst=nxt,
-                    units=np.full(G, float(m)),
+                    units=np.full(G, sizes[0]),
                     repeat=G - 1,
                     label="hier:leaders-ring*",
                 )
-            )
-        else:
-            stages.extend(self._leader_stages(with_blocks=False))
+            ]
+        # Ring step t: leader i forwards group (i - t) mod G.
+        return [
+            Stage(src=leaders, dst=nxt, units=np.roll(sizes, t), label=f"hier:leaders-ring{t}")
+            for t in range(G - 1)
+        ]
 
-        stages.extend(self._bcast_stages(with_blocks=False))
+    def schedule(self, p: int) -> Schedule:
+        """Timing view: :meth:`stages` without blocks, built array-wise.
+
+        Message order, units and labels equal the :meth:`stages` view; the
+        leader ring becomes one ``repeat = G - 1`` stage when every group
+        has the same size.
+        """
+        self._check_p(p)
+        stages = self._intra_schedule(gather=True)
+        stages += self._leader_schedule()
+        stages += self._intra_schedule(gather=False)
         return Schedule(p=p, stages=stages, name=self.name)

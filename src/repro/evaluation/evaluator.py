@@ -25,7 +25,9 @@ intra-node pattern to optimise and only leaders are reordered.
 
 from __future__ import annotations
 
+import copy
 import hashlib
+import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -147,10 +149,11 @@ class AllgatherEvaluator:
         """
         L = np.asarray(layout, dtype=np.int64)
         nodes = self.cluster.node_of(L)
-        groups: Dict[int, List[int]] = {}
-        for rank in range(L.size):
-            groups.setdefault(int(nodes[rank]), []).append(rank)
-        return [groups[n] for n in sorted(groups)]
+        # stable sort: ranks ascend within each node's slice
+        order = np.argsort(nodes, kind="stable")
+        _, starts = np.unique(nodes[order], return_index=True)
+        bounds = np.append(starts, L.size)
+        return [order[a:b].tolist() for a, b in zip(bounds[:-1], bounds[1:])]
 
     def _restore(
         self,
@@ -253,10 +256,17 @@ class AllgatherEvaluator:
         out: List[Optional[LatencyReport]] = [None] * len(sizes)
         if hierarchical:
             groups = self.groups_from_layout(L)
-            algs = [
-                select_hierarchical_allgather(groups, bb, intra, self.rd_threshold)
-                for bb in sizes
-            ]
+            # The pick depends on the size only through the RD threshold,
+            # so one algorithm is built per side of it.
+            by_side: Dict[bool, HierarchicalAllgather] = {}
+            algs = []
+            for bb in sizes:
+                small = bb < self.rd_threshold
+                if small not in by_side:
+                    by_side[small] = select_hierarchical_allgather(
+                        groups, bb, intra, self.rd_threshold
+                    )
+                algs.append(by_side[small])
             extra_key = (_layout_key(L), "default")
         else:
             algs = [select_allgather(p, bb, self.rd_threshold) for bb in sizes]
@@ -365,28 +375,38 @@ class AllgatherEvaluator:
         intra: str,
         rng: RngLike,
     ) -> List[LatencyReport]:
-        G = len(self.groups_from_layout(L))
+        groups_old = self.groups_from_layout(L)
+        G = len(groups_old)
+        lk = _layout_key(L)
         out: List[Optional[LatencyReport]] = [None] * len(sizes)
         leader_algs = [
             "rd" if bb < self.rd_threshold and is_power_of_two(G) else "ring"
             for bb in sizes
         ]
+        plan = []
         for leader_alg, idxs in self._group_sizes(leader_algs):
             leader_pattern = (
                 "recursive-doubling" if leader_alg == "rd" else "ring"
             )
-            key = ("hier", leader_pattern, intra, self.intra_heuristic, _layout_key(L), kind)
-            cached = self._reorder_cache.get(key)
-            if cached is None:
-                cached = self._hierarchical_reordering(L, kind, intra, leader_pattern, rng)
-                self._reorder_cache[key] = cached
-            reordering, groups_new, overhead = cached  # type: ignore[misc]
+            key = ("hier", leader_pattern, intra, self.intra_heuristic, lk, kind)
+            plan.append((leader_alg, idxs, leader_pattern, key))
+        missing = [(pt, key) for _, _, pt, key in plan if key not in self._reorder_cache]
+        if missing:
+            # Every leader pattern starts from the same seed, so the intra
+            # phase is identical: run it once and give each leader reorder
+            # its own copy of the generator state it leaves behind.
+            gen = make_rng(rng)
+            per_group, intra_s = self._intra_reordering(L, groups_old, kind, intra, gen)
+            for leader_pattern, key in missing:
+                self._reorder_cache[key] = self._leader_reordering(
+                    L, per_group, kind, leader_pattern, copy.deepcopy(gen), intra_s
+                )
+        for leader_alg, idxs, _, key in plan:
+            reordering, groups_new, overhead = self._reorder_cache[key]  # type: ignore[misc]
 
             alg = HierarchicalAllgather(groups_new, leader_alg=leader_alg, intra=intra)
             sub = [sizes[i] for i in idxs]
-            sched = self._schedule_for(
-                alg, L.size, (_layout_key(L), kind, self.intra_heuristic)
-            )
+            sched = self._schedule_for(alg, L.size, (lk, kind, self.intra_heuristic))
             batch = self.engine.evaluate_sizes(sched, reordering.mapping, sub)
             strategy_name, restores = self._restore_sizes(strat, alg, reordering, sub)
             for j, i in enumerate(idxs):
@@ -578,27 +598,54 @@ class AllgatherEvaluator:
         Returns the world reordering, the *new-rank* groups the schedule
         is built over, and the total mapping overhead in seconds.
         """
-        groups_old = self.groups_from_layout(L)
-        G = len(groups_old)
         rng = make_rng(rng)
+        per_group_cores, overhead = self._intra_reordering(
+            L, self.groups_from_layout(L), kind, intra, rng
+        )
+        return self._leader_reordering(L, per_group_cores, kind, leader_pattern, rng, overhead)
+
+    def _intra_reordering(
+        self,
+        L: np.ndarray,
+        groups_old: List[List[int]],
+        kind: str,
+        intra: str,
+        rng: np.random.Generator,
+    ) -> Tuple[List[np.ndarray], float]:
+        """Each node group's cores in intra-reordered order, plus mapping seconds.
+
+        Only binomial phases are reordered; a linear phase has no pattern
+        to optimise (paper Fig. 4(c,d) commentary).
+        """
         overhead = 0.0
-
-        # Intra-node reordering (binomial phases only; a linear phase has
-        # no pattern to optimise, paper Fig. 4(c,d) commentary).
-        import time as _time
-
         per_group_cores: List[np.ndarray] = []
         for g in groups_old:
             cores_g = L[np.asarray(g, dtype=np.int64)]
             if intra == "binomial" and len(g) > 1:
                 mapper = self._intra_mapper(kind, len(g))
-                t0 = _time.perf_counter()
+                t0 = time.perf_counter()
                 M_g = mapper.map(cores_g, self.distances, rng=rng)
-                overhead += _time.perf_counter() - t0
+                overhead += time.perf_counter() - t0
             else:
                 M_g = cores_g.copy()
             per_group_cores.append(np.asarray(M_g, dtype=np.int64))
+        return per_group_cores, overhead
 
+    def _leader_reordering(
+        self,
+        L: np.ndarray,
+        per_group_cores: List[np.ndarray],
+        kind: str,
+        leader_pattern: str,
+        rng: np.random.Generator,
+        overhead: float,
+    ) -> Tuple[RankReordering, List[List[int]], float]:
+        """Reorder the leaders and stitch the world mapping.
+
+        ``overhead`` is the intra phase's mapping seconds; the leader
+        reorder's are added to it.
+        """
+        G = len(per_group_cores)
         # Leader-level reordering over the (possibly new) leader cores.
         leader_cores = np.array([mg[0] for mg in per_group_cores], dtype=np.int64)
         if G > 1:

@@ -210,6 +210,14 @@ class _PoolStructure:
     during a mapping run, so :class:`HierarchicalFreePool` caches and
     shares these across instances; only the free-flag/free-count state is
     rebuilt per pool.
+
+    Groups carry *pool-local* ids at every level (``0 .. n - 1`` over the
+    groups the pool's cores occupy, in order of first member), so the member
+    lists and free-count templates are sized by the pool, not the
+    cluster.  Each list has one trailing slot more — an empty member list
+    with a zero count — which index ``-1`` reaches: ``local_ids`` maps a
+    global group id to its local id, and a group the pool does not touch
+    maps to ``-1``.
     """
 
     __slots__ = (
@@ -225,6 +233,7 @@ class _PoolStructure:
         "node_sizes",
         "leaf_sizes",
         "line_sizes",
+        "local_ids",
         "all_positions",
         "np_members",
     )
@@ -242,54 +251,47 @@ class _PoolStructure:
         self.pos: Dict[int, int] = {c: i for i, c in enumerate(self.cores_l)}
 
         coords = backend.coords(cores)
-        # One (gsock, node, leaf, line) tuple per pool position: the hot
-        # path unpacks a single list slot instead of indexing four lists.
-        self.keys_l = list(
-            zip(
-                coords.gsock.tolist(),
-                coords.node.tolist(),
-                coords.leaf.tolist(),
-                coords.line.tolist(),
-            )
-        )
-
-        # Per-group member positions, ascending (stable argsort of pool
-        # positions ⇒ each group slice is sorted).
-        self.by_sock = self._group_members(coords.gsock)
-        self.by_node = self._group_members(coords.node)
-        self.by_leaf = self._group_members(coords.leaf)
-        self.by_line = self._group_members(coords.line)
-        # Free-count templates, list-indexed by the *global* group id
-        # (group ids of any valid core are bounded by the cluster-wide
-        # group counts; list indexing beats dict hashing on the hot path).
-        cl = backend.cluster
-        n_nodes_total = -(-n_cores_total // int(cl.cores_per_node))
-        sizes = {
-            "sock_sizes": (self.by_sock, n_nodes_total * int(cl.machine.n_sockets)),
-            "node_sizes": (self.by_node, n_nodes_total),
-            "leaf_sizes": (self.by_leaf, -(-n_nodes_total // int(cl.network.config.nodes_per_leaf))),
-            "line_sizes": (self.by_line, int(cl.network.config.lines_per_core)),
-        }
-        for attr, (groups, bound) in sizes.items():
-            counts = [0] * bound
-            for g, m in groups.items():
-                counts[g] = len(m)
-            setattr(self, attr, counts)
+        self.by_sock, sock_l, sock_ids = self._group_members(coords.gsock)
+        self.by_node, node_l, node_ids = self._group_members(coords.node)
+        self.by_leaf, leaf_l, leaf_ids = self._group_members(coords.leaf)
+        self.by_line, line_l, line_ids = self._group_members(coords.line)
+        self.local_ids = (sock_ids, node_ids, leaf_ids, line_ids)
+        # One (sock, node, leaf, line) local-id tuple per pool position:
+        # the hot path unpacks a single list slot instead of four lists.
+        self.keys_l = list(zip(sock_l, node_l, leaf_l, line_l))
+        # Free-count templates, list-indexed by local id (list indexing
+        # beats dict hashing on the hot path); the trailing slot is 0.
+        self.sock_sizes = [len(m) for m in self.by_sock]
+        self.node_sizes = [len(m) for m in self.by_node]
+        self.leaf_sizes = [len(m) for m in self.by_leaf]
+        self.line_sizes = [len(m) for m in self.by_line]
         self.all_positions = list(range(cores.size))
         # numpy mirrors of large member lists, built lazily on first gather
         # (shared across pools: contents are as immutable as the lists)
         self.np_members: Dict[int, np.ndarray] = {}
 
     @staticmethod
-    def _group_members(keys: np.ndarray) -> Dict[int, list]:
-        """Ascending pool positions per group id (vectorised build)."""
-        order = np.argsort(keys, kind="stable")
-        sorted_keys = keys[order]
-        uniq, starts = np.unique(sorted_keys, return_index=True)
-        bounds = np.append(starts, sorted_keys.size)
-        return {
-            int(g): order[bounds[i] : bounds[i + 1]].tolist() for i, g in enumerate(uniq)
-        }
+    def _group_members(keys: np.ndarray) -> Tuple[list, list, Dict[int, int]]:
+        """Pool-local grouping of one level's global group ids.
+
+        Returns the ascending member positions per local id (plus the
+        trailing empty slot), each position's local id, and the global ->
+        local id map.  One pass in position order: a plain loop beats
+        numpy's fixed costs on the 8-core pools of intra-node mapping and
+        stays within noise of it on a whole 16k-core cluster.
+        """
+        local_ids: Dict[int, int] = {}
+        members: list = []
+        local = []
+        for pos, g in enumerate(keys.tolist()):
+            i = local_ids.get(g)
+            if i is None:
+                i = local_ids[g] = len(members)
+                members.append([])
+            members[i].append(pos)
+            local.append(i)
+        members.append([])
+        return members, local, local_ids
 
 
 class HierarchicalFreePool:
@@ -372,7 +374,7 @@ class HierarchicalFreePool:
         self._nlines = int(cl.network.config.lines_per_core)
 
         # Mutable per-run state: free flags + per-group free counts
-        # (list-indexed by global group id; see _PoolStructure).
+        # (list-indexed by local group id; see _PoolStructure).
         self._free_sock = list(st.sock_sizes)
         self._free_node = list(st.node_sizes)
         self._free_leaf = list(st.leaf_sizes)
@@ -404,11 +406,21 @@ class HierarchicalFreePool:
         return st
 
     def _coords_of(self, core: int) -> Tuple[int, int, int, int]:
-        """(gsock, node, leaf, line) of a global core id — integer-only."""
+        """Local (sock, node, leaf, line) ids of any core — integer-only.
+
+        A group the pool does not touch maps to ``-1``: the trailing slot,
+        whose free count is always zero.
+        """
         node = core // self._cpn
         gsock = node * self._nspn + (core % self._cpn) // self._cps
         leaf = node // self._npl
-        return gsock, node, leaf, leaf % self._nlines
+        sock_ids, node_ids, leaf_ids, line_ids = self._st.local_ids
+        return (
+            sock_ids.get(gsock, -1),
+            node_ids.get(node, -1),
+            leaf_ids.get(leaf, -1),
+            line_ids.get(leaf % self._nlines, -1),
+        )
 
     @property
     def free(self) -> np.ndarray:
@@ -548,10 +560,7 @@ class HierarchicalFreePool:
             if pos is not None:
                 gs, nd, lf, ln = self._keys_l[pos]
             else:
-                node = ref_core // self._cpn
-                gs = node * self._nspn + (ref_core % self._cpn) // self._cps
-                nd, lf = node, node // self._npl
-                ln = lf % self._nlines
+                gs, nd, lf, ln = self._coords_of(ref_core)
             if (k := self._free_sock[gs]) > 0:
                 members = self._by_sock[gs]
             elif (k := self._free_node[nd]) > 0:

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from collections import OrderedDict
+import weakref
 from enum import IntEnum
 from typing import Dict, List, Optional, Sequence
 
@@ -49,14 +49,8 @@ __all__ = [
     "LinkClass",
     "ClusterTopology",
     "MAX_ROUTE_LEN",
-    "ROUTE_CACHE_SIZE",
     "DEFAULT_DISTANCE_WEIGHTS",
 ]
-
-#: Route tables kept in each cluster's batch-route cache (LRU entries).
-#: A table is ~``n_msgs x 12`` int64, so 128 entries of 4096-message
-#: stages are ~50 MB — bounded regardless of sweep length.
-ROUTE_CACHE_SIZE = 128
 
 #: Maximum number of directed links on any core-to-core route: core-up,
 #: src-mem, qpi-up, hca-up, 4 network links, hca-down, qpi-down, dst-mem,
@@ -159,12 +153,17 @@ class ClusterTopology:
 
         self._net_routes: Optional[np.ndarray] = None
         self._distance_matrix: Optional[np.ndarray] = None
-        self._implicit_distances = None  # lazy ImplicitDistances view
+        # Weak reference to the lazy ImplicitDistances view: the view holds
+        # this cluster, so a strong one would make a cycle that keeps a
+        # dropped cluster (and its tables) alive until the cyclic GC runs.
+        self._implicit_distances: Optional[weakref.ref] = None
         self._fingerprint: Optional[str] = None
-        self._route_cache: "OrderedDict[bytes, np.ndarray]" = OrderedDict()
-        #: set False to make routes_for() rebuild every table (benchmarks
-        #: use this to time the uncached pre-PR pipeline)
-        self.cache_routes: bool = True
+
+    def __getstate__(self) -> dict:
+        """Pickle state; the weak view reference is dropped (rebuilt on demand)."""
+        state = self.__dict__.copy()
+        state["_implicit_distances"] = None
+        return state
 
     # ------------------------------------------------------------------
     # core / node / socket arithmetic
@@ -328,34 +327,13 @@ class ClusterTopology:
         return rows
 
     def routes_for(self, src: Sequence[int], dst: Sequence[int]) -> np.ndarray:
-        """Memoized :meth:`route_matrix` for a batch of messages.
+        """Route table of a message batch: the timing layer's entry point.
 
-        The route table of a stage depends only on the (src, dst) core
-        vectors — not on message sizes — so sweeps that re-price the same
-        (schedule, mapping) across many sizes, engines or exporters keep
-        rebuilding identical 12-column tables.  This entry point keys the
-        table on a content fingerprint of the two vectors and serves a
-        shared **read-only** array (callers must not mutate it; they only
-        ever scan it).  Bounded LRU of :data:`ROUTE_CACHE_SIZE` entries.
+        Returns :meth:`route_matrix`'s table.  Tables are not memoized
+        here: the timing engine's pricing LRU already keeps every table a
+        repeated (schedule, mapping) needs.
         """
-        s = np.ascontiguousarray(np.asarray(src, dtype=np.int64))
-        d = np.ascontiguousarray(np.asarray(dst, dtype=np.int64))
-        if not self.cache_routes:
-            return self.route_matrix(s, d)
-        h = hashlib.sha1(s.size.to_bytes(8, "little"))
-        h.update(s.tobytes())
-        h.update(d.tobytes())
-        key = h.digest()
-        hit = self._route_cache.get(key)
-        if hit is not None:
-            self._route_cache.move_to_end(key)
-            return hit
-        rows = self.route_matrix(s, d)
-        rows.setflags(write=False)
-        self._route_cache[key] = rows
-        if len(self._route_cache) > ROUTE_CACHE_SIZE:
-            self._route_cache.popitem(last=False)
-        return rows
+        return self.route_matrix(src, dst)
 
     def route(self, src: int, dst: int) -> List[int]:
         """Readable single-message route (list of directed link ids)."""
@@ -415,17 +393,21 @@ class ClusterTopology:
     def implicit_distances(self):
         """Row-on-demand distance backend (no dense D materialisation).
 
-        Returns the cluster's cached :class:`repro.topology.implicit.
+        Returns the cluster's :class:`repro.topology.implicit.
         ImplicitDistances` view — the scalable alternative to
         :meth:`distance_matrix` for large core counts.  Rows computed by
-        the view are bit-identical to the dense matrix.
+        the view are bit-identical to the dense matrix.  The same view is
+        returned for as long as any caller holds it.
         """
-        if self._implicit_distances is None:
+        ref = self._implicit_distances
+        view = ref() if ref is not None else None
+        if view is None:
             # Local import: implicit.py imports this module at top level.
             from repro.topology.implicit import ImplicitDistances
 
-            self._implicit_distances = ImplicitDistances(self)
-        return self._implicit_distances
+            view = ImplicitDistances(self)
+            self._implicit_distances = weakref.ref(view)
+        return view
 
     def fingerprint(self) -> str:
         """Stable identity of this cluster's structure (shape + wiring + weights).

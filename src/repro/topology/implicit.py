@@ -74,6 +74,11 @@ class ImplicitDistances:
         self.dtype = np.dtype(np.float32)
         self.fingerprint = cluster.fingerprint()
         self._ladder = self._build_ladder(cluster)
+        # The ladder is private and never mutated, so strictness is fixed.
+        lad32 = self._ladder.astype(np.float32)
+        self._strict_ladder = bool(
+            np.all(np.diff(self._ladder) > 0) and np.all(np.diff(lad32) > 0)
+        )
         # integer constants for the ladder scan of row():
         # (cores_per_node, cores_per_socket, sockets_per_node,
         #  nodes_per_leaf, lines_per_core)
@@ -129,8 +134,7 @@ class ImplicitDistances:
         must also survive the float32 cast the dense matrix applies, since
         the two paths are compared bit-for-bit.
         """
-        lad32 = self._ladder.astype(np.float32)
-        return bool(np.all(np.diff(self._ladder) > 0) and np.all(np.diff(lad32) > 0))
+        return self._strict_ladder
 
     @property
     def supports_vectorized_placement(self) -> bool:

@@ -28,6 +28,7 @@ def naive_sweep(
     sizes: Sequence[int],
     mappers: Sequence[str],
     strategies: Sequence[str],
+    hierarchical: bool = False,
 ) -> List[SweepPoint]:
     """The seed pipeline: size loop outermost, every point priced alone.
 
@@ -39,17 +40,19 @@ def naive_sweep(
     for lname in layouts:
         L = make_layout(lname, evaluator.cluster, p)
         for bb in sizes:
-            base = evaluator.default_latency(L, bb)
+            base = evaluator.default_latency(L, bb, hierarchical)
             for mapper in mappers:
                 for strategy in strategies:
-                    tuned = evaluator.reordered_latency(L, bb, mapper, strategy)
+                    tuned = evaluator.reordered_latency(
+                        L, bb, mapper, strategy, hierarchical
+                    )
                     points.append(
                         SweepPoint(
                             layout=lname,
                             block_bytes=int(bb),
                             mapper=mapper,
                             strategy=strategy,
-                            hierarchical=False,
+                            hierarchical=hierarchical,
                             intra="binomial",
                             algorithm=tuned.algorithm,
                             base_us=base.seconds * 1e6,
@@ -67,22 +70,42 @@ SMALL = dict(
 )
 
 
+#: The Fig. 4 grid: block layouts only, sizes on both sides of the RD
+#: leader threshold, so the batched path reorders for both leader patterns.
+HIER = dict(SMALL, layouts=["block-bunch", "block-scatter"])
+
+
 class TestEquivalence:
-    def test_batched_matches_naive_pointwise(self, evaluator):
+    def test_batched_matches_naive_pointwise(self, evaluator, mid_cluster):
         """Same grid through both pipelines: same points, same latencies."""
-        naive = naive_sweep(evaluator, 64, **SMALL)
-        batched = _sweep(
-            evaluator, 64, SMALL["layouts"], SMALL["sizes"], SMALL["mappers"],
-            SMALL["strategies"], False, "binomial", None,
-        )
-        assert len(naive) == len(batched)
-        for a, b in zip(naive, batched):
-            assert (a.layout, a.block_bytes, a.mapper, a.strategy) == (
-                b.layout, b.block_bytes, b.mapper, b.strategy
+        assert min(HIER["sizes"]) < evaluator.rd_threshold <= max(HIER["sizes"])
+        grids = [
+            # flat: one evaluator serves both pipelines
+            (evaluator, evaluator, SMALL, False),
+            # hierarchical: fresh evaluators, so neither side reuses the
+            # other's cached reorderings
+            (
+                AllgatherEvaluator(mid_cluster, rng=0),
+                AllgatherEvaluator(mid_cluster, rng=0),
+                HIER,
+                True,
+            ),
+        ]
+        for naive_ev, batched_ev, grid, hierarchical in grids:
+            naive = naive_sweep(naive_ev, 64, **grid, hierarchical=hierarchical)
+            batched = _sweep(
+                batched_ev, 64, grid["layouts"], grid["sizes"], grid["mappers"],
+                grid["strategies"], hierarchical, "binomial", None,
             )
-            assert a.algorithm == b.algorithm
-            assert b.base_us == pytest.approx(a.base_us, rel=1e-9)
-            assert b.tuned_us == pytest.approx(a.tuned_us, rel=1e-9)
+            assert len(naive) == len(batched)
+            for a, b in zip(naive, batched):
+                assert (a.layout, a.block_bytes, a.mapper, a.strategy) == (
+                    b.layout, b.block_bytes, b.mapper, b.strategy
+                )
+                assert a.hierarchical == b.hierarchical == hierarchical
+                assert a.algorithm == b.algorithm
+                assert b.base_us == pytest.approx(a.base_us, rel=1e-9)
+                assert b.tuned_us == pytest.approx(a.tuned_us, rel=1e-9)
 
     def test_workers_sweep_matches_serial(self, evaluator):
         """The process-pool fan-out reproduces the serial sweep exactly."""

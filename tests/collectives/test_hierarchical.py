@@ -5,6 +5,8 @@ import pytest
 
 from repro.collectives.hierarchical import HierarchicalAllgather, contiguous_groups
 from repro.simmpi.data import DataExecutor
+from repro.util.bits import is_power_of_two
+from repro.util.rng import make_rng
 
 
 def run(groups, leader_alg, intra):
@@ -105,6 +107,65 @@ class TestTimingView:
         alg = HierarchicalAllgather(contiguous_groups(8, 4), "ring", "binomial")
         bcast = [s for s in alg.schedule(8).stages if "bcast" in s.label]
         assert all(np.all(s.units == 8.0) for s in bcast)
+
+
+def _group_sets(shape, G):
+    """Group partitions of one shape: uniform sizes 1-8, or random ragged
+    sizes 1-8 with contiguous ("ragged") or shuffled ("permuted") ranks."""
+    rng = make_rng([G, len(shape)])
+    if shape == "uniform":
+        size_lists = [[m] * G for m in range(1, 9)]
+    else:
+        size_lists = [rng.integers(1, 9, size=G).tolist() for _ in range(4)]
+    out = []
+    for sizes in size_lists:
+        p = sum(sizes)
+        if p < 2:
+            continue
+        ranks = rng.permutation(p) if shape == "permuted" else np.arange(p)
+        bounds = np.cumsum([0] + sizes)
+        out.append([ranks[a:b].tolist() for a, b in zip(bounds[:-1], bounds[1:])])
+    return out
+
+
+_SCHEDULE_CASES = [
+    (G, shape, leader_alg, intra)
+    for G in (1, 2, 3, 4, 8, 64)
+    for shape in ("uniform", "ragged", "permuted")
+    for leader_alg in ("rd", "ring")
+    for intra in ("binomial", "linear")
+    if leader_alg == "ring" or is_power_of_two(G)
+]
+
+
+class TestScheduleMatchesStages:
+    """The array-built timing view equals the block-carrying stage view."""
+
+    @pytest.mark.parametrize("G,shape,leader_alg,intra", _SCHEDULE_CASES)
+    def test_schedule_equals_stage_view(self, G, shape, leader_alg, intra):
+        for groups in _group_sets(shape, G):
+            alg = HierarchicalAllgather(groups, leader_alg=leader_alg, intra=intra)
+            sched = alg.schedule(alg.p)
+            view = list(alg.stages(alg.p))
+            compressed = [s for s in sched.stages if s.label == "hier:leaders-ring*"]
+            uniform = len({len(g) for g in groups}) == 1
+            if leader_alg == "ring" and uniform and G >= 2:
+                assert [s.repeat for s in compressed] == [G - 1]
+            else:
+                assert compressed == []
+            # Expand the compressed ring: each repeat equals one ring step.
+            expanded = [(st, t) for st in sched.stages for t in range(st.repeat)]
+            assert len(expanded) == len(view)
+            for (st, t), ref in zip(expanded, view):
+                for name in ("src", "dst", "units"):
+                    got, want = getattr(st, name), getattr(ref, name)
+                    assert got.dtype == want.dtype, (ref.label, name)
+                    assert np.array_equal(got, want), (ref.label, name)
+                if st.label == "hier:leaders-ring*":
+                    assert ref.label == f"hier:leaders-ring{t}"
+                else:
+                    assert st.label == ref.label
+                assert st.blocks is None
 
 
 class TestContiguousGroups:

@@ -1,8 +1,11 @@
 """AllgatherEvaluator tests — the §VI measurement pipeline."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from repro.bench.microbench import OSU_SIZES
 from repro.evaluation.evaluator import AllgatherEvaluator
 from repro.mapping.initial import block_bunch, cyclic_scatter, make_layout
 from repro.util.rng import make_rng
@@ -158,6 +161,48 @@ class TestIntraHeuristicChoice:
         rb, _, _ = b._hierarchical_reordering(L, "heuristic", "binomial", "recursive-doubling", rng=0)
         # both valid; orders may differ (same tie-break seeds could coincide)
         assert sorted(ra.mapping.tolist()) == sorted(rb.mapping.tolist())
+
+
+class TestSharedIntraPhase:
+    """One batched call reorders the intra-node phase once for both leader
+    patterns; its results must equal two calls that each need one."""
+
+    @staticmethod
+    def _layout(cluster):
+        rng = make_rng(5)
+        L = make_layout("block-bunch", cluster, 64).reshape(8, 8)
+        for row in L:
+            rng.shuffle(row)
+        return L.reshape(-1)
+
+    @pytest.mark.parametrize("kind", ["heuristic", "scotch"])
+    @pytest.mark.parametrize("intra", ["binomial", "linear"])
+    def test_both_leader_patterns_match_separate_calls(self, mid_cluster, kind, intra):
+        L = self._layout(mid_cluster)
+        both = AllgatherEvaluator(mid_cluster, rng=0)
+        sizes = list(OSU_SIZES)
+        reports = both.reordered_latencies(L, sizes, kind, hierarchical=True, intra=intra)
+        assert {r.algorithm for r in reports} == {
+            f"hierarchical[rd,{intra}]",
+            f"hierarchical[ring,{intra}]",
+        }
+        small = [bb for bb in sizes if bb < both.rd_threshold]
+        large = [bb for bb in sizes if bb >= both.rd_threshold]
+        solo = {}
+        for part in (small, large):
+            ev = AllgatherEvaluator(mid_cluster, rng=0)
+            reps = ev.reordered_latencies(L, part, kind, hierarchical=True, intra=intra)
+            solo.update(zip(part, reps))
+            for key, (ro, groups, _) in ev._reorder_cache.items():
+                mine, my_groups, _ = both._reorder_cache[key]
+                assert np.array_equal(mine.mapping, ro.mapping), key
+                assert my_groups == groups, key
+        for bb, rep in zip(sizes, reports):
+            # reorder_seconds is measured wall clock; every other field is exact
+            assert dataclasses.replace(rep, reorder_seconds=0.0) == dataclasses.replace(
+                solo[bb], reorder_seconds=0.0
+            ), bb
+        assert len(both._reorder_cache) == 2
 
 
 class TestNonPowerOfTwo:

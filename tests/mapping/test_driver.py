@@ -166,7 +166,7 @@ class TestHierarchicalFreePool:
         with pytest.raises(PoolExhaustedError):
             pool.place_closest(0)
 
-    def test_closest_free_matches_reference(self, mid_cluster, mid_D):
+    def test_closest_free_matches_reference(self, mid_cluster, mid_D, big_cluster):
         from repro.mapping.base import CorePool
 
         cores = np.arange(24)
@@ -179,3 +179,27 @@ class TestHierarchicalFreePool:
             assert ca == cb
             a.take(ca)
             b.take(cb)
+
+        # A pool that leaves out nodes, one socket of node 5 and the whole
+        # second leaf switch (nodes 30, 31): references on those cores
+        # have no group in the pool at one or more levels and land on the
+        # always-zero slot of the pool-local tables.
+        cpn = big_cluster.cores_per_node
+        nodes = [np.arange(n * cpn, (n + 1) * cpn) for n in (0, 1, 3, 17)]
+        cores = np.concatenate(nodes + [np.arange(5 * cpn, 5 * cpn + 4)])
+        D, impl = big_cluster.distance_matrix(), big_cluster.implicit_distances()
+        for query in ("closest_free", "place_closest"):
+            a = CorePool(D, cores, rng=7)
+            b = HierarchicalFreePool(impl, cores, rng=7)
+            draws = make_rng(321).integers(big_cluster.n_cores, size=cores.size - 3)
+            refs = [30 * cpn, 2 * cpn, 5 * cpn + 4] + draws.tolist()
+            for ref in refs:
+                if query == "closest_free":
+                    ca, cb = a.closest_free(ref), b.closest_free(ref)
+                    a.take(ca)
+                    b.take(cb)
+                else:
+                    ca, cb = a.place_closest(ref), b.place_closest(ref)
+                assert ca == cb
+            assert b.n_free == 0
+            assert a.rng.bit_generator.state == b.rng.bit_generator.state

@@ -1,5 +1,9 @@
 """Unified cluster topology tests: routes, distances, channel classes."""
 
+import gc
+import pickle
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -150,3 +154,28 @@ class TestLinkClassTable:
         assert int(LinkClass.SMEM) in present
         assert int(LinkClass.MEM) in present
         assert int(LinkClass.HCA) in present
+
+
+class TestImplicitView:
+    def test_dropped_cluster_freed_without_cyclic_gc(self):
+        """Reference counting alone frees a cluster whose view was built."""
+        gc.disable()
+        try:
+            cluster = small_cluster()
+            cluster.implicit_distances()
+            ref = weakref.ref(cluster)
+            del cluster
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    def test_view_shared_while_held(self, mid_cluster):
+        view = mid_cluster.implicit_distances()
+        assert mid_cluster.implicit_distances() is view
+
+    def test_pickle_round_trip_after_view(self):
+        cluster = small_cluster()
+        view = cluster.implicit_distances()
+        copy = pickle.loads(pickle.dumps(cluster))
+        assert copy.implicit_distances().fingerprint == view.fingerprint
+        assert copy.fingerprint() == cluster.fingerprint()
