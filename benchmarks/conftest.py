@@ -5,7 +5,9 @@ The figure benches run at the paper's scale by default (4096 processes on
 ``REPRO_BENCH_SCALE=small`` to shrink everything ~8x for quick runs.
 
 Every bench prints its paper-style table and also writes it under
-``results/`` so the output survives pytest's capture.
+``results/`` so the output survives pytest's capture.  Small-scale runs
+write under the gitignored ``results/small/`` instead, so a quick local
+run never overwrites the committed paper-scale files.
 """
 
 import os
@@ -22,6 +24,8 @@ SMALL = os.environ.get("REPRO_BENCH_SCALE", "paper") == "small"
 SIZES = [1, 4, 16, 64, 256, 1024, 4096, 16384, 65536, 262144]
 
 RESULTS_DIR = pathlib.Path(__file__).resolve().parent.parent / "results"
+if SMALL:
+    RESULTS_DIR = RESULTS_DIR / "small"
 
 
 @pytest.fixture(scope="session")
@@ -51,7 +55,7 @@ def app_evaluator(app_p):
 @pytest.fixture(scope="session")
 def save_report():
     """Writer: save_report(name, text) -> path; also echoes to stdout."""
-    RESULTS_DIR.mkdir(exist_ok=True)
+    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
 
     def _save(name: str, text: str):
         path = RESULTS_DIR / name

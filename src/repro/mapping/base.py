@@ -14,8 +14,8 @@ Two pool implementations serve the ``find_closest_to`` step, both
 including the paper's random tie-breaking with identical rng-stream
 consumption, so their placements are bit-identical:
 
-* :class:`CorePool` — the reference executor: masked argmin over
-  pool-local distance rows (dense matrix or on-demand implicit rows);
+* :class:`CorePool` — the reference executor: argmin over the free
+  cores' distances (dense matrix or on-demand implicit rows);
 * :class:`HierarchicalFreePool` — the vectorised driver: when distances
   come from an :class:`~repro.topology.implicit.ImplicitDistances`
   backend with a strict ladder, the closest free core is found from
@@ -30,7 +30,7 @@ import time
 import weakref
 from abc import ABC, abstractmethod
 from collections import OrderedDict
-from typing import Dict, Iterator, Optional, Sequence, Tuple
+from typing import Dict, Iterator, Sequence, Tuple
 
 import numpy as np
 
@@ -117,9 +117,6 @@ class CorePool:
         self._pos: Dict[int, int] = {int(c): i for i, c in enumerate(self.cores)}
         self.rng = make_rng(rng)
         self.tie_break = tie_break
-        # pool-local distance view (ref pool index -> distances to every
-        # pool core), gathered lazily on the first closest-free query
-        self._pool_D: Optional[np.ndarray] = None
         # per-reference row cache for implicit backends (pool pos -> row)
         self._row_cache: Dict[int, np.ndarray] = {}
 
@@ -141,56 +138,51 @@ class CorePool:
             raise ValueError(f"core {core} already taken")
         self.free[pos] = False
 
-    def _distances_to(self, ref_core: int) -> np.ndarray:
-        """Distances from ``ref_core`` to every pool core (pool order).
+    def _implicit_row(self, ref_core: int) -> np.ndarray:
+        """Implicit-backend distances from ``ref_core`` to every pool core.
 
         Reference cores are almost always pool members (heuristics chain
-        off already-placed cores).  With a dense matrix the pool's own
-        sub-matrix is gathered once and each later query is a row *view*;
-        with an implicit backend each reference's row is computed once on
-        first use and cached — either way, no per-placement
-        fancy-indexing of a full matrix.
+        off already-placed cores), so each member's row is computed once
+        on first use and cached.
         """
         pos = self._pos.get(int(ref_core))
-        if hasattr(self.D, "row"):  # implicit backend: rows on demand
-            if pos is None:
-                return self.D.row(int(ref_core), self.cores)
-            row = self._row_cache.get(pos)
-            if row is None:
-                row = self.D.row(int(ref_core), self.cores)
-                self._row_cache[pos] = row
-            return row
-        if pos is None:  # reference outside the pool: direct gather
-            return self.D[int(ref_core), self.cores]
-        if self._pool_D is None:
-            self._pool_D = self.D[np.ix_(self.cores, self.cores)]
-        return self._pool_D[pos]
+        if pos is None:
+            return self.D.row(int(ref_core), self.cores)
+        row = self._row_cache.get(pos)
+        if row is None:
+            row = self.D.row(int(ref_core), self.cores)
+            self._row_cache[pos] = row
+        return row
 
     def closest_free(self, ref_core: int) -> int:
         """The paper's ``find_closest_to``: free core nearest ``ref_core``.
 
         Ties are broken randomly ("if more than one core satisfy this
         condition, one of them is chosen randomly", §V-A) or by lowest id.
-        One masked scan over the cached distance view — no rebuild of the
-        free-core array per placement.
+        One scan over the free cores only, in pool order: a dense matrix
+        is gathered at ``D[ref, free cores]`` (no pool-sized copy of the
+        matrix), an implicit backend's cached row is filtered.
 
         Raises
         ------
         PoolExhaustedError
             Every pool core is already assigned.
         """
-        if not self.free.any():
+        free = self.free
+        if not free.any():
             raise PoolExhaustedError(
                 f"no free cores left in the pool ({self.cores.size} cores, all taken); "
                 f"cannot place another process near core {int(ref_core)}"
             )
-        dist = self._distances_to(ref_core)
-        masked = np.where(self.free, dist, np.inf)
+        free_cores = self.cores[free]
+        if hasattr(self.D, "row"):  # implicit backend: rows on demand
+            dist = self._implicit_row(ref_core)[free]
+        else:
+            dist = self.D[int(ref_core), free_cores]
         if self.tie_break == "first":
-            return int(self.cores[int(np.argmin(masked))])
-        best = masked.min()
-        candidates = np.flatnonzero(masked == best)
-        return int(self.cores[candidates[self.rng.integers(candidates.size)]])
+            return int(free_cores[int(np.argmin(dist))])
+        candidates = free_cores[dist == dist.min()]
+        return int(candidates[self.rng.integers(candidates.size)])
 
     def place_closest(self, ref_core: int) -> int:
         """Fused :meth:`closest_free` + :meth:`take` (the executor hot path).
@@ -308,7 +300,7 @@ class HierarchicalFreePool:
     Free counts per socket / node / leaf / line are O(1)-updated on every
     :meth:`take`, so a :meth:`closest_free` query is a constant-time level
     pick plus one boolean gather over the (sorted, cached) winning
-    annulus.  Candidate enumeration order equals the masked-argmin order
+    annulus.  Candidate enumeration order equals the free-core scan order
     of :class:`CorePool` (ascending pool position) and the rng is
     consumed identically — one draw per query in ``"random"`` mode, none
     in ``"first"`` mode — so placements are bit-identical to the
@@ -471,7 +463,7 @@ class HierarchicalFreePool:
         every deeper group's free count is zero, so the free members of
         the group *are* the free members of its annulus — no set
         subtraction is ever needed, and candidate order (ascending pool
-        position) matches :class:`CorePool`'s masked-argmin order.
+        position) matches :class:`CorePool`'s free-core scan order.
         """
         pos = self._pos.get(ref_core)
         if pos is not None:
@@ -517,7 +509,7 @@ class HierarchicalFreePool:
             )
         candidates = self._candidates(int(ref_core))
         if self.tie_break == "first":
-            # First free member in ascending pool position == masked argmin.
+            # First free member in ascending pool position == CorePool's argmin.
             return self._cores_l[int(candidates[0])]
         # CorePool draws unconditionally even for one candidate, but
         # integers(1) consumes no rng state, so the single-candidate draw
@@ -761,7 +753,7 @@ class GreedyPlacementMapper(Mapper):
     depends on distances or randomness — and this base walks it against a
     free-core pool.  ``engine`` selects the executor:
 
-    * ``"naive"`` — :class:`CorePool` masked row scans (the reference);
+    * ``"naive"`` — :class:`CorePool` free-core scans (the reference);
     * ``"vectorized"`` — :class:`HierarchicalFreePool` coordinate driver
       (requires an implicit backend with a strict ladder);
     * ``"auto"`` (default) — vectorized whenever the backend supports

@@ -6,8 +6,11 @@ mapping.  Per stage:
 
 1. ranks are bound to cores through the mapping array ``M``;
 2. every message's route is fetched as a padded row of directed link ids;
-3. per-link byte loads are a single ``np.bincount``;
-4. message time = Σ α(link) + max over route links of β(link)·bytes(link);
+3. per-link byte loads are a single ``np.bincount``, padding landing in a
+   sentinel bin with α = β = 0;
+4. message time = Σ α(link) (one sum per padding pattern) + max over route
+   links of β(link)·bytes(link) — steps 2–4 being one kernel behind every
+   pricing path, :meth:`TimingEngine._route_kernel`;
 5. stage time = max message time (stage-synchronous barrier semantics);
 6. schedule time = Σ stage time · repeat, plus local-copy cost.
 
@@ -22,7 +25,7 @@ from __future__ import annotations
 import hashlib
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -185,36 +188,29 @@ class SchedulePricing:
         # Fused evaluation tables: every stage's Pareto envelope
         # concatenated into one flat alpha/drain pair plus the reduceat
         # segment starts, so pricing a size vector is one broadcast and
-        # one segmented max instead of a numpy pass per stage.  Envelopes
-        # are never empty for non-empty stages (the Pareto keep-mask
-        # always retains at least one line), but reduceat cannot express
-        # empty segments, so empty schedules — or a degenerate stage with
-        # no messages — keep the reference path.
-        if self.stages and all(s.env_alpha.size > 0 for s in self.stages):
-            self._fused_alpha = np.concatenate([s.env_alpha for s in self.stages])
-            self._fused_drain = np.concatenate([s.env_drain for s in self.stages])
-            counts = np.array([s.env_alpha.size for s in self.stages], dtype=np.int64)
-            self._fused_starts = np.concatenate(([0], np.cumsum(counts[:-1])))
-            self._fused_repeats = [float(s.repeat) for s in self.stages]
-        else:
-            self._fused_alpha = None
+        # one segmented max instead of a numpy pass per stage.  No segment
+        # is empty: schedules and stages reject being empty, and the
+        # Pareto keep-mask always retains at least one line.
+        self._fused_alpha = np.concatenate([s.env_alpha for s in self.stages])
+        self._fused_drain = np.concatenate([s.env_drain for s in self.stages])
+        counts = np.array([s.env_alpha.size for s in self.stages], dtype=np.int64)
+        self._fused_starts = np.concatenate(([0], np.cumsum(counts[:-1])))
+        self._fused_repeats = [float(s.repeat) for s in self.stages]
 
     def evaluate_sizes(
         self, sizes: Sequence[float], extra_copy_bytes: float = 0.0
     ) -> BatchTimingResult:
         """Price the whole size vector in one fused stage-concatenated pass.
 
-        Bit-identical to :meth:`evaluate_sizes_reference` (the per-stage
-        walk): the per-line ``alpha + size * drain`` terms are the same
-        elementwise operations on the same values, the segmented
-        ``np.maximum.reduceat`` computes each stage's envelope max over
-        exactly the elements the per-stage ``max`` sees (max is
+        Bit-identical to the per-stage walk in ``tests/simmpi/
+        test_fused_pricing.py``: the per-line ``alpha + size * drain``
+        terms are the same elementwise operations on the same values, the
+        segmented ``np.maximum.reduceat`` computes each stage's envelope
+        max over exactly the elements the per-stage ``max`` sees (max is
         rounding-free), and the accumulation below walks the stages in
-        the reference's left-to-right order, so every intermediate
-        rounding matches.
+        the walk's left-to-right order, so every intermediate rounding
+        matches.
         """
-        if self._fused_alpha is None:
-            return self.evaluate_sizes_reference(sizes, extra_copy_bytes)
         sz = self._check_sizes(sizes)
         vals = self._fused_alpha[None, :] + sz[:, None] * self._fused_drain[None, :]
         stage_max = np.maximum.reduceat(vals, self._fused_starts, axis=1)
@@ -222,17 +218,6 @@ class SchedulePricing:
         total = np.zeros(sz.size, dtype=np.float64)
         for j, repeat in enumerate(self._fused_repeats):
             total += (stage_max[:, j] + overhead) * repeat
-        return self._finish_sizes(sz, total, extra_copy_bytes)
-
-    def evaluate_sizes_reference(
-        self, sizes: Sequence[float], extra_copy_bytes: float = 0.0
-    ) -> BatchTimingResult:
-        """Per-stage envelope walk — the oracle for the fused pass."""
-        sz = self._check_sizes(sizes)
-        overhead = self.cost.stage_overhead
-        total = np.zeros(sz.size, dtype=np.float64)
-        for stage in self.stages:
-            total += stage.seconds_for(sz, overhead) * stage.repeat
         return self._finish_sizes(sz, total, extra_copy_bytes)
 
     @staticmethod
@@ -285,10 +270,11 @@ class TimingEngine:
     ) -> None:
         self.cluster = cluster
         self.cost = cost_model if cost_model is not None else CostModel()
-        # Dense per-link α/β tables (link id -> coefficient).
+        # Dense per-link α/β tables indexed by link id + 1: slot 0 is the
+        # sentinel bin that route padding lands in, with α = β = 0.
         cls = cluster.link_class.astype(np.int64)
-        self._alpha = self.cost.alpha_by_class()[cls]
-        self._beta = self.cost.beta_by_class()[cls]
+        self._alpha = np.concatenate(([0.0], self.cost.alpha_by_class()[cls]))
+        self._beta = np.concatenate(([0.0], self.cost.beta_by_class()[cls]))
         if link_beta_scale is not None:
             scale = np.asarray(link_beta_scale, dtype=np.float64)
             if scale.shape != (cluster.n_links,):
@@ -298,11 +284,72 @@ class TimingEngine:
             if np.any(scale <= 0):
                 raise ValueError("link_beta_scale entries must be positive")
             # a scale of k divides the link's bandwidth by k (degradation)
-            self._beta = self._beta * scale
+            self._beta = self._scaled_beta(scale)
         self._pricing_cache: "OrderedDict[tuple, SchedulePricing]" = OrderedDict()
         self.pricing_hits = 0
         self.pricing_misses = 0
         self.pricing_evictions = 0
+
+    # ------------------------------------------------------------------
+    def _scaled_beta(self, scale: np.ndarray) -> np.ndarray:
+        """The β table with each link's β multiplied by ``scale[link]``."""
+        return self._beta * np.concatenate(([1.0], scale))
+
+    def _route_kernel(
+        self,
+        src: np.ndarray,
+        dst: np.ndarray,
+        weights: np.ndarray,
+        beta: np.ndarray,
+        stage_of: Optional[np.ndarray] = None,
+        n_stages: int = 1,
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Route -> load -> drain for a batch of messages (every pricing path).
+
+        ``weights`` are the messages' byte counts, ``beta`` a β table laid
+        out like ``self._beta``, and ``stage_of`` each message's stage,
+        whose loads fill their own block of bins.  Returns per-message
+        α-sums and drains (max over route links of β·load) and the
+        ``(n_stages, n_links + 1)`` loads, column 0 being the sentinel.
+        Bit-identical to the masked builder in ``tests/simmpi/
+        test_pricing_kernel.py``, for the reasons docs/performance.md gives.
+        """
+        routes = self.cluster.routes_for(src, dst).T  # contiguous columns
+        ids = np.add(routes, 1, dtype=np.intp)
+        alpha_sum = self._alpha_sums(routes >= 0, ids)
+        n_bins = self._beta.size
+        if stage_of is not None:
+            ids += stage_of * n_bins
+        # Message-major entry order, as the masked bincount saw it: every
+        # link load is summed, and so rounded, in the same order.
+        load = np.bincount(
+            ids.ravel(order="F"),
+            weights=np.repeat(weights, ids.shape[0]),
+            minlength=n_stages * n_bins,
+        ).reshape(n_stages, n_bins)
+        bin_drain = load * beta
+        bin_drain[:, 0] = 0.0  # padding drains nothing, whatever its load
+        return alpha_sum, bin_drain.ravel()[ids].max(axis=0), load
+
+    def _alpha_sums(self, used: np.ndarray, ids: np.ndarray) -> np.ndarray:
+        """Per-message route α-sums, one row reduction per padding pattern.
+
+        α depends only on a link's class and each route column holds one
+        class, so routes with the same padding pattern (``used`` flags
+        the real entries) have the same α row.  Each pattern is summed
+        as one contiguous row, rounding exactly as the per-message
+        ``sum(axis=1)`` it replaces.
+        """
+        pattern = np.zeros(ids.shape[1], dtype=np.intp)
+        for col, row in enumerate(used):
+            pattern |= row.astype(np.intp) << col
+        sample = np.full(1 << ids.shape[0], -1, dtype=np.intp)
+        sample[pattern] = np.arange(ids.shape[1])  # one message per pattern
+        keys = np.flatnonzero(sample >= 0)
+        rows = np.ascontiguousarray(self._alpha[ids[:, sample[keys]].T])
+        by_pattern = np.zeros(sample.size)
+        by_pattern[keys] = rows.sum(axis=1)
+        return by_pattern[pattern]
 
     # ------------------------------------------------------------------
     def stage_time(self, stage: Stage, mapping: np.ndarray, block_bytes: float) -> StageTiming:
@@ -317,26 +364,16 @@ class TimingEngine:
         The fault-injection path swaps ``beta`` per stage as degradations
         set in; the healthy path always passes ``self._beta``.
         """
-        src_cores = mapping[stage.src]
-        dst_cores = mapping[stage.dst]
-        routes = self.cluster.routes_for(src_cores, dst_cores)
-        valid = routes >= 0
-        safe = np.where(valid, routes, 0)
-        nbytes = stage.units * block_bytes
-
-        # Per-link byte load in this stage.
-        weights = np.broadcast_to(nbytes[:, None], routes.shape)[valid]
-        load = np.bincount(routes[valid], weights=weights, minlength=self.cluster.n_links)
-
-        alpha_sum = np.where(valid, self._alpha[safe], 0.0).sum(axis=1)
-        drain = np.where(valid, beta[safe] * load[safe], 0.0).max(axis=1)
+        alpha_sum, drain, load = self._route_kernel(
+            mapping[stage.src], mapping[stage.dst], stage.units * block_bytes, beta
+        )
         per_msg = alpha_sum + drain
         return StageTiming(
             label=stage.label,
             seconds=float(per_msg.max()) + self.cost.stage_overhead,
             repeat=stage.repeat,
             n_messages=stage.n_messages,
-            max_link_load_bytes=float(load.max()) if load.size else 0.0,
+            max_link_load_bytes=float(load[0, 1:].max()),
         )
 
     def evaluate(
@@ -434,7 +471,7 @@ class TimingEngine:
                         if dead:
                             raise FaultStopError(dead, round_idx, schedule.name)
                     scale = fault_plan.beta_scale_at_stage(self.cluster, round_idx)
-                    beta = self._beta if scale is None else self._beta * scale
+                    beta = self._beta if scale is None else self._scaled_beta(scale)
                     timing = replace(
                         self._stage_time(stage, M, block_bytes, beta), repeat=1
                     )
@@ -463,69 +500,33 @@ class TimingEngine:
             raise ValueError("mapping references cores outside the cluster")
         return M
 
-    def _price_stage(self, stage: Stage, mapping: np.ndarray) -> StagePricing:
-        """Size-independent route / alpha / unit-load tables for one stage."""
-        src_cores = mapping[stage.src]
-        dst_cores = mapping[stage.dst]
-        routes = self.cluster.routes_for(src_cores, dst_cores)
-        valid = routes >= 0
-        safe = np.where(valid, routes, 0)
-
-        # Per-link load for a 1-byte block; the real load is linear in the
-        # block size, so one bincount serves every size.
-        unit_weights = np.broadcast_to(stage.units[:, None], routes.shape)[valid]
-        unit_load = np.bincount(
-            routes[valid], weights=unit_weights, minlength=self.cluster.n_links
-        )
-        alpha_sum = np.where(valid, self._alpha[safe], 0.0).sum(axis=1)
-        unit_drain = np.where(valid, self._beta[safe] * unit_load[safe], 0.0).max(axis=1)
-        env_alpha, env_drain = _pareto_envelope(alpha_sum, unit_drain)
-        return StagePricing(
-            label=stage.label,
-            repeat=stage.repeat,
-            n_messages=stage.n_messages,
-            env_alpha=env_alpha,
-            env_drain=env_drain,
-            unit_load_max=float(unit_load.max()) if unit_load.size else 0.0,
-        )
-
     def _price_schedule(self, schedule: Schedule, mapping: np.ndarray) -> List[StagePricing]:
-        """Price every stage of ``schedule`` in one vectorised pass.
+        """Price every stage of ``schedule`` in one kernel pass.
 
         All stage messages are concatenated so the route lookup and the
-        per-link unit-load bincount run once per schedule instead of once
-        per stage; per-stage loads live in disjoint ``stage * n_links``
-        bins.  Per-bin summation order matches the per-stage path, so the
-        tables are bit-identical to pricing each stage alone.
+        per-link unit-load bincount run once per schedule; each stage's
+        loads fill their own block of bins.  Loads are for a 1-byte block:
+        the real load is linear in the block size, so one bincount serves
+        every size.
         """
         stages = schedule.stages
-        if len(stages) <= 1:
-            return [self._price_stage(s, mapping) for s in stages]
+        if not stages:  # mutated after construction, which rejects it
+            raise ValueError("a schedule needs at least one stage")
         counts = np.array([s.src.size for s in stages], dtype=np.int64)
         bounds = np.concatenate(([0], np.cumsum(counts)))
-        src = np.concatenate([np.asarray(s.src) for s in stages])
-        dst = np.concatenate([np.asarray(s.dst) for s in stages])
+        src = np.concatenate([s.src for s in stages])
+        dst = np.concatenate([s.dst for s in stages])
         units = np.concatenate([np.asarray(s.units, dtype=np.float64) for s in stages])
-
-        routes = self.cluster.routes_for(mapping[src], mapping[dst])
-        valid = routes >= 0
-        safe = np.where(valid, routes, 0)
-        n_links = self.cluster.n_links
-        stage_idx = np.repeat(np.arange(len(stages), dtype=np.int64), counts)
-        flat = stage_idx[:, None] * n_links + safe
-
-        unit_weights = np.broadcast_to(units[:, None], routes.shape)[valid]
-        unit_load = np.bincount(
-            flat[valid], weights=unit_weights, minlength=len(stages) * n_links
+        stage_of = np.repeat(np.arange(len(stages), dtype=np.intp), counts)
+        alpha_sum, unit_drain, unit_load = self._route_kernel(
+            mapping[src], mapping[dst], units, self._beta, stage_of, len(stages)
         )
-        alpha_sum = np.where(valid, self._alpha[safe], 0.0).sum(axis=1)
-        unit_drain = np.where(valid, self._beta[safe] * unit_load[flat], 0.0).max(axis=1)
+        load_max = unit_load[:, 1:].max(axis=1)
 
         priced: List[StagePricing] = []
         for i, stage in enumerate(stages):
             lo, hi = int(bounds[i]), int(bounds[i + 1])
             env_alpha, env_drain = _pareto_envelope(alpha_sum[lo:hi], unit_drain[lo:hi])
-            seg_load = unit_load[i * n_links : (i + 1) * n_links]
             priced.append(
                 StagePricing(
                     label=stage.label,
@@ -533,7 +534,7 @@ class TimingEngine:
                     n_messages=stage.n_messages,
                     env_alpha=env_alpha,
                     env_drain=env_drain,
-                    unit_load_max=float(seg_load.max()) if seg_load.size else 0.0,
+                    unit_load_max=float(load_max[i]),
                 )
             )
         return priced
@@ -591,10 +592,8 @@ class TimingEngine:
     # ------------------------------------------------------------------
     def link_loads(self, stage: Stage, mapping: np.ndarray, block_bytes: float) -> np.ndarray:
         """Per-link byte loads of one stage (diagnostics / tests)."""
-        src_cores = np.asarray(mapping, dtype=np.int64)[stage.src]
-        dst_cores = np.asarray(mapping, dtype=np.int64)[stage.dst]
-        routes = self.cluster.routes_for(src_cores, dst_cores)
-        valid = routes >= 0
-        nbytes = stage.units * block_bytes
-        weights = np.broadcast_to(nbytes[:, None], routes.shape)[valid]
-        return np.bincount(routes[valid], weights=weights, minlength=self.cluster.n_links)
+        M = np.asarray(mapping, dtype=np.int64)
+        _, _, load = self._route_kernel(
+            M[stage.src], M[stage.dst], stage.units * block_bytes, self._beta
+        )
+        return load[0, 1:]

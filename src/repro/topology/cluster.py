@@ -295,10 +295,17 @@ class ClusterTopology:
 
         Parameters are global core ids (equal length); self-messages are
         rejected because no collective schedule emits them.  Returns an
-        int64 array of shape ``(n_msgs, MAX_ROUTE_LEN)``, ``-1``-padded.
-        An intra-socket message crosses its socket's memory bus twice
-        (sender write + receiver read), so the bus id appears in both the
-        source-side and destination-side columns.
+        int32 array of shape ``(n_msgs, MAX_ROUTE_LEN)``, ``-1``-padded and
+        column-major (each column is contiguous), so the timing engine's
+        per-column gathers and reductions stream through memory.
+
+        Every column holds links of a single :class:`LinkClass` (or the
+        pad), so a route's padding pattern names its locality level —
+        same socket, cross socket, same leaf, same line, via spine — and
+        fixes its per-class link sequence.  An intra-socket message
+        crosses its socket's memory bus twice (sender write + receiver
+        read), so the bus id appears in both the source-side and
+        destination-side columns.
         """
         s = np.asarray(src, dtype=np.int64)
         d = np.asarray(dst, dtype=np.int64)
@@ -309,22 +316,26 @@ class ClusterTopology:
         if s.size and (s.min() < 0 or d.min() < 0 or max(s.max(), d.max()) >= self.n_cores):
             raise ValueError("core id out of range")
 
-        node_s, node_d = self.node_of(s), self.node_of(d)
+        s, d = s.astype(np.int32), d.astype(np.int32)
+        node_s, node_d = s // self.cores_per_node, d // self.cores_per_node
+        # Nodes hold whole sockets, so the global socket is core // cps.
+        sock_s = s // self.machine.cores_per_socket
+        sock_d = d // self.machine.cores_per_socket
         inter_node = node_s != node_d
         # QPI lanes are crossed only when changing sockets inside a node.
-        cross_socket = (~inter_node) & (self.socket_of(s) != self.socket_of(d))
+        cross_socket = (sock_s != sock_d) & ~inter_node
 
-        rows = np.full((s.size, MAX_ROUTE_LEN), -1, dtype=np.int64)
-        rows[:, 0] = self.core_up(s)
-        rows[:, 1] = self.mem_bus(s)
-        rows[:, 2] = np.where(cross_socket, self.qpi_up(s), -1)
-        rows[:, 3] = np.where(inter_node, self.hca_up(node_s), -1)
-        rows[:, 4:8] = self.net_routes[node_s, node_d]
-        rows[:, 8] = np.where(inter_node, self.hca_down(node_d), -1)
-        rows[:, 9] = np.where(cross_socket, self.qpi_down(d), -1)
-        rows[:, 10] = self.mem_bus(d)
-        rows[:, 11] = self.core_down(d)
-        return rows
+        cols = np.full((MAX_ROUTE_LEN, s.size), -1, dtype=np.int32)
+        np.add(s, self._core_up0, out=cols[0])
+        np.add(sock_s, self._mem0, out=cols[1])
+        np.add(s, self._qpi_up0, out=cols[2], where=cross_socket)
+        np.add(node_s, self._hca_up0, out=cols[3], where=inter_node)
+        cols[4:8] = self.net_routes[node_s, node_d].T
+        np.add(node_d, self._hca_dn0, out=cols[8], where=inter_node)
+        np.add(d, self._qpi_dn0, out=cols[9], where=cross_socket)
+        np.add(sock_d, self._mem0, out=cols[10])
+        np.add(d, self._core_dn0, out=cols[11])
+        return cols.T
 
     def routes_for(self, src: Sequence[int], dst: Sequence[int]) -> np.ndarray:
         """Route table of a message batch: the timing layer's entry point.

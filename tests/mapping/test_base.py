@@ -11,8 +11,8 @@ class _NaiveCorePool:
     """Reference replica of the pre-optimisation ``closest_free``.
 
     Rebuilds the free-core array and gathers distances from the full
-    matrix on every query — the behaviour the cached masked-scan version
-    must reproduce placement-for-placement.
+    matrix on every query — the behaviour :class:`CorePool` must
+    reproduce placement-for-placement.
     """
 
     def __init__(self, D, cores, rng=0, tie_break="random"):
@@ -106,9 +106,9 @@ class TestCorePool:
     @pytest.mark.parametrize("tie_break", ["random", "first"])
     @pytest.mark.parametrize("seed", [0, 7, 123])
     def test_pins_naive_placements(self, mid_D, tie_break, seed):
-        """The cached masked-scan query yields *identical* placement
-        sequences (and rng consumption) to the naive rebuild-per-query
-        reference, in both tie-break modes."""
+        """The pool's query yields *identical* placement sequences (and
+        rng consumption) to the naive rebuild-per-query reference, in
+        both tie-break modes."""
         rng = make_rng(seed)
         cores = rng.permutation(mid_D.shape[0])[:48]
         fast = CorePool(mid_D, cores, rng=seed, tie_break=tie_break)
@@ -133,6 +133,29 @@ class TestCorePool:
         for ref in (0, 40, 63):
             assert pool.closest_free(ref) == naive.closest_free(ref)
 
+
+    def test_dense_map_makes_no_pool_sized_copy(self):
+        """A dense-matrix map scans the free cores' distances only.
+
+        Gathering the pool's p x p sub-matrix (4 MiB of float32 at
+        p=1024) slowed Fig. 7(b)'s dense RDMH map; the free-core scan
+        needs O(p) scratch per query.
+        """
+        import tracemalloc
+
+        from repro.mapping.rdmh import RDMH
+        from repro.topology.gpc import gpc_cluster
+
+        cluster = gpc_cluster(n_nodes=128)
+        D = cluster.distance_matrix()
+        layout = np.arange(cluster.n_cores, dtype=np.int64)
+        tracemalloc.start()
+        try:
+            RDMH(engine="naive").map(layout, D, rng=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, f"peak {peak / 2**20:.2f} MiB"
 
 class TestMapperPlumbing:
     def test_setup_fixes_rank0(self, tiny_D):

@@ -1,0 +1,234 @@
+"""The mask-free pricing kernel vs. the masked builder it replaced.
+
+``TimingEngine._route_kernel`` reads ``route_matrix``'s ``-1``-padded
+table without a validity mask: link ids are offset by one so padding
+lands in a sentinel bin with α = β = 0, and route α-sums come from a
+table keyed by each route's padding pattern.  :class:`MaskedOracle` is
+the masked per-stage builder the engine used before, kept as the
+reference.  Every table and timing the engine produces must match it
+byte for byte: downstream figure pipelines and ``sweep.json`` compare
+latencies with exact equality.
+"""
+
+import numpy as np
+import pytest
+
+from repro.collectives.hierarchical import HierarchicalAllgather
+from repro.collectives.registry import make_algorithm, registered_algorithm_names
+from repro.faults.plan import cable_degradation, hca_retrain
+from repro.faults.shrink import shrink_layout
+from repro.mapping.initial import make_layout
+from repro.simmpi.costmodel import CostModel
+from repro.simmpi.engine import TimingEngine, _pareto_envelope
+from repro.topology.cluster import MAX_ROUTE_LEN, LinkClass
+from repro.topology.gpc import small_cluster
+from repro.util.rng import make_rng
+
+#: 16 nodes on 8 two-node leaves over 3 line switches: every locality
+#: level (socket, node, leaf, line, spine) occurs.
+CLUSTER = small_cluster(n_nodes=16, cores_per_socket=4)
+SCALE = make_rng(7).uniform(0.5, 4.0, CLUSTER.n_links)
+#: block sizes, including ones whose byte loads round
+BLOCK_BYTES = (1.0, 3.7, 1000.0)
+
+
+class MaskedOracle:
+    """The masked route -> load -> drain builder (the reference)."""
+
+    def __init__(self, cluster, cost, link_beta_scale=None):
+        self.cluster = cluster
+        self.cost = cost
+        cls = cluster.link_class.astype(np.int64)
+        self.alpha = cost.alpha_by_class()[cls]
+        self.beta = cost.beta_by_class()[cls]
+        if link_beta_scale is not None:
+            self.beta = self.beta * link_beta_scale
+
+    def routes(self, src, dst):
+        # The row-major int64 table the masked builder consumed, so each
+        # row reduction runs over one contiguous route as it did.
+        return np.ascontiguousarray(self.cluster.route_matrix(src, dst), dtype=np.int64)
+
+    def stage_time(self, stage, M, block_bytes, beta):
+        """(seconds, max_link_load_bytes) of one stage instance."""
+        routes = self.routes(M[stage.src], M[stage.dst])
+        valid = routes >= 0
+        safe = np.where(valid, routes, 0)
+        nbytes = stage.units * block_bytes
+        weights = np.broadcast_to(nbytes[:, None], routes.shape)[valid]
+        load = np.bincount(routes[valid], weights=weights, minlength=self.cluster.n_links)
+        alpha_sum = np.where(valid, self.alpha[safe], 0.0).sum(axis=1)
+        drain = np.where(valid, beta[safe] * load[safe], 0.0).max(axis=1)
+        per_msg = alpha_sum + drain
+        return float(per_msg.max()) + self.cost.stage_overhead, float(load.max())
+
+    def price_stage(self, stage, M):
+        """(alpha_sum, unit_drain, unit_load_max) of one stage."""
+        routes = self.routes(M[stage.src], M[stage.dst])
+        valid = routes >= 0
+        safe = np.where(valid, routes, 0)
+        unit_weights = np.broadcast_to(stage.units[:, None], routes.shape)[valid]
+        unit_load = np.bincount(
+            routes[valid], weights=unit_weights, minlength=self.cluster.n_links
+        )
+        alpha_sum = np.where(valid, self.alpha[safe], 0.0).sum(axis=1)
+        unit_drain = np.where(valid, self.beta[safe] * unit_load[safe], 0.0).max(axis=1)
+        return alpha_sum, unit_drain, float(unit_load.max())
+
+    def link_loads(self, stage, M, block_bytes):
+        routes = self.routes(M[stage.src], M[stage.dst])
+        valid = routes >= 0
+        nbytes = stage.units * block_bytes
+        weights = np.broadcast_to(nbytes[:, None], routes.shape)[valid]
+        return np.bincount(routes[valid], weights=weights, minlength=self.cluster.n_links)
+
+    def fault_rounds(self, schedule, M, block_bytes, plan):
+        """Per-round stage times under a degradation-only fault plan."""
+        rounds = []
+        for stage in schedule.stages:
+            for _ in range(stage.repeat):
+                scale = plan.beta_scale_at_stage(self.cluster, len(rounds))
+                beta = self.beta if scale is None else self.beta * scale
+                rounds.append(self.stage_time(stage, M, block_bytes, beta))
+        return rounds
+
+
+def _mappings():
+    cl = CLUSTER
+    identity = np.arange(cl.n_cores, dtype=np.int64)
+    cyclic = make_layout("cyclic-scatter", cl, cl.n_cores)
+    return {
+        "identity": identity,
+        "cyclic-scatter": cyclic,
+        "random-permutation": make_rng(3).permutation(cl.n_cores),
+        "shrunk-survivor": shrink_layout(cl, cyclic, failed_nodes=[5]),
+    }
+
+
+def _node_groups(M):
+    """Ranks grouped by node, in order of each node's first rank."""
+    groups = {}
+    for rank, node in enumerate(CLUSTER.node_of(M).tolist()):
+        groups.setdefault(node, []).append(rank)
+    return list(groups.values())
+
+
+def _schedules(M):
+    p = M.size
+    for name in registered_algorithm_names():
+        alg = make_algorithm(name)
+        try:
+            alg.validate_p(p)
+        except ValueError:
+            continue
+        yield alg.schedule(p)
+    groups = _node_groups(M)
+    for leader_alg in ("rd", "ring"):
+        for intra in ("binomial", "linear"):
+            try:
+                alg = HierarchicalAllgather(groups, leader_alg=leader_alg, intra=intra)
+            except ValueError:
+                continue  # rd leaders need a power-of-two group count
+            yield alg.schedule(p)
+
+
+def _engines():
+    cost = CostModel()
+    return {
+        "plain": (TimingEngine(CLUSTER, cost), MaskedOracle(CLUSTER, cost)),
+        "link_beta_scale": (
+            TimingEngine(CLUSTER, cost, link_beta_scale=SCALE),
+            MaskedOracle(CLUSTER, cost, link_beta_scale=SCALE),
+        ),
+    }
+
+
+ENGINES = _engines()
+MAPPINGS = _mappings()
+FAULT_PLANS = {
+    "hca_retrain": hca_retrain(node=1, factor=2.0, onset_stage=2),
+    "cable_degradation": cable_degradation(
+        range(0, CLUSTER.network.n_links, 3), factor=4.0, onset_stage=1
+    ),
+}
+
+
+def _bits(x):
+    return np.asarray(x, dtype=np.float64).tobytes()
+
+
+@pytest.mark.parametrize("mapping", sorted(MAPPINGS))
+@pytest.mark.parametrize("engine", sorted(ENGINES))
+class TestKernelMatchesMaskedOracle:
+    def test_pricing_tables(self, engine, mapping):
+        eng, oracle = ENGINES[engine]
+        M = MAPPINGS[mapping]
+        checked = 0
+        for sched in _schedules(M):
+            pricing = eng.pricing(sched, M)
+            assert len(pricing.stages) == len(sched.stages)
+            for stage, priced in zip(sched.stages, pricing.stages):
+                alpha_sum, unit_drain, load_max = oracle.price_stage(stage, M)
+                env_alpha, env_drain = _pareto_envelope(alpha_sum, unit_drain)
+                where = (sched.name, stage.label)
+                assert _bits(priced.env_alpha) == _bits(env_alpha), where
+                assert _bits(priced.env_drain) == _bits(env_drain), where
+                assert _bits(priced.unit_load_max) == _bits(load_max), where
+            checked += 1
+        assert checked >= 8  # the registry and the hierarchical variants ran
+
+    def test_per_size_stage_time_and_link_loads(self, engine, mapping):
+        eng, oracle = ENGINES[engine]
+        M = MAPPINGS[mapping]
+        for sched in _schedules(M):
+            for stage in sched.stages:
+                for bb in BLOCK_BYTES:
+                    got = eng.stage_time(stage, M, bb)
+                    seconds, load_max = oracle.stage_time(stage, M, bb, oracle.beta)
+                    where = (sched.name, stage.label, bb)
+                    assert _bits(got.seconds) == _bits(seconds), where
+                    assert _bits(got.max_link_load_bytes) == _bits(load_max), where
+                loads = eng.link_loads(stage, M, BLOCK_BYTES[1])
+                ref = oracle.link_loads(stage, M, BLOCK_BYTES[1])
+                assert loads.shape == ref.shape
+                assert _bits(loads) == _bits(ref), (sched.name, stage.label)
+
+    @pytest.mark.parametrize("plan", sorted(FAULT_PLANS))
+    def test_fault_path(self, engine, mapping, plan):
+        eng, oracle = ENGINES[engine]
+        M = MAPPINGS[mapping]
+        fault_plan = FAULT_PLANS[plan]
+        bb = BLOCK_BYTES[1]
+        for sched in _schedules(M):
+            res = eng.evaluate(sched, M, bb, fault_plan=fault_plan)
+            rounds = oracle.fault_rounds(sched, M, bb, fault_plan)
+            assert len(res.stage_timings) == len(rounds)
+            for k, (timing, (seconds, load_max)) in enumerate(zip(res.stage_timings, rounds)):
+                assert _bits(timing.seconds) == _bits(seconds), (sched.name, k)
+                assert _bits(timing.max_link_load_bytes) == _bits(load_max), (sched.name, k)
+            copy = eng.cost.copy_cost(sched.local_copy_units * bb)
+            total = sum(seconds for seconds, _ in rounds) + copy
+            assert _bits(res.total_seconds) == _bits(total), sched.name
+
+
+class TestRouteLayout:
+    """What the kernel's α table relies on."""
+
+    def _all_pairs(self):
+        cores = np.arange(CLUSTER.n_cores)
+        src, dst = np.meshgrid(cores, cores, indexing="ij")
+        off = src != dst
+        return CLUSTER.route_matrix(src[off], dst[off])
+
+    def test_every_column_holds_one_link_class(self):
+        routes = self._all_pairs()
+        assert routes.shape[1] == MAX_ROUTE_LEN
+        for col in range(MAX_ROUTE_LEN):
+            ids = routes[:, col]
+            classes = np.unique(CLUSTER.link_class[ids[ids >= 0]])
+            assert classes.size == 1, (col, [LinkClass(c).name for c in classes])
+
+    def test_padding_patterns_are_the_locality_levels(self):
+        patterns = {tuple(row) for row in (self._all_pairs() >= 0).tolist()}
+        # same socket, cross socket, same leaf, same line, via spine
+        assert sorted(sum(p) for p in patterns) == [4, 6, 6, 8, 10]
