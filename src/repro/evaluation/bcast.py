@@ -19,6 +19,7 @@ MPI_Allgather:
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -117,7 +118,8 @@ class BcastEvaluator:
         unit_bytes = (
             message_bytes if isinstance(alg, BinomialBroadcast) else message_bytes / p
         )
-        return self.engine.evaluate(alg.schedule(p), mapping, unit_bytes).total_seconds
+        batch = self.engine.evaluate_sizes(alg.schedule(p), mapping, [unit_bytes])
+        return float(batch.total_seconds[0])
 
     # ------------------------------------------------------------------
     def default_latency(self, layout: Sequence[int], message_bytes: float) -> BcastReport:
@@ -134,22 +136,18 @@ class BcastEvaluator:
         layout: Sequence[int],
         message_bytes: float,
         kind: str = "heuristic",
-        rng: Optional[RngLike] = None,
     ) -> BcastReport:
         """Broadcast latency under topology-aware rank reordering."""
         L = np.asarray(layout, dtype=np.int64)
         p = L.size
         alg = select_bcast(p, message_bytes, self.tree_threshold, self.rd_threshold)
         pattern = self._pattern_for(alg)
-        if rng is None:
-            # order-independent deterministic seed (see AllgatherEvaluator)
-            import hashlib
-
-            blob = pattern.encode() + L.tobytes() + kind.encode()
-            rng = int.from_bytes(hashlib.sha1(blob).digest()[:4], "big")
         key = (pattern, L.tobytes(), kind)
         res = self._cache.get(key)
         if res is None:
+            # order-independent deterministic seed (see AllgatherEvaluator)
+            blob = pattern.encode() + L.tobytes() + kind.encode()
+            rng = int.from_bytes(hashlib.sha1(blob).digest()[:4], "big")
             res = reorder_ranks(pattern, L, self.distances, kind=kind, rng=rng)
             self._cache[key] = res
         return BcastReport(

@@ -157,40 +157,17 @@ class AllgatherEvaluator:
 
     def _restore(
         self,
-        strategy: OrderStrategy,
-        algorithm,
-        reordering: RankReordering,
-        block_bytes: float,
-    ) -> Tuple[str, float]:
-        """Effective strategy name and its per-call cost."""
-        if reordering.is_identity():
-            return OrderStrategy.NONE.value, 0.0
-        if getattr(algorithm, "supports_inline_placement", False):
-            # Paper §V-B: the ring resolves ordering inside the algorithm.
-            return OrderStrategy.INLINE.value, 0.0
-        if strategy is OrderStrategy.INIT_COMM:
-            stage = init_comm_stage(reordering)
-            if stage is None:
-                return OrderStrategy.NONE.value, 0.0
-            pre = Schedule(p=reordering.p, stages=[stage], name="initcomm")
-            cost = self.engine.evaluate(pre, reordering.mapping, block_bytes).total_seconds
-            return strategy.value, cost
-        if strategy is OrderStrategy.END_SHUFFLE:
-            return strategy.value, end_shuffle_seconds(reordering, block_bytes, self.cost)
-        raise ValueError(f"strategy {strategy} not usable for {algorithm.name}")
-
-    def _restore_sizes(
-        self,
         strat: OrderStrategy,
         algorithm,
         reordering: RankReordering,
         sizes: Sequence[float],
     ) -> Tuple[str, np.ndarray]:
-        """Batched :meth:`_restore`: one cost per size, priced together."""
+        """Effective strategy name and its per-call cost at each size."""
         zeros = np.zeros(len(sizes), dtype=np.float64)
         if reordering.is_identity():
             return OrderStrategy.NONE.value, zeros
         if getattr(algorithm, "supports_inline_placement", False):
+            # Paper §V-B: the ring resolves ordering inside the algorithm.
             return OrderStrategy.INLINE.value, zeros
         if strat is OrderStrategy.INIT_COMM:
             stage = init_comm_stage(reordering)
@@ -207,7 +184,7 @@ class AllgatherEvaluator:
         raise ValueError(f"strategy {strat} not usable for {algorithm.name}")
 
     # ------------------------------------------------------------------
-    # batched (multi-size) pipeline
+    # the pipeline: every entry point prices a size vector
     # ------------------------------------------------------------------
     def _schedule_for(self, algorithm, p: int, extra_key: Tuple = ()) -> Schedule:
         """Build-once cache of compiled schedules.
@@ -242,13 +219,13 @@ class AllgatherEvaluator:
         hierarchical: bool = False,
         intra: str = "binomial",
     ) -> List[LatencyReport]:
-        """Batched :meth:`default_latency`: one report per entry of ``sizes``.
+        """Latency of the MVAPICH-style default under the raw layout, per size.
 
-        Sizes are partitioned by the algorithm MVAPICH-style selection
-        picks for them; each partition is priced with a single
-        :meth:`TimingEngine.evaluate_sizes` call over a build-once
-        schedule, so routes and unit loads are computed once per
-        algorithm instead of once per size.
+        One report per entry of ``sizes``.  Sizes are partitioned by the
+        algorithm MVAPICH-style selection picks for them; each partition
+        is priced with a single :meth:`TimingEngine.evaluate_sizes` call
+        over a build-once schedule, so routes and unit loads are computed
+        once per algorithm instead of once per size.
         """
         L = np.asarray(layout, dtype=np.int64)
         p = L.size
@@ -294,10 +271,10 @@ class AllgatherEvaluator:
         hierarchical: bool = False,
         intra: str = "binomial",
     ) -> List[LatencyReport]:
-        """Batched :meth:`reordered_latency` over a size vector.
+        """Latency under topology-aware rank reordering, per size.
 
-        Reorderings are cached per (pattern, layout, mapper) exactly as in
-        the per-size path (same deterministic seeds, so results match);
+        Reorderings are cached per (pattern, layout, mapper) under a seed
+        derived from that key, so results do not depend on call order;
         schedules and route/unit-load pricing tables are built once per
         algorithm partition rather than once per size.
         """
@@ -350,9 +327,7 @@ class AllgatherEvaluator:
             sub = [sizes[i] for i in idxs]
             sched = self._schedule_for(alg, p)
             batch = self.engine.evaluate_sizes(sched, res.mapping, sub)
-            strategy_name, restores = self._restore_sizes(
-                strat, alg, res.reordering, sub
-            )
+            strategy_name, restores = self._restore(strat, alg, res.reordering, sub)
             for j, i in enumerate(idxs):
                 coll = float(batch.total_seconds[j])
                 out[i] = LatencyReport(
@@ -408,7 +383,7 @@ class AllgatherEvaluator:
             sub = [sizes[i] for i in idxs]
             sched = self._schedule_for(alg, L.size, (lk, kind, self.intra_heuristic))
             batch = self.engine.evaluate_sizes(sched, reordering.mapping, sub)
-            strategy_name, restores = self._restore_sizes(strat, alg, reordering, sub)
+            strategy_name, restores = self._restore(strat, alg, reordering, sub)
             for j, i in enumerate(idxs):
                 coll = float(batch.total_seconds[j])
                 out[i] = LatencyReport(
@@ -422,85 +397,6 @@ class AllgatherEvaluator:
                 )
         return out  # type: ignore[return-value]
 
-    # ------------------------------------------------------------------
-    # fault recovery (batched)
-    # ------------------------------------------------------------------
-    def recovery_latencies(
-        self,
-        layout: Sequence[int],
-        sizes: Sequence[float],
-        failed_nodes: Sequence[int],
-        kind: str = "heuristic",
-        policy: str = "shrink-remap",
-    ) -> List[LatencyReport]:
-        """Batched allgather latency after node failures, per policy.
-
-        ``policy`` is one of ``repro.faults.recover.RECOVERY_POLICIES``:
-        ``"fail-stop"`` reports the abort (infinite latency),
-        ``"shrink-keep"`` prices the survivors under their old binding
-        with the holes closed up, and ``"shrink-remap"`` re-runs the
-        ``kind`` mapper on the surviving core pool and adopts the remap
-        wherever it prices no slower than keeping the old mapping.
-        Sizes are partitioned by algorithm and priced through the same
-        batched pipeline as :meth:`reordered_latencies`.
-        """
-        from repro.faults.shrink import shrink_layout
-
-        if policy not in ("fail-stop", "shrink-keep", "shrink-remap"):
-            raise ValueError(f"unknown recovery policy {policy!r}")
-        sizes = list(sizes)
-        if policy == "fail-stop":
-            return [
-                LatencyReport(
-                    seconds=float("inf"),
-                    algorithm="aborted",
-                    strategy="fail-stop",
-                    collective_seconds=float("inf"),
-                )
-                for _ in sizes
-            ]
-        survivors = shrink_layout(self.cluster, layout, failed_nodes)
-        p = survivors.size
-        out: List[Optional[LatencyReport]] = [None] * len(sizes)
-        algs = [select_allgather(p, bb, self.rd_threshold) for bb in sizes]
-        for name, idxs in self._group_sizes([a.name for a in algs]):
-            alg = algs[idxs[0]]
-            sub = [sizes[i] for i in idxs]
-            sched = self._schedule_for(alg, p)
-            keep = self.engine.evaluate_sizes(sched, survivors, sub).total_seconds
-            mapper = "keep"
-            seconds = keep
-            if policy == "shrink-remap":
-                pattern = pattern_of(alg)
-                key = ("recover", pattern, _layout_key(survivors), kind)
-                res: ReorderResult = self._reorder_cache.get(key)  # type: ignore[assignment]
-                if res is None:
-                    res = reorder_ranks(
-                        pattern,
-                        survivors,
-                        self.D,
-                        kind=kind,
-                        rng=_seed_for("recover", _layout_key(survivors), kind),
-                    )
-                    self._reorder_cache[key] = res
-                fresh = self.engine.evaluate_sizes(sched, res.mapping, sub).total_seconds
-                # hedged adoption: never worse than keeping the old binding
-                seconds = np.minimum(fresh, keep)
-                mapper = res.mapper_name
-            for j, i in enumerate(idxs):
-                coll = float(seconds[j])
-                out[i] = LatencyReport(
-                    seconds=coll,
-                    algorithm=name,
-                    strategy=policy,
-                    collective_seconds=coll,
-                    mapper=mapper,
-                )
-        return out  # type: ignore[return-value]
-
-    # ------------------------------------------------------------------
-    # non-hierarchical
-    # ------------------------------------------------------------------
     def default_latency(
         self,
         layout: Sequence[int],
@@ -508,21 +404,8 @@ class AllgatherEvaluator:
         hierarchical: bool = False,
         intra: str = "binomial",
     ) -> LatencyReport:
-        """Latency of the MVAPICH-style default under the raw layout."""
-        L = np.asarray(layout, dtype=np.int64)
-        p = L.size
-        if hierarchical:
-            groups = self.groups_from_layout(L)
-            alg = select_hierarchical_allgather(groups, block_bytes, intra, self.rd_threshold)
-        else:
-            alg = select_allgather(p, block_bytes, self.rd_threshold)
-        coll = self.engine.evaluate(alg.schedule(p), L, block_bytes).total_seconds
-        return LatencyReport(
-            seconds=coll,
-            algorithm=alg.name,
-            strategy=OrderStrategy.NONE.value,
-            collective_seconds=coll,
-        )
+        """One-size :meth:`default_latencies`."""
+        return self.default_latencies(layout, [block_bytes], hierarchical, intra)[0]
 
     def reordered_latency(
         self,
@@ -532,47 +415,14 @@ class AllgatherEvaluator:
         strategy: str = "initcomm",
         hierarchical: bool = False,
         intra: str = "binomial",
-        rng: Optional[RngLike] = None,
     ) -> LatencyReport:
-        """Latency under topology-aware rank reordering."""
-        L = np.asarray(layout, dtype=np.int64)
-        strat = OrderStrategy.parse(strategy)
-        if rng is None:
-            rng = _seed_for("reorder", _layout_key(L), kind, hierarchical, intra)
-        if hierarchical:
-            return self._hierarchical_reordered(L, block_bytes, kind, strat, intra, rng)
-        return self._flat_reordered(L, block_bytes, kind, strat, rng)
-
-    def _flat_reordered(
-        self,
-        L: np.ndarray,
-        block_bytes: float,
-        kind: str,
-        strat: OrderStrategy,
-        rng: RngLike,
-    ) -> LatencyReport:
-        p = L.size
-        alg = select_allgather(p, block_bytes, self.rd_threshold)
-        pattern = pattern_of(alg)
-        key = ("flat", pattern, _layout_key(L), kind)
-        res: ReorderResult = self._reorder_cache.get(key)  # type: ignore[assignment]
-        if res is None:
-            res = reorder_ranks(pattern, L, self.distances, kind=kind, rng=rng)
-            self._reorder_cache[key] = res
-        coll = self.engine.evaluate(alg.schedule(p), res.mapping, block_bytes).total_seconds
-        strategy_name, restore = self._restore(strat, alg, res.reordering, block_bytes)
-        return LatencyReport(
-            seconds=coll + restore,
-            algorithm=alg.name,
-            strategy=strategy_name,
-            collective_seconds=coll,
-            restore_seconds=restore,
-            reorder_seconds=res.total_seconds,
-            mapper=res.mapper_name,
-        )
+        """One-size :meth:`reordered_latencies`."""
+        return self.reordered_latencies(
+            layout, [block_bytes], kind, strategy, hierarchical, intra
+        )[0]
 
     # ------------------------------------------------------------------
-    # hierarchical
+    # hierarchical reordering
     # ------------------------------------------------------------------
     def _intra_mapper(self, kind: str, m: int) -> Optional[Mapper]:
         """Mapper for one node's binomial gather/bcast pattern.
@@ -596,7 +446,10 @@ class AllgatherEvaluator:
         """Compose intra-node + leader reorderings into one world mapping.
 
         Returns the world reordering, the *new-rank* groups the schedule
-        is built over, and the total mapping overhead in seconds.
+        is built over, and the total mapping overhead in seconds.  The
+        pipeline runs the two phases itself, so that both leader patterns
+        share one intra pass; this one-pattern form is what the property
+        tests and the sweep oracle call.
         """
         rng = make_rng(rng)
         per_group_cores, overhead = self._intra_reordering(
@@ -668,42 +521,6 @@ class AllgatherEvaluator:
             M_world[s : s + m] = per_group_cores[g]
             groups_new.append(list(range(s, s + m)))
         return RankReordering(layout=L, mapping=M_world), groups_new, overhead
-
-    def _hierarchical_reordered(
-        self,
-        L: np.ndarray,
-        block_bytes: float,
-        kind: str,
-        strat: OrderStrategy,
-        intra: str,
-        rng: RngLike,
-    ) -> LatencyReport:
-        G = len(self.groups_from_layout(L))
-        leader_alg = (
-            "rd" if block_bytes < self.rd_threshold and is_power_of_two(G) else "ring"
-        )
-        leader_pattern = "recursive-doubling" if leader_alg == "rd" else "ring"
-        key = ("hier", leader_pattern, intra, self.intra_heuristic, _layout_key(L), kind)
-        cached = self._reorder_cache.get(key)
-        if cached is None:
-            cached = self._hierarchical_reordering(L, kind, intra, leader_pattern, rng)
-            self._reorder_cache[key] = cached
-        reordering, groups_new, overhead = cached  # type: ignore[misc]
-
-        alg = HierarchicalAllgather(groups_new, leader_alg=leader_alg, intra=intra)
-        coll = self.engine.evaluate(
-            alg.schedule(L.size), reordering.mapping, block_bytes
-        ).total_seconds
-        strategy_name, restore = self._restore(strat, alg, reordering, block_bytes)
-        return LatencyReport(
-            seconds=coll + restore,
-            algorithm=alg.name,
-            strategy=strategy_name,
-            collective_seconds=coll,
-            restore_seconds=restore,
-            reorder_seconds=overhead,
-            mapper=kind,
-        )
 
     # ------------------------------------------------------------------
     def improvement_pct(

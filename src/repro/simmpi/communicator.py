@@ -197,13 +197,13 @@ class VirtualComm:
         ev = self.session.evaluator
         p = self.size
         alg = algorithm if algorithm is not None else select_allgather(p, block_bytes)
-        coll = ev.engine.evaluate(
-            alg.schedule(p), self.reordering.mapping, block_bytes
+        coll = ev.engine.evaluate_sizes(
+            alg.schedule(p), self.reordering.mapping, [block_bytes]
         ).total_seconds
         _, restore = ev._restore(
-            OrderStrategy.parse(strategy), alg, self.reordering, block_bytes
+            OrderStrategy.parse(strategy), alg, self.reordering, [block_bytes]
         )
-        return coll + restore
+        return float(coll[0] + restore[0])
 
     def bcast_latency(self, message_bytes: float, kind: str = "none") -> float:
         """Simulated latency of one MPI_Bcast from rank 0.

@@ -12,13 +12,44 @@ from repro.bench.microbench import (
     sweep_nonhierarchical,
 )
 from repro.bench.report import format_series_csv, format_sweep_table, size_label
-from repro.evaluation.evaluator import AllgatherEvaluator
+from repro.collectives.correctness import (
+    OrderStrategy,
+    RankReordering,
+    end_shuffle_seconds,
+    init_comm_stage,
+)
+from repro.collectives.registry import (
+    pattern_of,
+    select_allgather,
+    select_hierarchical_allgather,
+)
+from repro.collectives.schedule import Schedule
+from repro.evaluation.evaluator import AllgatherEvaluator, _layout_key, _seed_for
 from repro.mapping.initial import make_layout
+from repro.mapping.reorder import reorder_ranks
+from repro.simmpi.engine import TimingEngine
 
 
 @pytest.fixture(scope="module")
 def evaluator(mid_cluster):
     return AllgatherEvaluator(mid_cluster, rng=0)
+
+
+def _restore_seconds(
+    engine: TimingEngine, strategy: str, alg, reordering: RankReordering, bb: float
+) -> float:
+    """Per-call order restoration of one point, priced alone: free when
+    nothing moved or the ring places blocks inline, one extra message
+    stage for initComm, local copies for endShfl."""
+    if reordering.is_identity() or getattr(alg, "supports_inline_placement", False):
+        return 0.0
+    if OrderStrategy.parse(strategy) is OrderStrategy.INIT_COMM:
+        stage = init_comm_stage(reordering)
+        if stage is None:
+            return 0.0
+        pre = Schedule(p=reordering.p, stages=[stage], name="initcomm")
+        return engine.evaluate(pre, reordering.mapping, bb).total_seconds
+    return end_shuffle_seconds(reordering, bb, engine.cost)
 
 
 def naive_sweep(
@@ -32,20 +63,44 @@ def naive_sweep(
 ) -> List[SweepPoint]:
     """The seed pipeline: size loop outermost, every point priced alone.
 
-    Each point re-selects the algorithm, rebuilds its schedule and
-    re-prices it from scratch through :meth:`TimingEngine.evaluate` —
-    the oracle the batched pipeline must reproduce.
+    Each point re-selects the algorithm, rebuilds its schedule, reorders
+    anew (uncached ``reorder_ranks`` flat, the two-phase
+    ``_hierarchical_reordering`` hierarchical, under the evaluator's
+    seed) and prices collective and order restoration through a fresh
+    engine's per-size :meth:`TimingEngine.evaluate` — the oracle the
+    batched pipeline must reproduce.  Only the evaluator's cluster, cost
+    model, threshold and distances are used, none of its entry points
+    or caches.
     """
+    engine = TimingEngine(evaluator.cluster, evaluator.cost)
+    rd = evaluator.rd_threshold
     points: List[SweepPoint] = []
     for lname in layouts:
         L = make_layout(lname, evaluator.cluster, p)
+        groups = evaluator.groups_from_layout(L)
         for bb in sizes:
-            base = evaluator.default_latency(L, bb, hierarchical)
+            if hierarchical:
+                alg = select_hierarchical_allgather(groups, bb, "binomial", rd)
+            else:
+                alg = select_allgather(p, bb, rd)
+            base = engine.evaluate(alg.schedule(p), L, bb).total_seconds
             for mapper in mappers:
-                for strategy in strategies:
-                    tuned = evaluator.reordered_latency(
-                        L, bb, mapper, strategy, hierarchical
+                seed = _seed_for("reorder", _layout_key(L), mapper, hierarchical, "binomial")
+                if hierarchical:
+                    leader = "recursive-doubling" if alg.leader_alg == "rd" else "ring"
+                    ro, groups_new, _ = evaluator._hierarchical_reordering(
+                        L, mapper, "binomial", leader, seed
                     )
+                    tuned_alg = select_hierarchical_allgather(groups_new, bb, "binomial", rd)
+                else:
+                    res = reorder_ranks(
+                        pattern_of(alg), L, evaluator.distances,
+                        kind=mapper, rng=seed, cache="off",
+                    )
+                    ro, tuned_alg = res.reordering, alg
+                coll = engine.evaluate(tuned_alg.schedule(p), ro.mapping, bb).total_seconds
+                for strategy in strategies:
+                    tuned = coll + _restore_seconds(engine, strategy, tuned_alg, ro, bb)
                     points.append(
                         SweepPoint(
                             layout=lname,
@@ -54,9 +109,9 @@ def naive_sweep(
                             strategy=strategy,
                             hierarchical=hierarchical,
                             intra="binomial",
-                            algorithm=tuned.algorithm,
-                            base_us=base.seconds * 1e6,
-                            tuned_us=tuned.seconds * 1e6,
+                            algorithm=tuned_alg.name,
+                            base_us=base * 1e6,
+                            tuned_us=tuned * 1e6,
                         )
                     )
     return points
@@ -76,27 +131,23 @@ HIER = dict(SMALL, layouts=["block-bunch", "block-scatter"])
 
 
 class TestEquivalence:
-    def test_batched_matches_naive_pointwise(self, evaluator, mid_cluster):
+    def test_batched_matches_naive_pointwise(self, evaluator):
         """Same grid through both pipelines: same points, same latencies."""
         assert min(HIER["sizes"]) < evaluator.rd_threshold <= max(HIER["sizes"])
         grids = [
-            # flat: one evaluator serves both pipelines
-            (evaluator, evaluator, SMALL, False),
-            # hierarchical: fresh evaluators, so neither side reuses the
-            # other's cached reorderings
-            (
-                AllgatherEvaluator(mid_cluster, rng=0),
-                AllgatherEvaluator(mid_cluster, rng=0),
-                HIER,
-                True,
-            ),
+            (64, SMALL, False),
+            # not a power of two: small sizes take Bruck and BruckMH
+            (48, SMALL, False),
+            (64, HIER, True),
         ]
-        for naive_ev, batched_ev, grid, hierarchical in grids:
-            naive = naive_sweep(naive_ev, 64, **grid, hierarchical=hierarchical)
+        for p, grid, hierarchical in grids:
+            naive = naive_sweep(evaluator, p, **grid, hierarchical=hierarchical)
             batched = _sweep(
-                batched_ev, 64, grid["layouts"], grid["sizes"], grid["mappers"],
+                evaluator, p, grid["layouts"], grid["sizes"], grid["mappers"],
                 grid["strategies"], hierarchical, "binomial", None,
             )
+            if p == 48:
+                assert {a.algorithm for a in naive} == {"bruck", "ring"}
             assert len(naive) == len(batched)
             for a, b in zip(naive, batched):
                 assert (a.layout, a.block_bytes, a.mapper, a.strategy) == (

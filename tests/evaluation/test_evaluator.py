@@ -85,6 +85,29 @@ class TestReorderedLatency:
         assert rep.seconds > 0
 
 
+class TestPerSizeSharesBatchedCaches:
+    """The one-size entry points run the batched pipeline, so they share
+    its reorder cache, schedule cache and pricing LRU."""
+
+    def test_repeat_default_latency_hits_pricing_lru(self, mid_cluster):
+        ev = AllgatherEvaluator(mid_cluster, rng=0)
+        L = block_bunch(mid_cluster, 64)
+        assert ev.default_latency(L, 256) == ev.default_latency(L, 256)
+        assert ev.engine.pricing_misses == 1
+        assert ev.engine.pricing_hits == 1
+
+    def test_reordered_latency_reuses_the_batched_cell(self, mid_cluster):
+        ev = AllgatherEvaluator(mid_cluster, rng=0)
+        L = cyclic_scatter(mid_cluster, 64)
+        sizes = [256, 1 << 16]
+        batched = ev.reordered_latencies(L, sizes, "heuristic", "initcomm")
+        misses, hits = ev.engine.pricing_misses, ev.engine.pricing_hits
+        for bb, rep in zip(sizes, batched):
+            assert ev.reordered_latency(L, bb, "heuristic", "initcomm") == rep
+        assert ev.engine.pricing_misses == misses
+        assert ev.engine.pricing_hits > hits
+
+
 class TestHierarchicalReordered:
     @pytest.mark.parametrize("intra", ["binomial", "linear"])
     def test_runs_and_reports(self, evaluator, mid_cluster, intra):

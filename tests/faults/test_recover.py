@@ -3,14 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.evaluation.evaluator import AllgatherEvaluator
 from repro.faults import hca_retrain, single_node_failure
 from repro.faults.recover import (
     RECOVERY_POLICIES,
     compare_recovery_policies,
     recover,
 )
-from repro.mapping.initial import cyclic_scatter, make_layout
+from repro.mapping.initial import cyclic_scatter
 from repro.mapping.reorder import HEURISTICS
 
 SIZES = [1024, 16384, 262144]
@@ -58,6 +57,10 @@ class TestCompareRecoveryPolicies:
             remap = comp.policies["shrink-remap"].seconds
             assert np.all(remap <= keep), comp.pattern
             assert comp.p_before == 64 and comp.p_after == 56
+        again = compare_recovery_policies(mid_cluster, L, [7], SIZES)
+        for comp, rerun in zip(comps, again):
+            for policy, priced in comp.policies.items():
+                assert np.array_equal(priced.seconds, rerun.policies[policy].seconds)
 
     def test_fail_stop_is_aborted(self, mid_cluster):
         L = cyclic_scatter(mid_cluster, 64)
@@ -100,40 +103,3 @@ class TestCompareRecoveryPolicies:
         text = comp.summary()
         assert "shrink-remap" in text and "aborted" in text
         assert "64 -> 56" in text
-
-
-class TestEvaluatorRecoveryLatencies:
-    def test_policies_ordered(self, mid_cluster):
-        ev = AllgatherEvaluator(mid_cluster, rng=0)
-        L = make_layout("cyclic-scatter", mid_cluster, 64)
-        keep = ev.recovery_latencies(L, SIZES, [7], policy="shrink-keep")
-        remap = ev.recovery_latencies(L, SIZES, [7], policy="shrink-remap")
-        stop = ev.recovery_latencies(L, SIZES, [7], policy="fail-stop")
-        for k, r, s in zip(keep, remap, stop):
-            assert r.seconds <= k.seconds < s.seconds == float("inf")
-            assert s.strategy == "fail-stop"
-            assert r.strategy == "shrink-remap"
-
-    def test_algorithms_selected_at_survivor_count(self, mid_cluster):
-        ev = AllgatherEvaluator(mid_cluster, rng=0)
-        L = make_layout("block-bunch", mid_cluster, 64)
-        reps = ev.recovery_latencies(L, [64, 1 << 18], [7], policy="shrink-keep")
-        # 56 survivors is not a power of two: small sizes go to bruck
-        assert reps[0].algorithm == "bruck"
-        assert reps[1].algorithm == "ring"
-
-    def test_unknown_policy_rejected(self, mid_cluster):
-        ev = AllgatherEvaluator(mid_cluster, rng=0)
-        L = make_layout("block-bunch", mid_cluster, 64)
-        with pytest.raises(ValueError, match="policy"):
-            ev.recovery_latencies(L, SIZES, [7], policy="pray")
-
-    def test_deterministic_across_instances(self, mid_cluster):
-        L = make_layout("cyclic-bunch", mid_cluster, 64)
-        a = AllgatherEvaluator(mid_cluster, rng=0).recovery_latencies(
-            L, SIZES, [3], policy="shrink-remap"
-        )
-        b = AllgatherEvaluator(mid_cluster, rng=1).recovery_latencies(
-            L, SIZES, [3], policy="shrink-remap"
-        )
-        assert [x.seconds for x in a] == [y.seconds for y in b]

@@ -7,9 +7,12 @@ Generators — or the evaluator, the sweep cells and fault recovery would
 diverge from the per-pattern reference paths they replaced.
 """
 
+import time
+
 import numpy as np
 import pytest
 
+from repro.mapping.base import HierarchicalFreePool
 from repro.mapping.cache import MappingCache
 from repro.mapping.initial import make_layout
 from repro.mapping.reorder import HEURISTICS, reorder_all, reorder_ranks
@@ -112,3 +115,26 @@ class TestReorderAllCache:
         cache = MappingCache()
         reorder_all(L, impl, patterns=["ring"], rng=make_rng(0), cache=cache)
         assert cache.hits == 0 and cache.misses == 0
+
+
+class TestReorderAllTiming:
+    def test_pool_warm_up_charged_to_first_pattern(self, mid_cluster, monkeypatch):
+        """The pool structure is warmed once before the mappers run; a
+        standalone map would pay that setup itself, so the first
+        result's map_seconds must include it."""
+        impl = mid_cluster.implicit_distances()
+        L = make_layout("block-bunch", mid_cluster, 64)
+        structure_for = HierarchicalFreePool._structure_for.__func__
+        calls = []
+
+        def slow_first_call(cls, backend, cores):
+            if not calls:
+                time.sleep(0.1)
+            calls.append(1)
+            return structure_for(cls, backend, cores)
+
+        monkeypatch.setattr(
+            HierarchicalFreePool, "_structure_for", classmethod(slow_first_call)
+        )
+        batch = reorder_all(L, impl, patterns=["ring", "bruck"], rng=0, cache="off")
+        assert batch["ring"].map_seconds >= 0.1
