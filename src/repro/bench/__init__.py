@@ -12,11 +12,9 @@ from repro.bench.fabric import (
     FabricMergeResult,
     FabricStatus,
     FabricWorker,
-    ShardPlan,
     WorkerStats,
     fabric_merge,
     fabric_status,
-    plan_shards,
     run_fabric_worker,
 )
 from repro.bench.report import format_sweep_table, size_label
@@ -38,10 +36,8 @@ __all__ = [
     "FabricMergeResult",
     "FabricStatus",
     "FabricWorker",
-    "ShardPlan",
     "WorkerStats",
     "fabric_merge",
     "fabric_status",
-    "plan_shards",
     "run_fabric_worker",
 ]

@@ -135,8 +135,8 @@ def compute_cell(spec: SweepSpec, cell: str) -> Dict:
     keys ride along without affecting the merged sweep: ``fingerprint``
     (the spec fingerprint, so a resume or fabric merge can reject a cell
     journaled under a different spec) and ``compute_seconds`` (wall
-    seconds this computation took, feeding the cell-cost histogram and
-    the fabric shard planner's cost balancing).
+    seconds this computation took, which ``repro sweep --status``
+    summarises as the cell-cost spread).
     """
     t0 = time.perf_counter()
     delay = float(os.environ.get(CELL_DELAY_ENV, "0") or 0)
@@ -180,6 +180,15 @@ def compute_cell(spec: SweepSpec, cell: str) -> Dict:
     return payload
 
 
+def _cell_seconds(done: Dict[str, Dict]) -> Dict[str, float]:
+    """Measured ``compute_seconds`` of the journaled cells, by cell."""
+    return {
+        cell: float(payload["compute_seconds"])
+        for cell, payload in done.items()
+        if isinstance(payload.get("compute_seconds"), (int, float))
+    }
+
+
 @dataclass
 class SweepRunResult:
     """What a checkpointed run produced (and what it had to survive)."""
@@ -193,30 +202,6 @@ class SweepRunResult:
     #: Wall seconds per cell, from the journal payloads (absent for cells
     #: checkpointed by pre-cost journal versions).
     cell_seconds: Dict[str, float] = field(default_factory=dict)
-
-    def cost_histogram(self, bins: int = 8) -> List[Dict[str, float]]:
-        """Equal-width histogram of per-cell compute seconds.
-
-        Returns ``[{"lo": s, "hi": s, "count": n}, ...]`` over
-        :attr:`cell_seconds`; empty when no cell recorded its cost.  The
-        fabric shard planner consumes the same per-cell costs to balance
-        shards by measured seconds instead of cell count.
-        """
-        if bins <= 0:
-            raise ValueError("bins must be positive")
-        if not self.cell_seconds:
-            return []
-        values = sorted(self.cell_seconds.values())
-        lo, hi = values[0], values[-1]
-        width = (hi - lo) / bins or 1e-12
-        out = [
-            {"lo": lo + i * width, "hi": lo + (i + 1) * width, "count": 0}
-            for i in range(bins)
-        ]
-        for v in values:
-            idx = min(int((v - lo) / width), bins - 1)
-            out[idx]["count"] += 1
-        return out
 
 
 class CheckpointedSweep:
@@ -297,8 +282,8 @@ class CheckpointedSweep:
             return None  # torn write from a previous crash: recompute
         if not isinstance(payload, dict) or payload.get("cell") != cell:
             return None
-        # A cell journaled under a different spec (stale fabric shard,
-        # copied journal) is recomputed, not trusted.  Pre-fingerprint
+        # A cell journaled under a different spec (a copied journal or
+        # fabric directory) is recomputed, not trusted.  Pre-fingerprint
         # journals lack the key and stay accepted.
         if "fingerprint" in payload and payload["fingerprint"] != self.spec.fingerprint():
             return None
@@ -419,11 +404,7 @@ class CheckpointedSweep:
             pending = retry
 
         result.n_computed = len(done) - result.n_resumed
-        result.cell_seconds = {
-            cell: float(payload["compute_seconds"])
-            for cell, payload in done.items()
-            if isinstance(payload.get("compute_seconds"), (int, float))
-        }
+        result.cell_seconds = _cell_seconds(done)
         if result.quarantined:
             atomic_write_json(self.out_dir / "quarantine.json", result.quarantined)
         result.points = self.write_merged(done)

@@ -6,8 +6,9 @@ The subcommands mirror the paper's workflow:
   ladder, cost-model calibration probes);
 * ``sweep``     — micro-benchmark sweep (Fig. 3/4 style tables); also
   the crash-safe journaled runner (``--out-dir`` / ``--resume``) and the
-  distributed sweep fabric (``--fabric`` worker loop, ``--merge``
-  fingerprint-verified combine, ``--status`` read-only inspector);
+  distributed sweep fabric (``--fabric`` worker that claims one grid cell
+  at a time, ``--merge`` fingerprint-verified combine of any journal,
+  ``--status`` read-only inspector);
 * ``app``       — application study (Fig. 5/6 style tables);
 * ``overheads`` — extraction + mapping overheads (Fig. 7 style);
 * ``adaptive``  — per-size adaptive reordering decisions (§VII);
@@ -112,9 +113,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument(
         "--fabric", default=None, metavar="DIR",
         help="join the distributed sweep fabric at DIR as one worker: "
-        "claim leasable shards, compute their cells into the shared "
-        "journal, work-steal expired leases (creates the fabric from the "
-        "grid flags if DIR has no manifest yet)",
+        "claim grid cells one at a time (O_EXCL claim files), compute "
+        "them into the shared journal, take over expired claims of dead "
+        "workers (creates the fabric from the grid flags if DIR has no "
+        "manifest yet)",
     )
     p_sweep.add_argument(
         "--worker-id", default=None,
@@ -122,24 +124,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sweep.add_argument(
         "--lease-ttl", type=float, default=30.0,
-        help="seconds without a heartbeat before a shard lease is "
-        "stealable (default 30)",
-    )
-    p_sweep.add_argument(
-        "--shards", type=int, default=None,
-        help="shard count for a fabric created by this worker "
-        "(default: cost-balanced, ~2x the expected worker count)",
+        help="seconds after which a claim on a cell not yet journaled "
+        "counts as a dead worker's and may be taken over; keep it above "
+        "the longest cell, or that cell may be computed twice (default 30)",
     )
     p_sweep.add_argument(
         "--merge", default=None, metavar="DIR",
-        help="fingerprint-verified merge of a fabric journal: require "
+        help="fingerprint-verified merge of a fabric or solo journal: require "
         "every cell journaled or quarantined, then write sweep.json "
         "(bit-identical to a solo checkpointed run)",
     )
     p_sweep.add_argument(
         "--status", default=None, metavar="DIR",
         help="read-only journal inspector: done/pending/quarantined cell "
-        "counts, cell-cost summary and the live shard-lease table",
+        "counts, cell-cost summary and the table of live claims",
     )
 
     p_app = sub.add_parser("app", help="application study (Fig. 5/6)")
@@ -421,7 +419,6 @@ def _cmd_sweep_fabric(args) -> int:
             spec=spec,
             worker_id=args.worker_id,
             lease_ttl=args.lease_ttl,
-            n_shards=args.shards,
             max_retries=args.max_retries,
         )
     except (FileNotFoundError, ValueError) as exc:
@@ -430,9 +427,9 @@ def _cmd_sweep_fabric(args) -> int:
     stats = worker.run()
     print(
         f"fabric worker {stats.worker_id}: "
-        f"{stats.cells_computed} cells computed, {stats.cells_skipped} skipped, "
-        f"{stats.cells_quarantined} quarantined over {stats.shards_claimed} shards "
-        f"({stats.steals} stolen, contention {stats.lease_contention}) "
+        f"{stats.cells_computed} cells computed, {stats.cells_quarantined} "
+        f"quarantined ({stats.steals} claims taken over, contention "
+        f"{stats.lease_contention}) "
         f"in {stats.elapsed_seconds:.2f}s ({stats.cells_per_sec:.2f} cells/s)"
     )
     print(f"journal: {out}  (merge with: repro sweep --merge {out})")
@@ -463,7 +460,7 @@ def _cmd_sweep_status(args) -> int:
     except (FabricError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}")
         return 1
-    print(status.format(lease_ttl=args.lease_ttl))
+    print(status.format())
     return 0
 
 

@@ -103,12 +103,12 @@ def exclusive_create_text(path: PathLike, text: str) -> bool:
     number of processes racing to create the same file, exactly one
     succeeds (returns ``True``) and every other caller gets ``False``.
     This is the mutual-exclusion primitive behind the sweep fabric's
-    shard leases (:mod:`repro.bench.fabric`).
+    per-cell claims (:mod:`repro.bench.fabric`).
 
     Unlike :func:`atomic_write_text` the *content* is not torn-proof —
     the file exists (empty) for the instant between create and write —
     so readers must treat existence + mtime as authoritative and the
-    body as advisory.  Lease readers do exactly that.
+    body as advisory.  Claim readers do exactly that.
     """
     path = Path(path)
     try:

@@ -1,4 +1,4 @@
-"""Distributed sweep fabric tests: planner, leases, workers, merge."""
+"""Distributed sweep fabric tests: claims, workers, merge, status."""
 
 import json
 import multiprocessing
@@ -17,16 +17,10 @@ from repro.bench.fabric import (
     FabricFingerprintError,
     FabricIncompleteError,
     FabricWorker,
-    ShardPlan,
-    ensure_plan,
     fabric_merge,
     fabric_status,
-    plan_shards,
-    release_lease,
-    renew_lease,
     run_fabric_worker,
-    static_cell_cost,
-    try_acquire_lease,
+    try_claim,
 )
 from repro.bench.runner import CELL_DELAY_ENV, CheckpointedSweep, SweepSpec, compute_cell
 
@@ -37,134 +31,83 @@ SPEC = SweepSpec(
     mappers=("heuristic",),
     strategies=("initcomm", "endshfl"),
 )
+CELL = SPEC.cells()[0]
 
 
-# ----------------------------------------------------------------------
-# shard planner
-# ----------------------------------------------------------------------
-class TestPlanner:
-    def test_covers_grid_exactly_once(self):
-        plan = plan_shards(SPEC)
-        planned = [c for s in plan.shards for c in s.cells]
-        assert sorted(planned) == sorted(SPEC.cells())
-        assert len(planned) == len(set(planned))
+def _claim_owner(out_dir, cell):
+    return json.loads(fabric_mod._claim_path(out_dir, cell).read_text())["owner"]
 
-    def test_deterministic(self):
-        assert plan_shards(SPEC) == plan_shards(SPEC)
 
-    def test_fingerprint_stamped_per_shard(self):
-        plan = plan_shards(SPEC)
-        assert plan.fingerprint == SPEC.fingerprint()
-        assert all(s.fingerprint == SPEC.fingerprint() for s in plan.shards)
-
-    def test_static_costs_weight_tuned_cells(self):
-        assert static_cell_cost(SPEC, "tuned::block-bunch::heuristic") > (
-            static_cell_cost(SPEC, "base::block-bunch")
+def _run_processes(out, spec, n, lease_ttl):
+    """``n`` forked fabric workers on ``out``; returns their exit codes."""
+    ctx = multiprocessing.get_context("fork")
+    procs = [
+        ctx.Process(
+            target=run_fabric_worker,
+            args=(str(out),),
+            kwargs={
+                "spec": spec,
+                "worker_id": f"w{i}",
+                "lease_ttl": lease_ttl,
+                "poll_interval": 0.05,
+            },
         )
-
-    def test_measured_costs_balance_shards(self):
-        # one pathologically expensive cell must sit alone in its shard
-        cells = SPEC.cells()
-        costs = {c: 1.0 for c in cells}
-        heavy = cells[0]
-        costs[heavy] = 100.0
-        plan = plan_shards(SPEC, n_shards=2, cell_costs=costs)
-        heavy_shard = next(s for s in plan.shards if heavy in s.cells)
-        assert heavy_shard.cells == (heavy,)
-        light_shard = next(s for s in plan.shards if heavy not in s.cells)
-        assert len(light_shard.cells) == len(cells) - 1
-
-    def test_n_shards_clamped_to_cells(self):
-        plan = plan_shards(SPEC, n_shards=99)
-        assert len(plan.shards) == len(SPEC.cells())
-
-    def test_roundtrip(self):
-        plan = plan_shards(SPEC)
-        assert ShardPlan.from_dict(json.loads(json.dumps(plan.to_dict()))) == plan
-
-    def test_ensure_plan_create_then_join(self, tmp_path):
-        first = ensure_plan(SPEC, tmp_path)
-        again = ensure_plan(SPEC, tmp_path)
-        assert first == again
-        assert (tmp_path / "shards.json").is_file()
-
-    def test_ensure_plan_rejects_other_spec(self, tmp_path):
-        ensure_plan(SPEC, tmp_path)
-        with pytest.raises(FabricFingerprintError, match="fingerprint"):
-            ensure_plan(SweepSpec(n_nodes=4), tmp_path)
-
-    def test_ensure_plan_balances_by_journaled_cost(self, tmp_path, monkeypatch):
-        # journal the grid first, then blow up one cell's recorded cost:
-        # replanning must isolate that cell
-        CheckpointedSweep(SPEC, tmp_path).run()
-        heavy = SPEC.cells()[-1]
-        cs = CheckpointedSweep(SPEC, tmp_path)
-        path = cs._cell_path(heavy)
-        payload = json.loads(path.read_text())
-        payload["compute_seconds"] = 1e6
-        path.write_text(json.dumps(payload))
-        plan = ensure_plan(SPEC, tmp_path, n_shards=2)
-        heavy_shard = next(s for s in plan.shards if heavy in s.cells)
-        assert heavy_shard.cells == (heavy,)
+        for i in range(n)
+    ]
+    for proc in procs:
+        proc.start()
+    for proc in procs:
+        proc.join(timeout=120)
+        if proc.is_alive():
+            proc.kill()
+            proc.join()
+    return [proc.exitcode for proc in procs]
 
 
 # ----------------------------------------------------------------------
-# lease protocol
+# claim protocol: one O_EXCL file per cell, never renewed or released
 # ----------------------------------------------------------------------
 class TestLeases:
-    def setup_method(self):
-        pass
-
     def test_exactly_one_winner(self, tmp_path):
-        (tmp_path / "leases").mkdir()
+        (tmp_path / "claims").mkdir()
         results = {}
         barrier = threading.Barrier(8)
 
         def race(owner):
             barrier.wait()
-            acquired, stolen, _ = try_acquire_lease(tmp_path, "s000", owner, ttl=60)
-            results[owner] = acquired
+            results[owner] = try_claim(tmp_path, CELL, owner, ttl=60)[0]
 
         threads = [
             threading.Thread(target=race, args=(f"w{i}",)) for i in range(8)
         ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert sum(results.values()) == 1
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave the racers' Python steps
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        winners = [owner for owner, won in results.items() if won]
+        assert len(results) == 8 and len(winners) == 1
+        assert _claim_owner(tmp_path, CELL) == winners[0]
 
     def test_live_lease_not_stealable(self, tmp_path):
-        (tmp_path / "leases").mkdir()
-        assert try_acquire_lease(tmp_path, "s000", "w1", ttl=60)[0]
-        acquired, stolen, contended = try_acquire_lease(tmp_path, "s000", "w2", ttl=60)
-        assert not acquired and contended
+        (tmp_path / "claims").mkdir()
+        assert try_claim(tmp_path, CELL, "w1", ttl=60) == (True, False, False)
+        assert try_claim(tmp_path, CELL, "w2", ttl=60) == (False, False, True)
+        assert _claim_owner(tmp_path, CELL) == "w1"
 
     def test_expired_lease_stolen(self, tmp_path):
-        (tmp_path / "leases").mkdir()
-        assert try_acquire_lease(tmp_path, "s000", "w1", ttl=0.05)[0]
+        (tmp_path / "claims").mkdir()
+        assert try_claim(tmp_path, CELL, "w1", ttl=0.05)[0]
         time.sleep(0.15)
-        acquired, stolen, _ = try_acquire_lease(tmp_path, "s000", "w2", ttl=0.05)
-        assert acquired and stolen
-        # the original owner's heartbeat now fails: it lost the lease
-        assert not renew_lease(tmp_path, "s000", "w1")
-        assert renew_lease(tmp_path, "s000", "w2")
-
-    def test_heartbeat_keeps_lease_alive(self, tmp_path):
-        (tmp_path / "leases").mkdir()
-        assert try_acquire_lease(tmp_path, "s000", "w1", ttl=0.3)[0]
-        for _ in range(3):
-            time.sleep(0.15)
-            assert renew_lease(tmp_path, "s000", "w1")
-        acquired, _, _ = try_acquire_lease(tmp_path, "s000", "w2", ttl=0.3)
-        assert not acquired
-
-    def test_release_only_by_owner(self, tmp_path):
-        (tmp_path / "leases").mkdir()
-        assert try_acquire_lease(tmp_path, "s000", "w1", ttl=60)[0]
-        assert not release_lease(tmp_path, "s000", "w2")
-        assert release_lease(tmp_path, "s000", "w1")
-        assert try_acquire_lease(tmp_path, "s000", "w2", ttl=60)[0]
+        assert try_claim(tmp_path, CELL, "w2", ttl=0.05) == (True, True, False)
+        assert _claim_owner(tmp_path, CELL) == "w2"
+        # the takeover is a fresh claim: live again for everyone else
+        assert try_claim(tmp_path, CELL, "w1", ttl=60) == (False, False, True)
 
 
 # ----------------------------------------------------------------------
@@ -177,6 +120,8 @@ class TestFabricRun:
             tmp_path / "f", spec=SPEC, worker_id="w1", lease_ttl=5.0
         ).run()
         assert stats.cells_computed == len(SPEC.cells())
+        # claims are never released: one per cell stays behind
+        assert len(list((tmp_path / "f" / "claims").glob("*.claim"))) == len(SPEC.cells())
         merged = fabric_merge(tmp_path / "f")
         assert merged.points == serial.points
         assert (tmp_path / "f" / "sweep.json").read_bytes() == (
@@ -184,8 +129,8 @@ class TestFabricRun:
         ).read_bytes()
 
     def test_two_workers_race_one_shard_exactly_one_computes(self, tmp_path):
-        # a single 1-cell shard: both workers race the lease; the loser
-        # must skip (coverage check or lease contention), never recompute
+        # a one-cell grid: both workers race its claim; the loser must
+        # skip (coverage check or claim contention), never recompute
         spec = SweepSpec(n_nodes=2, layouts=("block-bunch",), sizes=(64,), mappers=())
         assert len(spec.cells()) == 1
         out = tmp_path / "f"
@@ -203,7 +148,8 @@ class TestFabricRun:
         for t in threads:
             t.start()
         for t in threads:
-            t.join()
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
         computed = [s.cells_computed for s in stats.values()]
         assert sorted(computed) == [0, 1]
         merged = fabric_merge(out)
@@ -212,25 +158,7 @@ class TestFabricRun:
     def test_three_processes_bit_identical(self, tmp_path):
         serial = CheckpointedSweep(SPEC, tmp_path / "s").run()
         out = tmp_path / "f"
-        ctx = multiprocessing.get_context("fork")
-        procs = [
-            ctx.Process(
-                target=run_fabric_worker,
-                args=(str(out),),
-                kwargs={
-                    "spec": SPEC,
-                    "worker_id": f"w{i}",
-                    "lease_ttl": 10.0,
-                    "poll_interval": 0.05,
-                },
-            )
-            for i in range(3)
-        ]
-        for proc in procs:
-            proc.start()
-        for proc in procs:
-            proc.join(timeout=120)
-        assert [proc.exitcode for proc in procs] == [0, 0, 0]
+        assert _run_processes(out, SPEC, 3, lease_ttl=10.0) == [0, 0, 0]
         merged = fabric_merge(out)
         assert merged.points == serial.points
         assert (out / "sweep.json").read_bytes() == (
@@ -239,20 +167,48 @@ class TestFabricRun:
         assert len(merged.workers) == 3
         assert sum(w["cells_computed"] for w in merged.workers) == len(SPEC.cells())
 
+    def test_cell_outliving_ttl_costs_only_time(self, tmp_path, monkeypatch):
+        # Every cell sleeps past the TTL, so a live worker's claim expires
+        # mid-cell and the other worker takes it over and computes the
+        # cell too.  Three cells keep one of two workers idle while the
+        # other computes the last one, so a takeover always happens.
+        spec = SweepSpec(
+            n_nodes=2, layouts=("block-bunch",), sizes=SPEC.sizes,
+            mappers=("heuristic", "scotch"),
+        )
+        CheckpointedSweep(spec, tmp_path / "s").run()
+        monkeypatch.setenv(CELL_DELAY_ENV, "0.5")
+        out = tmp_path / "f"
+        assert _run_processes(out, spec, 2, lease_ttl=0.2) == [0, 0]
+        merged = fabric_merge(out)
+        assert (out / "sweep.json").read_bytes() == (
+            tmp_path / "s" / "sweep.json"
+        ).read_bytes()
+        assert merged.steals >= 1
+        assert sum(w["cells_computed"] for w in merged.workers) > len(spec.cells())
+
+    def test_empty_grid_finishes(self, tmp_path):
+        spec = SweepSpec(n_nodes=2, layouts=())
+        assert spec.cells() == []
+        stats = FabricWorker(tmp_path / "f", spec=spec, worker_id="w1").run()
+        assert stats.cells_computed == 0
+        merged = fabric_merge(tmp_path / "f")
+        assert merged.n_cells == 0 and merged.points == []
+
     def test_expired_lease_reclaimed_and_work_stolen(self, tmp_path):
-        # hold a lease on one shard without heartbeating, as a SIGKILLed
-        # worker would; a live worker must steal it after the TTL
+        # hold a claim on one cell without computing it, as a SIGKILLed
+        # worker would; a live worker must take it over after the TTL
         out = tmp_path / "f"
         worker = FabricWorker(
             out, spec=SPEC, worker_id="thief", lease_ttl=0.3, poll_interval=0.05
         )
-        plan = worker._prepare()
-        victim_shard = plan.shards[0].shard_id
-        assert try_acquire_lease(out, victim_shard, "dead-worker", ttl=0.3)[0]
-        time.sleep(0.4)  # let the dead worker's lease expire
+        worker._prepare()
+        assert try_claim(out, CELL, "dead-worker", ttl=0.3)[0]
+        time.sleep(0.4)  # let the dead worker's claim expire
         stats = worker.run()
         assert stats.cells_computed == len(SPEC.cells())
-        assert stats.steals >= 1
+        assert stats.steals == 1
+        assert _claim_owner(out, CELL) == "thief"
         serial = CheckpointedSweep(SPEC, tmp_path / "s").run()
         assert fabric_merge(out).points == serial.points
 
@@ -305,6 +261,14 @@ class TestFabricRun:
         with pytest.raises(FileNotFoundError, match="manifest"):
             FabricWorker(tmp_path / "nope")
 
+    def test_worker_rejects_other_spec(self, tmp_path):
+        # the manifest fingerprint refuses a worker of another spec
+        # before it claims anything
+        FabricWorker(tmp_path, spec=SPEC, worker_id="w1")._prepare()
+        with pytest.raises(ValueError, match="fingerprint"):
+            FabricWorker(tmp_path, spec=SweepSpec(n_nodes=4), worker_id="w2").run()
+        assert not any((tmp_path / "claims").iterdir())
+
     def test_lease_ttl_validated(self, tmp_path):
         with pytest.raises(ValueError, match="lease_ttl"):
             FabricWorker(tmp_path, spec=SPEC, lease_ttl=0)
@@ -319,21 +283,26 @@ class TestStatus:
         status = fabric_status(tmp_path / "j")
         assert status.n_done == len(SPEC.cells()) and status.n_pending == 0
         assert status.cell_seconds
+        assert status.claims is None
         assert "solo journal" in status.format()
 
     def test_fabric_status_live_lease_table(self, tmp_path):
         out = tmp_path / "f"
-        worker = FabricWorker(out, spec=SPEC, worker_id="w1", lease_ttl=60.0)
-        plan = worker._prepare()
-        assert try_acquire_lease(out, plan.shards[0].shard_id, "w9", ttl=60.0)[0]
+        FabricWorker(out, spec=SPEC, worker_id="w1", lease_ttl=60.0)._prepare()
+        live, stale = SPEC.cells()[:2]
+        assert try_claim(out, live, "w9", ttl=60.0)[0]
+        assert try_claim(out, stale, "w8", ttl=60.0)[0]
+        old = time.time() - 120.0
+        os.utime(fabric_mod._claim_path(out, stale), (old, old))
         status = fabric_status(out, lease_ttl=60.0)
-        states = {s.shard_id: s.state for s in status.shards}
-        assert states[plan.shards[0].shard_id] == "leased"
-        assert set(states.values()) == {"leased", "unleased"}
-        leased = next(s for s in status.shards if s.state == "leased")
-        assert leased.owner == "w9" and leased.heartbeat_age is not None
-        text = status.format(lease_ttl=60.0)
-        assert "w9" in text and "unleased" in text
+        assert status.n_pending == len(SPEC.cells())
+        assert {c.cell: (c.owner, c.state) for c in status.claims} == {
+            live: ("w9", "claimed"),
+            stale: ("w8", "expired"),
+        }
+        assert all(c.age >= 0 for c in status.claims)
+        text = status.format()
+        assert "w9" in text and "expired" in text
 
     def test_status_is_read_only(self, tmp_path):
         out = tmp_path / "j"
@@ -346,13 +315,21 @@ class TestStatus:
         FabricWorker(tmp_path / "f", spec=SPEC, worker_id="w1", lease_ttl=5.0).run()
         fabric_merge(tmp_path / "f")
         status = fabric_status(tmp_path / "f")
-        assert all(s.state == "done" for s in status.shards)
+        # the claims of journaled cells stay on disk but are not live
+        assert status.n_pending == 0 and status.claims == []
+        assert "no live claims" in status.format()
 
 
 # ----------------------------------------------------------------------
-# the SIGKILL drill: kill a real worker process mid-cell, let its lease
-# expire, and require the reclaimed fabric to merge bit-identically.
+# crash drills: kill real worker processes mid-cell, let their claims
+# expire, and require the fabric to merge bit-identically.
 # ----------------------------------------------------------------------
+def _cli_env():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[2] / "src")
+    return env
+
+
 @pytest.mark.slow
 class TestSigkillRecovery:
     def test_sigkilled_worker_lease_reclaimed_bit_identical(self, tmp_path):
@@ -364,8 +341,7 @@ class TestSigkillRecovery:
             "--layouts", "block-bunch", "cyclic-scatter",
             "--mappers", "heuristic",
         ]
-        env = dict(os.environ)
-        env["PYTHONPATH"] = str(Path(__file__).resolve().parents[2] / "src")
+        env = _cli_env()
 
         ref = subprocess.run(
             args + ["--out-dir", str(serial_dir)],
@@ -373,7 +349,7 @@ class TestSigkillRecovery:
         )
         assert ref.returncode == 0, ref.stderr
 
-        # victim: slow cells, so SIGKILL lands mid-shard with leases held
+        # victim: slow cells, so SIGKILL lands mid-cell with a claim held
         env_slow = dict(env)
         env_slow[CELL_DELAY_ENV] = "0.4"
         victim = subprocess.Popen(
@@ -381,21 +357,21 @@ class TestSigkillRecovery:
                     "--lease-ttl", "2.0"],
             env=env_slow, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
         )
-        # Kill only while the victim holds the lease of an unfinished
-        # shard.  Between a shard's last cell landing and its lease
-        # release it holds only a finished shard's lease, which leaves
-        # the survivor nothing to steal; freezing the victim during the
-        # check makes the check and the kill see the same state.
+        # Kill only while the victim holds a live claim on a cell not yet
+        # journaled.  Between a cell landing and the next claim it holds
+        # only claims on journaled cells, which leaves the survivor
+        # nothing to take over; freezing the victim during the check
+        # makes the check and the kill see the same state.
         deadline = time.time() + 30
         cells = fabric_dir / "cells"
         while True:
-            assert time.time() < deadline, "victim never held an unfinished shard"
+            assert time.time() < deadline, "victim never held a live claim"
             time.sleep(0.05)
             if not (cells.is_dir() and any(cells.glob("*.json"))):
                 continue
             victim.send_signal(signal.SIGSTOP)
             os.waitpid(victim.pid, os.WUNTRACED)
-            if any(s.state == "leased" for s in fabric_status(fabric_dir).shards):
+            if any(c.state == "claimed" for c in fabric_status(fabric_dir).claims):
                 break
             victim.send_signal(signal.SIGCONT)
         victim.send_signal(signal.SIGKILL)
@@ -403,10 +379,8 @@ class TestSigkillRecovery:
         assert not (fabric_dir / "sweep.json").exists()
         n_before = len(list(cells.glob("*.json")))
         assert 1 <= n_before < 4
-        leases = sorted((fabric_dir / "leases").glob("*.lease"))
-        assert leases, "victim died without a lease on disk"
 
-        # survivor: must wait out the victim's TTL, steal, and finish
+        # survivor: must wait out the victim's TTL, take over, and finish
         res = subprocess.run(
             args + ["--fabric", str(fabric_dir), "--worker-id", "survivor",
                     "--lease-ttl", "2.0"],
@@ -426,4 +400,57 @@ class TestSigkillRecovery:
             (fabric_dir / "workers" / "survivor.json").read_text()
         )
         assert stats["cells_computed"] == 4 - n_before
-        assert stats["steals"] >= 1
+        assert stats["steals"] == 1
+
+    def test_three_workers_one_killed_merge_matches_serial(self, tmp_path):
+        # Three CLI workers race one shared directory; one is SIGKILLed as
+        # soon as the first cell lands, and the survivors must take over
+        # whatever it held.  The merge must equal a serial run byte for byte.
+        flags = [
+            sys.executable, "-m", "repro", "sweep",
+            "--nodes", "2",
+            "--layouts", "block-bunch", "cyclic-scatter",
+            "--mappers", "heuristic", "scotch",
+        ]
+        env = _cli_env()
+        serial_dir = tmp_path / "serial"
+        fabric_dir = tmp_path / "fabric"
+        ref = subprocess.run(
+            flags + ["--out-dir", str(serial_dir)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert ref.returncode == 0, ref.stderr
+
+        env_slow = dict(env)
+        env_slow[CELL_DELAY_ENV] = "0.3"
+        workers = [
+            subprocess.Popen(
+                flags + ["--fabric", str(fabric_dir), "--worker-id", f"w{i}",
+                         "--lease-ttl", "2.0"],
+                env=env_slow, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            )
+            for i in range(3)
+        ]
+        try:
+            deadline = time.time() + 60
+            cells = fabric_dir / "cells"
+            while not (cells.is_dir() and any(cells.glob("*.json"))):
+                assert time.time() < deadline, "no cell landed"
+                time.sleep(0.05)
+            workers[0].send_signal(signal.SIGKILL)
+            assert [w.wait(timeout=300) for w in workers[1:]] == [0, 0]
+            workers[0].wait(timeout=60)
+        finally:
+            for w in workers:
+                if w.poll() is None:
+                    w.kill()
+                    w.wait()
+
+        merge = subprocess.run(
+            [sys.executable, "-m", "repro", "sweep", "--merge", str(fabric_dir)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert merge.returncode == 0, merge.stderr
+        assert (fabric_dir / "sweep.json").read_bytes() == (
+            serial_dir / "sweep.json"
+        ).read_bytes()

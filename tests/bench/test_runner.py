@@ -246,26 +246,6 @@ class TestCellCosts:
         assert sorted(result.cell_seconds) == sorted(SPEC.cells())
         assert all(v > 0 for v in result.cell_seconds.values())
 
-    def test_cost_histogram_counts_every_cell(self, tmp_path):
-        result = CheckpointedSweep(SPEC, tmp_path / "j").run()
-        hist = result.cost_histogram(bins=4)
-        assert len(hist) == 4
-        assert sum(b["count"] for b in hist) == len(SPEC.cells())
-        assert all(b["lo"] <= b["hi"] for b in hist)
-
-    def test_cost_histogram_edge_cases(self):
-        from repro.bench.runner import SweepRunResult
-
-        empty = SweepRunResult(points=[], out_dir=Path("."))
-        assert empty.cost_histogram() == []
-        with pytest.raises(ValueError, match="bins"):
-            empty.cost_histogram(bins=0)
-        flat = SweepRunResult(
-            points=[], out_dir=Path("."), cell_seconds={"a": 1.0, "b": 1.0}
-        )
-        hist = flat.cost_histogram(bins=2)
-        assert sum(b["count"] for b in hist) == 2
-
     def test_wrong_fingerprint_checkpoint_recomputed(self, tmp_path):
         out = tmp_path / "j"
         cs = CheckpointedSweep(SPEC, out)

@@ -175,13 +175,11 @@ class TestFabricCLI:
 
     def test_fabric_parser_options(self):
         args = build_parser().parse_args(
-            ["sweep", "--fabric", "d", "--worker-id", "w1",
-             "--lease-ttl", "5", "--shards", "3"]
+            ["sweep", "--fabric", "d", "--worker-id", "w1", "--lease-ttl", "5"]
         )
         assert args.fabric == "d"
         assert args.worker_id == "w1"
         assert args.lease_ttl == 5.0
-        assert args.shards == 3
 
     def test_merge_and_status_parser_options(self):
         args = build_parser().parse_args(["sweep", "--merge", "d"])
@@ -209,6 +207,16 @@ class TestFabricCLI:
         assert main(["sweep", "--status", jdir]) == 0
         out = capsys.readouterr().out
         assert "solo journal" in out
+
+    def test_merge_solo_journal(self, tmp_path, capsys):
+        jdir = tmp_path / "j"
+        assert main(self.FLAGS + ["--out-dir", str(jdir)]) == 0
+        solo = (jdir / "sweep.json").read_bytes()
+        (jdir / "sweep.json").unlink()
+        capsys.readouterr()
+        assert main(["sweep", "--merge", str(jdir)]) == 0
+        assert "Fabric-merged sweep" in capsys.readouterr().out
+        assert (jdir / "sweep.json").read_bytes() == solo
 
     def test_merge_incomplete_fails(self, tmp_path, capsys):
         assert main(["sweep", "--merge", str(tmp_path / "missing")]) == 1
