@@ -212,10 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="max resident topologies before LRU eviction (default 8)",
     )
     p_srv.add_argument(
-        "--batch-window", type=float, default=None,
-        help="seconds a cold reorder waits for batch companions (default 0.005)",
-    )
-    p_srv.add_argument(
         "--drain-timeout", type=float, default=30.0,
         help="seconds to wait for in-flight work on SIGTERM (default 30)",
     )
@@ -660,7 +656,7 @@ def _cmd_serve(args) -> int:
     import asyncio
 
     from repro.serve.registry import DEFAULT_TOPOLOGY_CAP
-    from repro.serve.server import DEFAULT_BATCH_WINDOW, ReproServer, ServerConfig
+    from repro.serve.server import ReproServer, ServerConfig
 
     try:
         config = ServerConfig(
@@ -670,10 +666,6 @@ def _cmd_serve(args) -> int:
             topology_cap=(
                 args.topology_cap if args.topology_cap is not None
                 else DEFAULT_TOPOLOGY_CAP
-            ),
-            batch_window=(
-                args.batch_window if args.batch_window is not None
-                else DEFAULT_BATCH_WINDOW
             ),
             drain_timeout=args.drain_timeout,
         )

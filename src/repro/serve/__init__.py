@@ -3,9 +3,10 @@
 One resident process holds the expensive state — implicit-distance
 ladders, the shared mapping cache, pricing tables, built schedules —
 keyed by topology fingerprint, and answers JSON-lines requests over a
-unix socket or TCP.  Identical in-flight requests coalesce into one
-execution; cold heuristic reorders micro-batch into single
-``reorder_all`` passes.  See ``docs/serving.md``.
+unix socket or TCP.  Warm reorders are answered inline on the event
+loop; everything else runs in arrival order on one pipeline lane, so
+identical concurrent requests compute once and the rest hit the caches.
+See ``docs/serving.md``.
 """
 
 from repro.serve.client import ServeClient, ServeError
@@ -15,7 +16,6 @@ from repro.serve.protocol import (
     OPS,
     PROTOCOL_VERSION,
     ProtocolError,
-    coalesce_key,
     decode_request,
     encode_frame,
     make_error,
@@ -28,11 +28,10 @@ from repro.serve.registry import (
     TopologyRegistry,
     build_cluster,
 )
-from repro.serve.server import DEFAULT_BATCH_WINDOW, ReproServer, ServerConfig
+from repro.serve.server import ReproServer, ServerConfig
 from repro.serve.service import ReorderService
 
 __all__ = [
-    "DEFAULT_BATCH_WINDOW",
     "DEFAULT_TOPOLOGY_CAP",
     "EmbeddedServer",
     "MAX_LINE_BYTES",
@@ -48,7 +47,6 @@ __all__ = [
     "TopologyEntry",
     "TopologyRegistry",
     "build_cluster",
-    "coalesce_key",
     "decode_request",
     "encode_frame",
     "make_error",

@@ -4,7 +4,7 @@
 event loop on a background thread so synchronous code — pytest, the
 serve workload of ``perf/run.py`` — can talk to a real daemon
 through real sockets without forking a subprocess.  The server object
-itself is exposed, so tests can read the coalescing/batching counters
+itself is exposed, so tests can reach its bound port and service
 directly in addition to the ``stats`` op.
 """
 

@@ -43,13 +43,11 @@ __all__ = [
     "ERROR_OVERSIZED",
     "ERROR_UNKNOWN_FINGERPRINT",
     "ERROR_INTERNAL",
-    "ERROR_SHUTTING_DOWN",
     "ProtocolError",
     "encode_frame",
     "decode_request",
     "make_response",
     "make_error",
-    "coalesce_key",
 ]
 
 #: Bumped on any incompatible change to the frame layout.
@@ -70,7 +68,6 @@ ERROR_BAD_REQUEST = "bad-request"
 ERROR_OVERSIZED = "oversized"
 ERROR_UNKNOWN_FINGERPRINT = "unknown-fingerprint"
 ERROR_INTERNAL = "internal"
-ERROR_SHUTTING_DOWN = "shutting-down"
 
 
 class ProtocolError(ValueError):
@@ -155,14 +152,3 @@ def make_error(request_id: Any, code: str, message: str) -> Dict[str, Any]:
         "ok": False,
         "error": {"code": code, "message": message},
     }
-
-
-def coalesce_key(op: str, payload: Dict[str, Any]) -> str:
-    """Canonical identity of one request's *work* (id excluded).
-
-    Two requests with equal keys are the same computation: the daemon
-    answers both from one in-flight execution.  The key is the sorted
-    compact JSON of the op plus every payload field, so any semantic
-    difference (kind, seed, options, sizes...) yields a distinct key.
-    """
-    return json.dumps({"op": op, **payload}, sort_keys=True, separators=(",", ":"))

@@ -235,10 +235,6 @@ class TopologyRegistry:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def fingerprints(self) -> List[str]:
-        """Resident fingerprints, least- to most-recently used."""
-        return list(self._entries)
-
     def describe(self) -> Dict[str, Any]:
         """Stats-op view of the registry."""
         return {

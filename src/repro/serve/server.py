@@ -3,32 +3,27 @@
 ``repro serve`` wraps :class:`ReproServer`, a single-process daemon that
 keeps the :class:`~repro.serve.registry.TopologyRegistry` warm and
 answers :mod:`repro.serve.protocol` frames over a unix socket and/or a
-TCP port.  Three mechanisms turn repeat traffic into cache lookups:
+TCP port.  Every request takes one of three routes:
 
-* **warm fast path** — a reorder request whose result is already
-  resident in the shared mapping cache skips the batching window
-  entirely and is answered straight off the pipeline lane;
-* **request coalescing** — identical in-flight requests (same op and
-  payload: fingerprint, pattern, layout, seed, kind, options) share one
-  execution and one result;
-* **micro-batching** — cold heuristic reorder requests against the same
-  (fingerprint, layout, seed, options) arriving within
-  ``batch_window`` seconds are drained into one
-  :func:`~repro.mapping.reorder.reorder_all` pass, so the free pool
-  and distance ladder are set up once for all of them
-  (exactly the PR 7 batched-driver amortisation, now across clients).
+* ``health`` is answered on the event loop;
+* **warm fast path** — a reorder whose result is resident in the shared
+  mapping cache's memory tier is answered inline on the event loop
+  (:meth:`~repro.serve.service.ReorderService.reorder_warm`), with no
+  executor hop;
+* every other op runs on a one-thread executor lane, in arrival order.
 
-Every pipeline-touching op runs on a one-thread executor lane, which
-serialises all cache mutation (no locks anywhere) while the event loop
-stays responsive for ``health`` and for reading new requests; ``stats``
-also rides the lane because its registry snapshot walks the same LRU
-dicts the lane mutates.  SIGTERM/SIGINT trigger a graceful drain: listeners close,
-in-flight work finishes and is answered, idle connections are torn
-down, then the process exits.
+The lane serialises all cache mutation (no locks in the service layer)
+while the event loop stays responsive for ``health``, warm hits and
+reading new requests; ``stats`` rides the lane because its registry
+snapshot walks the same LRU dicts the lane mutates.  Identical
+concurrent requests compute once without any coalescing: the lane runs
+them in turn, so every one after the first is a mapping-cache or
+pricing-LRU hit.  SIGTERM/SIGINT trigger a graceful drain: listeners
+close, in-flight work finishes and is answered, idle connections are
+torn down, then the process exits.
 
 Connections are handled strictly request-by-request (responses on one
-connection come back in request order); concurrency across connections
-is what the coalescer and batcher see.
+connection come back in request order).
 """
 
 from __future__ import annotations
@@ -43,13 +38,11 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional
 
-from repro.mapping.reorder import HEURISTICS
 from repro.serve.protocol import (
     ERROR_INTERNAL,
     ERROR_OVERSIZED,
     MAX_LINE_BYTES,
     ProtocolError,
-    coalesce_key,
     decode_request,
     encode_frame,
     make_error,
@@ -58,13 +51,7 @@ from repro.serve.protocol import (
 from repro.serve.registry import DEFAULT_TOPOLOGY_CAP
 from repro.serve.service import ReorderService
 
-__all__ = ["ServerConfig", "ReproServer", "DEFAULT_BATCH_WINDOW"]
-
-#: Seconds a cold heuristic reorder request waits for same-topology
-#: companions before its batch drains.  Small enough to be invisible
-#: next to a cold mapping run, large enough that a burst of concurrent
-#: clients lands in one batch.  Warm requests never wait.
-DEFAULT_BATCH_WINDOW = 0.005
+__all__ = ["ServerConfig", "ReproServer"]
 
 _READ_CHUNK = 1 << 16
 
@@ -91,37 +78,30 @@ class ServerConfig:
     host: str = "127.0.0.1"
     port: Optional[int] = None
     topology_cap: int = DEFAULT_TOPOLOGY_CAP
-    batch_window: float = DEFAULT_BATCH_WINDOW
-    max_line_bytes: int = MAX_LINE_BYTES
     drain_timeout: float = 30.0
 
     def __post_init__(self) -> None:
         if self.socket_path is None and self.port is None:
             raise ValueError("server needs a unix socket path and/or a TCP port")
-        if self.batch_window < 0:
-            raise ValueError("batch_window must be >= 0")
-        if self.max_line_bytes < 1024:
-            raise ValueError("max_line_bytes must be >= 1024")
 
 
 class OversizedLineError(Exception):
-    """One request line exceeded the configured ceiling (line discarded)."""
+    """One request line exceeded :data:`MAX_LINE_BYTES` (line discarded)."""
 
 
 class _LineReader:
     """Bounded newline framing over a raw :class:`asyncio.StreamReader`.
 
     ``readline`` returns one complete line (without the newline), or
-    ``None`` at EOF.  A line longer than ``max_bytes`` raises
+    ``None`` at EOF.  A line longer than :data:`MAX_LINE_BYTES` raises
     :class:`OversizedLineError` *after* discarding through its
     terminating newline, so the connection stays usable — the stdlib
     reader's ``LimitOverrunError`` leaves the buffer unrecoverable,
     which is exactly the daemon-killing behaviour this avoids.
     """
 
-    def __init__(self, reader: asyncio.StreamReader, max_bytes: int) -> None:
+    def __init__(self, reader: asyncio.StreamReader) -> None:
         self._reader = reader
-        self._max = max_bytes
         self._buf = bytearray()
         self._eof = False
 
@@ -132,12 +112,12 @@ class _LineReader:
             if nl >= 0:
                 line = bytes(self._buf[:nl])
                 del self._buf[: nl + 1]
-                if discarding or len(line) > self._max:
+                if discarding or len(line) > MAX_LINE_BYTES:
                     raise OversizedLineError()
                 return line
             if discarding:
                 del self._buf[:]
-            elif len(self._buf) > self._max:
+            elif len(self._buf) > MAX_LINE_BYTES:
                 discarding = True
                 del self._buf[:]
             if self._eof:
@@ -156,18 +136,8 @@ class _LineReader:
                 self._buf.extend(chunk)
 
 
-class _Batch:
-    """One pending micro-batch of cold heuristic reorder requests."""
-
-    __slots__ = ("payloads", "futures")
-
-    def __init__(self) -> None:
-        self.payloads: List[Mapping[str, Any]] = []
-        self.futures: List[asyncio.Future] = []
-
-
 class ReproServer:
-    """The daemon: listeners + coalescer + batcher around a ReorderService."""
+    """The daemon: listeners and one pipeline lane around a ReorderService."""
 
     def __init__(
         self, config: ServerConfig, service: Optional[ReorderService] = None
@@ -179,14 +149,9 @@ class ReproServer:
             else ReorderService(topology_cap=config.topology_cap)
         )
         self.port: Optional[int] = None  # bound TCP port (after start)
-        self.coalesced = 0   # requests answered from another's execution
-        self.batched = 0     # reorder requests folded into an existing batch
-        self._inflight: Dict[str, asyncio.Future] = {}
-        self._batches: Dict[str, _Batch] = {}
         self._active = 0     # requests currently being dispatched
         self._servers: List[asyncio.AbstractServer] = []
         self._conn_tasks: "set[asyncio.Task]" = set()
-        self._drain_tasks: "set[asyncio.Task]" = set()
         self._stopping: Optional[asyncio.Event] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._lane = None  # one-thread executor: all pipeline work, in order
@@ -257,14 +222,8 @@ class ReproServer:
         for server in self._servers:
             await server.wait_closed()
         deadline = time.monotonic() + self.config.drain_timeout
-        while (self._active > 0 or self._batches) and time.monotonic() < deadline:
+        while self._active > 0 and time.monotonic() < deadline:
             await asyncio.sleep(0.01)
-        for task in list(self._drain_tasks):
-            if not task.done():
-                with contextlib.suppress(asyncio.TimeoutError):
-                    await asyncio.wait_for(
-                        asyncio.shield(task), timeout=self.config.drain_timeout
-                    )
         for task in list(self._conn_tasks):
             task.cancel()
         if self._conn_tasks:
@@ -283,7 +242,7 @@ class ReproServer:
     ) -> None:
         task = asyncio.current_task()
         self._conn_tasks.add(task)
-        lines = _LineReader(reader, self.config.max_line_bytes)
+        lines = _LineReader(reader)
         try:
             while not self._stopping.is_set():
                 try:
@@ -294,7 +253,7 @@ class ReproServer:
                             make_error(
                                 None,
                                 ERROR_OVERSIZED,
-                                f"request line exceeds {self.config.max_line_bytes} bytes",
+                                f"request line exceeds {MAX_LINE_BYTES} bytes",
                             )
                         )
                     )
@@ -338,116 +297,25 @@ class ReproServer:
         finally:
             self._active -= 1
 
-    # ------------------------------------------------------------------
-    # dispatch: coalescing + batching
-    # ------------------------------------------------------------------
     async def _dispatch(self, op: str, payload: Mapping[str, Any]) -> Dict[str, Any]:
         if op == "health":
             return self.service.health(self._server_extra())
-        if op == "stats":
-            # The registry snapshot walks the same nested LRU dicts the
-            # pipeline lane mutates (move_to_end/popitem), so it must run
-            # on that lane — iterating them from the event loop thread
-            # can raise "mutated during iteration" under live traffic.
-            extra = self._server_extra()
-            return await self._loop.run_in_executor(
-                self._lane, functools.partial(self.service.stats, extra)
-            )
-        key = coalesce_key(op, dict(payload))
-        shared = self._inflight.get(key)
-        if shared is not None:
-            self.coalesced += 1
-            return await asyncio.shield(shared)
         if op == "reorder":
-            # Warm fast path: a memory-tier hit is answered inline on
-            # the event loop — no batch window, no executor hop.  A
-            # request that probes cold (including anything malformed)
-            # falls through to the full pipeline-lane path below.
+            # A memory-tier hit is answered inline; anything that probes
+            # cold (including anything malformed) takes the lane below.
             warm = self.service.reorder_warm(payload)
             if warm is not None:
                 return warm
-        fut: asyncio.Future = self._loop.create_future()
-        self._inflight[key] = fut
-        try:
-            # Cold heuristic reorders micro-batch; anything else — cache
-            # races, non-heuristic mappers, price, register — runs solo
-            # on the lane.  An unknown pattern goes solo too, so its
-            # error never poisons a batch of valid companions.
-            if (
-                op == "reorder"
-                and payload.get("kind", "heuristic") == "heuristic"
-                and payload.get("pattern") in HEURISTICS
-            ):
-                self._enqueue_batch(payload, fut)
-            else:
-                handler = {
-                    "register_topology": self.service.register_topology,
-                    "reorder": self.service.reorder,
-                    "price": self.service.price,
-                }[op]
-                self._resolve_on_lane(fut, functools.partial(handler, payload))
-            return await asyncio.shield(fut)
-        finally:
-            self._inflight.pop(key, None)
-
-    def _resolve_on_lane(self, fut: asyncio.Future, fn) -> None:
-        """Run ``fn`` on the pipeline lane; deliver its outcome into ``fut``."""
-
-        async def runner() -> None:
-            try:
-                result = await self._loop.run_in_executor(self._lane, fn)
-            except Exception as exc:
-                if not fut.done():
-                    fut.set_exception(exc)
-            else:
-                if not fut.done():
-                    fut.set_result(result)
-
-        task = self._loop.create_task(runner())
-        self._drain_tasks.add(task)
-        task.add_done_callback(self._drain_tasks.discard)
-
-    def _enqueue_batch(self, payload: Mapping[str, Any], fut: asyncio.Future) -> None:
-        """Park a cold heuristic reorder in its (topology, layout, seed,
-        options) micro-batch, opening the batch if it is the first."""
-        bkey = coalesce_key(
-            "reorder-batch", {k: v for k, v in payload.items() if k != "pattern"}
-        )
-        batch = self._batches.get(bkey)
-        if batch is None:
-            batch = _Batch()
-            self._batches[bkey] = batch
-            task = self._loop.create_task(self._drain_batch(bkey))
-            self._drain_tasks.add(task)
-            task.add_done_callback(self._drain_tasks.discard)
+        if op == "stats":
+            call = functools.partial(self.service.stats, self._server_extra())
         else:
-            self.batched += 1
-        batch.payloads.append(payload)
-        batch.futures.append(fut)
-
-    async def _drain_batch(self, bkey: str) -> None:
-        await asyncio.sleep(self.config.batch_window)
-        batch = self._batches.pop(bkey, None)
-        if batch is None:  # pragma: no cover - defensive
-            return
-        try:
-            results = await self._loop.run_in_executor(
-                self._lane,
-                functools.partial(self.service.reorder_batch, batch.payloads),
-            )
-        except Exception as exc:
-            for fut in batch.futures:
-                if not fut.done():
-                    fut.set_exception(exc)
-            # Exceptions are delivered to every waiter; mark them
-            # retrieved here too so an unobserved duplicate never warns.
-            for fut in batch.futures:
-                if fut.done() and not fut.cancelled():
-                    fut.exception()
-        else:
-            for fut, result in zip(batch.futures, results):
-                if not fut.done():
-                    fut.set_result(result)
+            handler = {
+                "register_topology": self.service.register_topology,
+                "reorder": self.service.reorder,
+                "price": self.service.price,
+            }[op]
+            call = functools.partial(handler, payload)
+        return await self._loop.run_in_executor(self._lane, call)
 
     def _server_extra(self) -> Dict[str, Any]:
         listening = []
@@ -455,10 +323,4 @@ class ReproServer:
             listening.append(f"unix:{self.config.socket_path}")
         if self.port is not None:
             listening.append(f"tcp:{self.config.host}:{self.port}")
-        return {
-            "coalesced": self.coalesced,
-            "batched": self.batched,
-            "inflight": self._active,
-            "batch_window": self.config.batch_window,
-            "listening": listening,
-        }
+        return {"inflight": self._active, "listening": listening}

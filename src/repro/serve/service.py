@@ -8,7 +8,8 @@ one executor lane, so none of the caches underneath (mapping cache,
 pricing LRU, schedule cache, route tables) need locks.
 
 The service is also the daemon's measurement point: it counts requests,
-batch executions and cache traffic, which the ``stats`` op surfaces.
+warm inline answers, solo reorders and cache traffic, which the
+``stats`` op surfaces.
 """
 
 from __future__ import annotations
@@ -23,8 +24,6 @@ from repro.mapping.initial import INITIAL_LAYOUTS, make_layout
 from repro.mapping.reorder import (
     HEURISTICS,
     MAPPER_KINDS,
-    ReorderResult,
-    reorder_all,
     reorder_ranks,
 )
 from repro.serve.protocol import ERROR_BAD_REQUEST, PROTOCOL_VERSION, ProtocolError
@@ -69,7 +68,6 @@ class ReorderService:
         # Traffic counters (surfaced through the stats op).
         self.requests: Dict[str, int] = {}
         self.errors = 0
-        self.reorder_batches = 0    # reorder_all / map_batch invocations
         self.reorder_solo = 0       # solo reorder_ranks invocations
         self.price_evaluations = 0  # evaluate_sizes invocations
         self.patterns_computed = 0  # reorder results NOT served from cache
@@ -119,23 +117,6 @@ class ReorderService:
             ERROR_BAD_REQUEST, "'layout' must be a layout name or a list of core ids"
         )
 
-    @staticmethod
-    def _reorder_result_dict(res: ReorderResult) -> Dict[str, Any]:
-        return {
-            "pattern": res.pattern,
-            "mapper_name": res.mapper_name,
-            "mapping": res.mapping.tolist(),
-            "cached": bool(res.cached),
-            "map_seconds": float(res.map_seconds),
-            "graph_seconds": float(res.graph_seconds),
-        }
-
-    def _count_reorder(self, res: ReorderResult) -> None:
-        if res.cached:
-            self.patterns_cached += 1
-        else:
-            self.patterns_computed += 1
-
     def reorder(self, payload: Mapping[str, Any]) -> Dict[str, Any]:
         """One (fingerprint, pattern, layout, seed, kind) reorder query."""
         entry = self.registry.get(payload.get("fingerprint"))
@@ -169,16 +150,30 @@ class ReorderService:
         except (KeyError, TypeError, ValueError) as exc:
             raise ProtocolError(ERROR_BAD_REQUEST, f"reorder failed: {exc}")
         self.reorder_solo += 1
-        self._count_reorder(res)
-        return self._reorder_result_dict(res)
+        if res.cached:
+            self.patterns_cached += 1
+        else:
+            self.patterns_computed += 1
+        return {
+            "pattern": res.pattern,
+            "mapper_name": res.mapper_name,
+            "mapping": res.mapping.tolist(),
+            "cached": bool(res.cached),
+            "map_seconds": float(res.map_seconds),
+            "graph_seconds": float(res.graph_seconds),
+        }
 
-    def _warm_probe(self, payload: Mapping[str, Any]):
-        """``(entry, layout, key)`` for a well-formed reorder payload
-        against a resident topology, else None.  Pure lookups only (no
-        LRU movement, no counters) and never raises — safe on the event
-        loop thread while the pipeline lane mutates the caches; anything
-        malformed simply probes cold and gets its real error from the
-        full handler.
+    def reorder_warm(self, payload: Mapping[str, Any]) -> Optional[Dict[str, Any]]:
+        """Answer a reorder straight from the memory-tier cache, or None.
+
+        The server calls this on the **event loop thread** before paying
+        the executor hop: a warm hit is one locked dict lookup plus JSON
+        plumbing, so serving it inline roughly halves warm latency.  Up
+        to the hit it does pure lookups only (no LRU movement, no
+        counters) and it never raises, so it is safe while the pipeline
+        lane mutates the caches.  Any miss — cold key, unknown topology,
+        malformed payload — returns None and the request takes the lane,
+        which counts its one cache miss or reports its real error.
         """
         try:
             entry = self.registry.peek(payload.get("fingerprint"))
@@ -197,40 +192,21 @@ class ReorderService:
             key = mapping_cache_key(
                 entry.fingerprint, pattern, kind, L, seed, _mapper_options(payload)
             )
-            return entry, L, key
         except (ProtocolError, TypeError, ValueError):
             return None
-
-    def is_warm(self, payload: Mapping[str, Any]) -> bool:
-        """True iff this reorder request would be a memory-tier cache hit."""
-        probe = self._warm_probe(payload)
-        if probe is None:
-            return False
-        return self.registry.mapping_cache.peek(probe[2])
-
-    def reorder_warm(self, payload: Mapping[str, Any]) -> Optional[Dict[str, Any]]:
-        """Answer a reorder straight from the memory-tier cache, or None.
-
-        The server calls this on the **event loop thread** before paying
-        the executor hop: a warm hit is one locked dict lookup plus JSON
-        plumbing, so serving it inline roughly halves warm latency.  Any
-        miss — cold key, unknown topology, malformed payload — returns
-        None and the request takes the full pipeline-lane path.
-        """
-        probe = self._warm_probe(payload)
-        if probe is None:
-            return None
-        entry, L, key = probe
-        hit = self.registry.mapping_cache.get_arrays(key)
+        cache = self.registry.mapping_cache
+        # peek first: get_arrays counts a miss, and the lane's
+        # reorder_ranks counts the same cold key's miss again.
+        hit = cache.get_arrays(key) if cache.peek(key) else None
         if hit is None:
-            # Rare: evicted between peek and get, or disk-tier only.
+            # Rare: evicted between peek and get.
             return None
         cached, cached_layout, cached_mapping = hit
         if not np.array_equal(cached_layout, L):
             return None
         self.warm_inline += 1
         return {
-            "pattern": payload.get("pattern"),
+            "pattern": pattern,
             "mapper_name": cached.get("mapper_name", "mapper"),
             "mapping": cached_mapping.tolist(),
             "cached": True,
@@ -241,48 +217,11 @@ class ReorderService:
     def reorder_batch(
         self, payloads: Sequence[Mapping[str, Any]]
     ) -> List[Dict[str, Any]]:
-        """Answer several same-(topology, layout, seed, options) reorder
-        queries with one :func:`~repro.mapping.reorder.reorder_all` pass.
+        """:meth:`reorder` of each payload, in order.
 
-        The server's micro-batcher guarantees every payload in the batch
-        shares its batch key (fingerprint, layout, p, seed, options,
-        kind="heuristic"); patterns may repeat — results are fanned back
-        out per payload.  Entry-for-entry identical to solo
-        :meth:`reorder` calls (``reorder_all``'s contract).
+        The daemon never calls this; ``perf/spans.py`` wraps it by name.
         """
-        if not payloads:
-            return []
-        first = payloads[0]
-        entry = self.registry.get(first.get("fingerprint"))
-        L = self._resolve_layout(entry, first)
-        seed = _require_int(first, "seed", 0)
-        options = _mapper_options(first)
-        patterns: List[str] = []
-        for payload in payloads:
-            pattern = payload.get("pattern")
-            if not isinstance(pattern, str) or pattern not in HEURISTICS:
-                raise ProtocolError(
-                    ERROR_BAD_REQUEST,
-                    f"no fine-tuned heuristic for pattern {pattern!r} "
-                    f"(known: {', '.join(sorted(HEURISTICS))})",
-                )
-            if pattern not in patterns:
-                patterns.append(pattern)
-        try:
-            results = reorder_all(
-                L,
-                entry.distances,
-                patterns=patterns,
-                rng=seed,
-                cache=self.registry.mapping_cache,
-                **options,
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ProtocolError(ERROR_BAD_REQUEST, f"reorder failed: {exc}")
-        self.reorder_batches += 1
-        for res in results.values():
-            self._count_reorder(res)
-        return [self._reorder_result_dict(results[p.get("pattern")]) for p in payloads]
+        return [self.reorder(p) for p in payloads]
 
     # ------------------------------------------------------------------
     # op: price
@@ -346,7 +285,11 @@ class ReorderService:
             "uptime_seconds": time.monotonic() - self.started_monotonic,
             "requests": dict(self.requests),
             "errors": self.errors,
-            "reorder_batches": self.reorder_batches,
+            # Always 0: the daemon neither coalesces nor micro-batches, but
+            # perf/workloads.py (serve-mix-p1024) still reads these keys.
+            "coalesced": 0,
+            "batched": 0,
+            "reorder_batches": 0,
             "reorder_solo": self.reorder_solo,
             "price_evaluations": self.price_evaluations,
             "patterns_computed": self.patterns_computed,

@@ -1,4 +1,4 @@
-"""Protocol framing: round-trips, validation, coalesce keys."""
+"""Protocol framing: round-trips and validation."""
 
 import json
 
@@ -12,7 +12,6 @@ from repro.serve.protocol import (
     OPS,
     PROTOCOL_VERSION,
     ProtocolError,
-    coalesce_key,
     decode_request,
     encode_frame,
     make_error,
@@ -91,16 +90,3 @@ class TestValidation:
             decode_request(b'{"v": 1, "id": 42, "op": "frobnicate"}')
         assert exc_info.value.request_id == 42
 
-
-class TestCoalesceKey:
-    def test_same_work_same_key(self):
-        a = coalesce_key("reorder", {"pattern": "ring", "seed": 0})
-        b = coalesce_key("reorder", {"seed": 0, "pattern": "ring"})
-        assert a == b
-
-    def test_any_semantic_difference_changes_key(self):
-        base = {"pattern": "ring", "seed": 0, "layout": "block-bunch"}
-        key = coalesce_key("reorder", base)
-        assert coalesce_key("price", base) != key
-        assert coalesce_key("reorder", {**base, "seed": 1}) != key
-        assert coalesce_key("reorder", {**base, "kind": "greedy"}) != key

@@ -1,27 +1,37 @@
-"""End-to-end daemon tests: real sockets, coalescing, batching, errors.
+"""End-to-end daemon tests: real sockets, the warm path, the lane, errors.
 
 Every test talks to an in-process :class:`~repro.serve.embedded.
 EmbeddedServer` through the synchronous client — the same path external
 callers use — so the asyncio server, the line framing, the pipeline
-lane and the warm fast path are all exercised for real.
+lane and the warm fast path are all exercised for real.  One slow drill
+starts ``python -m repro serve`` as its own process.
 """
 
 import io
 import json
+import os
+import signal
 import socket as socketlib
+import subprocess
+import sys
 import threading
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.mapping.initial import make_layout
 from repro.mapping.reorder import reorder_ranks
-from repro.serve import EmbeddedServer, ServeError, ServerConfig
+from repro.serve import (
+    MAX_LINE_BYTES,
+    EmbeddedServer,
+    ReorderService,
+    ServeClient,
+    ServeError,
+    ServerConfig,
+)
 from repro.topology.gpc import small_cluster
-
-#: Batch window wide enough that every concurrently-fired request in a
-#: test reliably lands inside one coalescing/batching window.
-WIDE_WINDOW = 0.25
 
 SPEC = {"kind": "small", "n_nodes": 4}
 
@@ -107,15 +117,14 @@ class TestOpsRoundTrip:
         for key in (
             "requests",
             "errors",
-            "coalesced",
-            "batched",
             "warm_inline",
-            "reorder_batches",
             "reorder_solo",
             "mapping_cache",
             "registry",
         ):
             assert key in st
+        # perf/workloads.py reads these three keys; the daemon keeps them at 0.
+        assert st["coalesced"] == st["batched"] == st["reorder_batches"] == 0
         assert {"hits", "misses", "evictions"} <= set(st["mapping_cache"])
         for topo in st["registry"]["topologies"]:
             assert {"hits", "misses", "evictions"} <= set(topo["pricing"])
@@ -132,6 +141,19 @@ class TestWarmPath:
         assert second["cached"] is True
         assert second["mapping"] == first["mapping"]
         assert after == before + 1
+
+    def test_cold_reorder_counts_one_miss(self, served):
+        es, fingerprint = served
+        with es.client() as c:
+            before = c.stats()["mapping_cache"]
+            c.reorder(fingerprint, "ring", "cyclic-bunch", seed=23)
+            cold = c.stats()["mapping_cache"]
+            c.reorder(fingerprint, "ring", "cyclic-bunch", seed=23)
+            warm = c.stats()["mapping_cache"]
+        assert cold["misses"] - before["misses"] == 1
+        assert cold["hits"] - before["hits"] == 0
+        assert warm["misses"] - cold["misses"] == 0
+        assert warm["hits"] - cold["hits"] == 1
 
 
 class TestErrorPaths:
@@ -238,11 +260,11 @@ class TestErrorPaths:
 
 class TestOversized:
     def test_oversized_line_survives_connection(self):
-        config = ServerConfig(port=0, max_line_bytes=2048)
-        with EmbeddedServer(config) as es:
+        with EmbeddedServer() as es:
             with es.client() as c:
                 fingerprint = c.register_topology(SPEC)["fingerprint"]
-                huge = b'{"v": 1, "op": "reorder", "x": "' + b"a" * 4096 + b'"}\n'
+                filler = b"a" * (MAX_LINE_BYTES + 1)
+                huge = b'{"v": 1, "op": "reorder", "x": "' + filler + b'"}\n'
                 answer = json.loads(c.send_raw(huge)[0])
                 assert answer["ok"] is False
                 assert answer["error"]["code"] == "oversized"
@@ -251,10 +273,11 @@ class TestOversized:
                 assert sorted(res["mapping"]) == list(range(16))
 
 
-class TestCoalescing:
-    def test_identical_concurrent_requests_run_once(self):
-        config = ServerConfig(port=0, batch_window=WIDE_WINDOW)
-        with EmbeddedServer(config) as es:
+class TestLane:
+    """Cold work runs on the one-thread lane, in arrival order."""
+
+    def test_identical_concurrent_requests_compute_once(self):
+        with EmbeddedServer() as es:
             with es.client() as c:
                 fingerprint = c.register_topology(SPEC)["fingerprint"]
             n = 6
@@ -275,16 +298,14 @@ class TestCoalescing:
                 t.join()
             with es.client() as c:
                 st = c.stats()
-        # one execution, n identical answers
+        # one execution; every later request hit the cache, on the lane
+        # or inline, and got the same answer
         assert st["patterns_computed"] == 1
-        assert st["coalesced"] == n - 1
-        assert all(r == results[0] for r in results)
+        assert st["patterns_cached"] + st["warm_inline"] == n - 1
+        assert all(r["mapping"] == results[0]["mapping"] for r in results)
 
-
-class TestBatching:
-    def test_distinct_patterns_fold_into_one_pass(self):
-        config = ServerConfig(port=0, batch_window=WIDE_WINDOW)
-        with EmbeddedServer(config) as es:
+    def test_concurrent_distinct_patterns_match_solo(self):
+        with EmbeddedServer() as es:
             with es.client() as c:
                 fingerprint = c.register_topology(SPEC)["fingerprint"]
             patterns = ["recursive-doubling", "ring", "binomial-bcast", "bruck"]
@@ -307,19 +328,32 @@ class TestBatching:
                 t.join()
             with es.client() as c:
                 st = c.stats()
-        # every request after the first folded into the opener's batch,
-        # and the whole batch ran as ONE reorder_all pass
-        assert st["reorder_batches"] == 1
-        assert st["batched"] == len(patterns) - 1
-        assert st["reorder_solo"] == 0
+        assert st["reorder_solo"] == len(patterns)
 
-        # batched answers are bit-identical to solo reorder_ranks
+        # served answers are bit-identical to solo reorder_ranks
         cluster = small_cluster(n_nodes=4)
         L = make_layout("cyclic-scatter", cluster, cluster.n_cores)
         D = cluster.implicit_distances()
         for pattern in patterns:
             solo = reorder_ranks(pattern, L, D, kind="heuristic", rng=2)
             assert results[pattern]["mapping"] == solo.mapping.tolist(), pattern
+
+
+class TestReorderBatch:
+    def test_reorder_batch_matches_per_payload_reorder(self):
+        payloads = [
+            {"pattern": "ring", "layout": "block-scatter", "seed": 4},
+            {"pattern": "bruck", "layout": "block-scatter", "seed": 4},
+            {"pattern": "ring", "layout": "cyclic-bunch", "seed": 4, "kind": "greedy"},
+        ]
+        batched, solo = ReorderService(), ReorderService()
+        fingerprint = batched.register_topology({"spec": SPEC})["fingerprint"]
+        solo.register_topology({"spec": SPEC})
+        payloads = [{"fingerprint": fingerprint, **p} for p in payloads]
+        answers = batched.reorder_batch(payloads)
+        assert [a["mapping"] for a in answers] == [
+            solo.reorder(p)["mapping"] for p in payloads
+        ]
 
 
 class TestRegistryEviction:
@@ -437,3 +471,66 @@ class TestGracefulStop:
             assert c.health()["status"] == "ok"
         es.stop()
         es.stop()  # idempotent
+
+
+# ----------------------------------------------------------------------
+# a real daemon process: start `repro serve`, drive mixed traffic, then
+# SIGTERM and require a clean drain
+# ----------------------------------------------------------------------
+@pytest.mark.slow
+class TestDaemonProcess:
+    def test_mixed_traffic_then_sigterm_drains(self, tmp_path):
+        sock = str(tmp_path / "repro.sock")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parents[2] / "src")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--socket", sock],
+            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        )
+        try:
+            deadline = time.time() + 30
+            while not os.path.exists(sock):
+                assert time.time() < deadline, "daemon did not come up"
+                assert proc.poll() is None, "daemon died at startup"
+                time.sleep(0.05)
+            with ServeClient(socket_path=sock) as c:
+                fingerprint = c.register_topology(SPEC)["fingerprint"]
+                assert c.health()["status"] == "ok"
+
+            n = 6
+            results = [None] * n
+            barrier = threading.Barrier(n)
+
+            def fire(i):
+                with ServeClient(socket_path=sock) as cc:
+                    barrier.wait()
+                    results[i] = cc.reorder(fingerprint, "ring", "block-bunch", seed=0)
+
+            threads = [threading.Thread(target=fire, args=(i,)) for i in range(n)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert all(r["mapping"] == results[0]["mapping"] for r in results)
+
+            with ServeClient(socket_path=sock) as c:
+                warm = c.reorder(fingerprint, "ring", "block-bunch", seed=0)
+                assert warm["cached"] is True
+                priced = c.price(fingerprint, "ring", [1024, 65536], mapping=warm["mapping"])
+                assert len(priced["total_seconds"]) == 2
+                with pytest.raises(ServeError) as exc_info:
+                    c.reorder("ffffffffffffffff", "ring", "block-bunch")
+                assert exc_info.value.code == "unknown-fingerprint"
+                st = c.stats()
+            assert st["patterns_computed"] == 1
+            assert st["warm_inline"] >= 1
+            assert st["errors"] == 1
+
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=60) == 0
+            assert not os.path.exists(sock), "socket not unlinked on drain"
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait(timeout=30)
