@@ -10,10 +10,15 @@ Regenerates both panels of the paper's Fig. 7:
   magnitude cheaper with much better scaling; absolute times differ
   (Python vs C) but the ordering and the scaling gap are the claims.
 
-These are *real wall-clock* measurements, so pytest-benchmark is the
-natural harness here: every mapper run is an actual benchmark round.
+These are *real* host timings, so pytest-benchmark is the natural
+harness here: every mapper run is an actual benchmark round.  The
+Fig. 7(b) gap is asserted on the median CPU time (``time.process_time``)
+of a few rounds per mapper, which a busy neighbour moves far less than
+one wall-clock sample.
 """
 
+import statistics
+import time
 
 import pytest
 
@@ -79,29 +84,57 @@ def test_fig7b_mapping_overhead(benchmark, p, kind):
     benchmark.pedantic(run, rounds=1, iterations=1)
 
 
+#: CPU-timed rounds per mapper and p behind each Fig. 7(b) median
+GAP_ROUNDS = 3
+
+
+def median_cpu_seconds(*fns, rounds=GAP_ROUNDS):
+    """Median ``time.process_time`` of each of ``fns`` over ``rounds``
+    rounds; each round calls every function once, so a change in host
+    speed during the measurement reaches all of them alike."""
+    spent = [[] for _ in fns]
+    for _ in range(rounds):
+        for fn, times in zip(fns, spent):
+            t0 = time.process_time()
+            fn()
+            times.append(time.process_time() - t0)
+    return [statistics.median(times) for times in spent]
+
+
 def test_fig7b_report(benchmark, save_report):
-    lines = ["Fig. 7(b) — mapping algorithm overhead (seconds, log-scale in the paper)"]
+    lines = [
+        "Fig. 7(b) — mapping algorithm overhead (median CPU seconds of "
+        f"{GAP_ROUNDS} rounds; Scotch includes its pattern graph; log-scale in the paper)"
+    ]
     lines.append(f"{'p':>6} {'heuristic':>12} {'scotch':>12} {'ratio':>8}")
     gap = {}
     for p in P_VALUES:
         cluster = cluster_for(p)
         D = cluster.distance_matrix()
         L = make_layout("cyclic-bunch", cluster, p)
-        h = reorder_ranks("recursive-doubling", L, D, kind="heuristic", rng=0)
-        s = reorder_ranks("recursive-doubling", L, D, kind="scotch", rng=0)
-        gap[p] = s.total_seconds / h.total_seconds
-        lines.append(
-            f"{p:>6} {h.total_seconds:>12.4f} {s.total_seconds:>12.4f} {gap[p]:>7.1f}x"
+        h, s = median_cpu_seconds(
+            *(
+                lambda kind=kind: reorder_ranks("recursive-doubling", L, D, kind=kind, rng=0)
+                for kind in ("heuristic", "scotch")
+            )
         )
+        gap[p] = s / h
+        lines.append(f"{p:>6} {h:>12.4f} {s:>12.4f} {gap[p]:>7.1f}x")
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     save_report("fig7b_mapping_overhead.txt", "\n".join(lines))
-    # the heuristic is substantially cheaper at every scale
-    assert all(g > 2.0 for g in gap.values())
+    # the heuristic is substantially cheaper at every scale (10 runs on a
+    # 2-vCPU host: 7.4x to 10.9x, median 9.3x)
+    assert all(g > 5.0 for g in gap.values()), gap
+
+
+#: 4x the paper's top p, where the heuristics run on implicit distances
+SPREAD_P = 2048 if SMALL else 16384
 
 
 def test_fig7b_all_heuristics_similar(benchmark, save_report):
     """Paper §VI-C: 'our heuristics have almost the same amount of
-    overhead' — report all four plus the Bruck extension at the top p."""
+    overhead' — report all four plus the Bruck extension at the top p,
+    and their median CPU time on implicit distances at ``SPREAD_P``."""
     p = P_VALUES[-1]
     cluster = cluster_for(p)
     D = cluster.distance_matrix()
@@ -110,9 +143,25 @@ def test_fig7b_all_heuristics_similar(benchmark, save_report):
     times = {}
     for pat in patterns:
         times[pat] = reorder_ranks(pat, L, D, kind="heuristic", rng=0).map_seconds
+    big = gpc_cluster(n_nodes=SPREAD_P // 8)
+    implicit = big.implicit_distances()
+    big_L = make_layout("cyclic-bunch", big, SPREAD_P)
+
+    def run(pat):
+        return reorder_ranks(pat, big_L, implicit, rng=0, cache="off")
+
+    run("ring")  # builds the pool structure every heuristic shares
+    cpu = dict(zip(patterns, median_cpu_seconds(*(lambda pat=pat: run(pat) for pat in patterns))))
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     lines = [f"per-heuristic mapping time at p={p}:"]
     lines += [f"  {pat:>20}: {t:8.4f} s" for pat, t in times.items()]
+    lines.append(
+        f"per-heuristic mapping CPU at p={SPREAD_P}, implicit distances "
+        f"(median of {GAP_ROUNDS} rounds):"
+    )
+    lines += [f"  {pat:>20}: {t:8.4f} s" for pat, t in cpu.items()]
+    lines.append(f"  {'slowest / fastest':>20}: {max(cpu.values()) / min(cpu.values()):8.1f}x")
     save_report("fig7b_per_heuristic.txt", "\n".join(lines))
-    vals = sorted(times.values())
-    assert vals[-1] < 25 * vals[0]  # same order of magnitude
+    for spent in (times, cpu):
+        vals = sorted(spent.values())
+        assert vals[-1] < 25 * vals[0]  # same order of magnitude

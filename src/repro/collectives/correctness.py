@@ -32,6 +32,7 @@ import numpy as np
 from repro.collectives.schedule import CollectiveAlgorithm, Stage
 from repro.simmpi.costmodel import CostModel
 from repro.simmpi.data import DataExecutor
+from repro.util.validation import same_multiset
 
 __all__ = [
     "OrderStrategy",
@@ -78,7 +79,7 @@ class RankReordering:
         self.mapping = np.asarray(self.mapping, dtype=np.int64)
         if self.layout.shape != self.mapping.shape:
             raise ValueError("layout and mapping must have the same length")
-        if sorted(self.layout.tolist()) != sorted(self.mapping.tolist()):
+        if not same_multiset(self.layout, self.mapping):
             raise ValueError("mapping must reuse exactly the layout's cores")
         # core -> old rank lookup
         order = np.argsort(self.layout)

@@ -35,6 +35,7 @@ from typing import Dict, Iterator, Sequence, Tuple
 import numpy as np
 
 from repro.util.rng import RngLike, make_rng
+from repro.util.validation import PY_SCAN_MAX, same_multiset
 
 __all__ = [
     "PoolExhaustedError",
@@ -286,6 +287,106 @@ class _PoolStructure:
         return members, local, local_ids
 
 
+class _TieBreakDraws:
+    """``rng.integers(k)`` tie-breaks served from one bulk draw of words.
+
+    For ``2 <= k <= 2**32`` numpy answers ``Generator.integers(k)`` with
+    Lemire's multiply-and-reject rule over the bit generator's 32-bit
+    words: ``m = w * k`` is accepted as ``m >> 32`` unless its low 32 bits
+    fall below ``(2**32 - k) % k``, in which case the next word is tried.
+    ``rng.integers(0, 2**32, dtype=np.uint32)`` returns exactly those
+    words, so one bulk draw serves a whole placement program and
+    :meth:`below` applies the rule in Python (no numpy call per draw).
+    :meth:`settle` rewinds the generator and replays exactly the words the
+    rule used, leaving it where the per-call draws would have.
+    """
+
+    __slots__ = ("rng", "state", "words", "chunk")
+
+    def __init__(self, rng: np.random.Generator, chunk: int) -> None:
+        self.rng = rng
+        #: generator state before the first bulk draw (None: nothing drawn)
+        self.state = None
+        self.words: list = []
+        self.chunk = max(int(chunk), 1)
+
+    def more(self) -> list:
+        """Append the next words of the stream; returns the (same) list."""
+        if self.state is None:
+            self.state = self.rng.bit_generator.state
+        n = max(self.chunk, len(self.words))
+        self.words += self.rng.integers(0, 1 << 32, size=n, dtype=np.uint32).tolist()
+        return self.words
+
+    def below(self, k: int, i: int) -> Tuple[int, int]:
+        """numpy's ``integers(k)`` applied to the words from index ``i``.
+
+        Returns the draw and the index of the first unused word.
+        """
+        if k == 1:
+            return 0, i  # numpy returns 0 without drawing
+        threshold = ((1 << 32) - k) % k
+        words = self.words
+        while True:
+            if i == len(words):
+                words = self.more()
+            m = words[i] * k
+            i += 1
+            if (m & 0xFFFFFFFF) >= threshold:
+                return m >> 32, i
+
+    def settle(self, used: int) -> None:
+        """Rewind the generator, then replay the ``used`` words."""
+        if self.state is not None:
+            self.rng.bit_generator.state = self.state
+            if used:
+                self.rng.integers(0, 1 << 32, size=used, dtype=np.uint32)
+
+
+class _FreeRanks:
+    """Fenwick tree over pool positions counting the free ones.
+
+    :meth:`select` returns the ``r``-th free position in ascending order
+    (the pool-wide candidate list of :class:`CorePool`, indexed) and
+    :meth:`discard` removes a taken one, both in O(log n).
+    """
+
+    __slots__ = ("tree", "top")
+
+    def __init__(self, free: np.ndarray) -> None:
+        n = free.size
+        top = 1 << max(n - 1, 0).bit_length()
+        # tree[i] (1-based) counts the free positions i - lowbit(i) .. i - 1
+        prefix = np.zeros(top + 1, dtype=np.int64)
+        np.cumsum(free, out=prefix[1 : n + 1])
+        prefix[n + 1 :] = prefix[n]
+        idx = np.arange(1, top + 1)
+        self.tree = [0] + (prefix[idx] - prefix[idx - (idx & -idx)]).tolist()
+        self.top = top
+
+    def select(self, r: int) -> int:
+        """The ``r``-th (0-based) free position."""
+        tree = self.tree
+        pos = 0
+        step = self.top
+        while step:
+            t = tree[pos + step]
+            if t <= r:
+                pos += step
+                r -= t
+            step >>= 1
+        return pos
+
+    def discard(self, pos: int) -> None:
+        """Mark ``pos`` as taken."""
+        tree = self.tree
+        top = self.top
+        i = pos + 1
+        while i <= top:
+            tree[i] -= 1
+            i += i & -i
+
+
 class HierarchicalFreePool:
     """Vectorised closest-free pool driven by hierarchy coordinates.
 
@@ -298,19 +399,25 @@ class HierarchicalFreePool:
     certifies via ``supports_vectorized_placement``.
 
     Free counts per socket / node / leaf / line are O(1)-updated on every
-    :meth:`take`, so a :meth:`closest_free` query is a constant-time level
-    pick plus one boolean gather over the (sorted, cached) winning
-    annulus.  Candidate enumeration order equals the free-core scan order
-    of :class:`CorePool` (ascending pool position) and the rng is
-    consumed identically — one draw per query in ``"random"`` mode, none
-    in ``"first"`` mode — so placements are bit-identical to the
-    reference executor.
+    :meth:`take`, so a query is a constant-time level pick plus the
+    ``r``-th free member of the winning annulus: a list scan for small
+    groups, a telescoping boolean gather for large ones, and for the
+    pool-wide level a Fenwick tree or one scan of the free mask
+    (:meth:`_pool_wide_pick`).  Candidate order
+    equals the free-core scan order of :class:`CorePool` (ascending pool
+    position) and the rng is consumed identically — one ``integers(k)``
+    draw per query with ``k > 1`` candidates in ``"random"`` mode, none in
+    ``"first"`` mode; large pools serve those draws from one bulk draw
+    (:class:`_TieBreakDraws`) — so placements and the generator's end
+    state are bit-identical to the reference executor.
     """
 
-    #: member lists at or below this size are scanned in pure Python;
-    #: larger ones go through a numpy boolean gather (lower per-element
-    #: cost, higher fixed cost)
-    _SCAN_THRESHOLD = 48
+    #: Member lists at or below this size are scanned in pure Python;
+    #: larger ones go through numpy (lower per-element cost, higher fixed
+    #: cost).  Pools at or below it also keep one ``integers(k)`` call per
+    #: tie-break: a bulk draw's fixed cost exceeds what a handful of
+    #: draws saves.
+    _SCAN_THRESHOLD = PY_SCAN_MAX
 
     #: per-backend LRU of shared :class:`_PoolStructure` instances
     #: (the structure depends only on backend + core set and is immutable,
@@ -338,9 +445,7 @@ class HierarchicalFreePool:
         self._st = st
         self.cores = st.cores
         self.rng = make_rng(rng)
-        self._randint = self.rng.integers
         self.tie_break = tie_break
-        self._first = tie_break == "first"
         n = len(st.cores_l)
         self._free_np = np.ones(n, dtype=bool)
         # positions taken since the numpy mask was last synced (the mask
@@ -349,12 +454,6 @@ class HierarchicalFreePool:
         self._dirty: list = []
         self._free_l = [True] * n
         self._pos = st.pos
-        self._cores_l = st.cores_l
-        self._keys_l = st.keys_l
-        self._by_sock, self._by_node = st.by_sock, st.by_node
-        self._by_leaf, self._by_line = st.by_leaf, st.by_line
-        self._all_positions = st.all_positions
-        self._np_members = st.np_members
 
         # Pure-int coordinate arithmetic constants (the hot path must not
         # touch numpy for single-core coordinate lookups).
@@ -377,6 +476,13 @@ class HierarchicalFreePool:
         # snapshot is always a superset and each re-filter scans the
         # current free count, not the full group.
         self._free_snap: Dict[int, np.ndarray] = {}
+        # Pool-wide picks (see _pool_wide_pick): the free ranks while they
+        # are kept, the positions taken since they were last brought up to
+        # date, and the free count at the previous pool-wide pick (2n: none
+        # yet, so the first pick is never within n/64 takes of it).
+        self._ranks: "_FreeRanks | None" = None
+        self._ranks_stale: list = []
+        self._wide_at = 2 * n
 
     @classmethod
     def _structure_for(cls, backend, cores: Sequence[int]) -> "_PoolStructure":
@@ -447,12 +553,14 @@ class HierarchicalFreePool:
             raise ValueError(f"core {core} already taken")
         self._free_l[pos] = False
         self._dirty.append(pos)
-        gs, nd, lf, ln = self._keys_l[pos]
+        gs, nd, lf, ln = self._st.keys_l[pos]
         self._free_sock[gs] -= 1
         self._free_node[nd] -= 1
         self._free_leaf[lf] -= 1
         self._free_line[ln] -= 1
         self._total_free -= 1
+        if self._ranks is not None:
+            self._ranks_stale.append(pos)
 
     # ------------------------------------------------------------------
     def _candidates(self, ref_core: int):
@@ -465,37 +573,72 @@ class HierarchicalFreePool:
         subtraction is ever needed, and candidate order (ascending pool
         position) matches :class:`CorePool`'s free-core scan order.
         """
+        st = self._st
         pos = self._pos.get(ref_core)
         if pos is not None:
             if self._free_l[pos]:
                 # The reference itself is free: distance 0 beats every level.
                 return [pos]
-            gs, nd, lf, ln = self._keys_l[pos]
+            gs, nd, lf, ln = st.keys_l[pos]
         else:
             gs, nd, lf, ln = self._coords_of(ref_core)
         if self._free_sock[gs] > 0:
-            members = self._by_sock[gs]
+            members = st.by_sock[gs]
         elif self._free_node[nd] > 0:
-            members = self._by_node[nd]
+            members = st.by_node[nd]
         elif self._free_leaf[lf] > 0:
-            members = self._by_leaf[lf]
+            members = st.by_leaf[lf]
         elif self._free_line[ln] > 0:
-            members = self._by_line[ln]
+            members = st.by_line[ln]
         else:
-            members = self._all_positions
+            members = st.all_positions
         if len(members) <= self._SCAN_THRESHOLD:
             free_l = self._free_l
             return [m for m in members if free_l[m]]
-        # Large group: numpy gather over a lazily-built member array.
+        arr = self._member_array(members)
+        return arr[self.free[arr]]
+
+    def _member_array(self, members: list) -> np.ndarray:
+        """numpy mirror of a large member list, built once per structure."""
         key = id(members)
-        arr = self._np_members.get(key)
+        arr = self._st.np_members.get(key)
         if arr is None:
             arr = np.asarray(members, dtype=np.int64)
-            self._np_members[key] = arr
-        return arr[self.free[arr]]
+            self._st.np_members[key] = arr
+        return arr
+
+    def _pool_wide_pick(self, r: int, total_free: int) -> int:
+        """The ``r``-th free pool position (a reference's line switch is full).
+
+        Runs of such picks at most n/64 takes apart (BGMH makes ~4,300 per
+        map at p = 16384) are answered by a Fenwick tree in O(log n), built
+        from the free mask at the second pick of a run and brought up to
+        date by discarding the takes in between.  An isolated pick (the
+        other heuristics make ~17 per map) is read off the free mask and
+        drops the tree: at n = 16384 one numpy scan costs ~24 us, a tree
+        build ~0.4 ms and a discard ~1.5 us.
+        """
+        stale = self._ranks_stale
+        run = self._wide_at - total_free <= len(self._free_l) >> 6
+        self._wide_at = total_free
+        if not run:
+            self._ranks = None
+            stale.clear()
+            return int(np.flatnonzero(self.free)[r])
+        ranks = self._ranks
+        if ranks is None:
+            ranks = self._ranks = _FreeRanks(self.free)
+        else:
+            for pos in stale:
+                ranks.discard(pos)
+        stale.clear()
+        return ranks.select(r)
 
     def closest_free(self, ref_core: int) -> int:
         """Free core nearest ``ref_core``; bit-identical to :class:`CorePool`.
+
+        A non-taking query with one scalar ``integers(k)`` draw (the
+        placement programs go through :meth:`execute_program`).
 
         Raises
         ------
@@ -508,131 +651,72 @@ class HierarchicalFreePool:
                 f"cannot place another process near core {int(ref_core)}"
             )
         candidates = self._candidates(int(ref_core))
+        cores_l = self._st.cores_l
         if self.tie_break == "first":
             # First free member in ascending pool position == CorePool's argmin.
-            return self._cores_l[int(candidates[0])]
+            return cores_l[int(candidates[0])]
         # CorePool draws unconditionally even for one candidate, but
         # integers(1) consumes no rng state, so the single-candidate draw
         # is skipped without diverging from its stream.
         n = len(candidates)
         if n == 1:
-            return self._cores_l[int(candidates[0])]
-        return self._cores_l[int(candidates[self.rng.integers(n)])]
+            return cores_l[int(candidates[0])]
+        return cores_l[int(candidates[self.rng.integers(n)])]
 
     def place_closest(self, ref_core: int) -> int:
-        """Fused :meth:`closest_free` + :meth:`take` (the executor hot path).
-
-        One Python call per placement: level pick, candidate gather,
-        tie-break and the O(1) free-count updates, with no revalidation
-        (the pick is free by construction).
+        """Fused :meth:`closest_free` + :meth:`take`: a one-step program.
 
         Raises
         ------
         PoolExhaustedError
             Every pool core is already assigned.
         """
-        if self._total_free == 0:
-            raise PoolExhaustedError(
-                f"no free cores left in the pool ({self.cores.size} cores, all taken); "
-                f"cannot place another process near core {int(ref_core)}"
-            )
-        # The body inlines :meth:`_candidates` — at one call per placement
-        # the call overhead itself is measurable at p=4096.
-        ref_core = int(ref_core)
-        free_l = self._free_l
-        first = self._first
-        pos = self._pos.get(ref_core)
-        if pos is not None and free_l[pos]:
-            # The reference itself is free: distance 0 beats every level.
-            # CorePool draws integers(1) here, but that consumes no state
-            # (mask 0 -> no bits drawn), so skipping the call keeps the
-            # streams aligned; the identity tests guard this invariant.
-            pick = pos
-        else:
-            if pos is not None:
-                gs, nd, lf, ln = self._keys_l[pos]
-            else:
-                gs, nd, lf, ln = self._coords_of(ref_core)
-            if (k := self._free_sock[gs]) > 0:
-                members = self._by_sock[gs]
-            elif (k := self._free_node[nd]) > 0:
-                members = self._by_node[nd]
-            elif (k := self._free_leaf[lf]) > 0:
-                members = self._by_leaf[lf]
-            elif (k := self._free_line[ln]) > 0:
-                members = self._by_line[ln]
-            else:
-                members = self._all_positions
-                k = self._total_free
-            # ``k`` — the group's free count — equals the number of
-            # candidates CorePool enumerates, so the rng draw can happen
-            # without materialising them.  ``k == 1`` skips the draw:
-            # integers(1) consumes no rng state, so the streams stay
-            # aligned with CorePool's unconditional draw.
-            if len(members) <= self._SCAN_THRESHOLD:
-                candidates = [m for m in members if free_l[m]]
-                pick = candidates[0] if first or k == 1 else candidates[self._randint(k)]
-            else:
-                dirty = self._dirty
-                free_np = self._free_np
-                if dirty:
-                    if len(dirty) < 16:
-                        for i in dirty:
-                            free_np[i] = False
-                    else:
-                        free_np[dirty] = False
-                    dirty.clear()
-                key = id(members)
-                snap = self._free_snap.get(key)
-                if snap is None:
-                    arr = self._np_members.get(key)
-                    if arr is None:
-                        arr = np.asarray(members, dtype=np.int64)
-                        self._np_members[key] = arr
-                    snap = arr[free_np[arr]]
-                else:
-                    snap = snap[free_np[snap]]
-                self._free_snap[key] = snap
-                # snap holds exactly the k free members, ascending.
-                pick = snap[0] if first or k == 1 else snap[self._randint(k)]
-            pick = int(pick)
-        free_l[pick] = False
-        self._dirty.append(pick)
-        gs, nd, lf, ln = self._keys_l[pick]
-        self._free_sock[gs] -= 1
-        self._free_node[nd] -= 1
-        self._free_leaf[lf] -= 1
-        self._free_line[ln] -= 1
-        self._total_free -= 1
-        return self._cores_l[pick]
+        M = [int(ref_core), -1]
+        self.execute_program(((1, 0),), M)
+        return M[1]
 
     def execute_program(self, program: Iterator[Tuple[int, int]], M: list) -> None:
-        """Run a whole placement program in one tight loop.
+        """Run a placement program: ``M[new] = closest free core to M[ref]``.
 
-        Semantically ``for new_rank, ref_rank in program: M[new_rank] =
-        self.place_closest(M[ref_rank])`` — but with every hot attribute
-        hoisted into a local, which removes ~40% of the per-placement
-        interpreter overhead at p=4096.  :meth:`place_closest` is the
-        per-query reference for this body; keep the two in lockstep (the
-        naive-vs-vectorised identity tests cover both paths).
+        One tight loop with every hot attribute hoisted into a local.  Per
+        step: the reference itself if free, else the deepest level with a
+        free core (free count ``k``, which equals the number of candidates
+        :class:`CorePool` enumerates), a tie-break ``r`` drawn as
+        ``integers(k)`` would draw it, and the ``r``-th free member of that
+        level in ascending pool position.
+
+        Raises
+        ------
+        PoolExhaustedError
+            A step found every pool core assigned.  Placements made before
+            it stay made, and the rng has drawn what the per-call engine
+            would have drawn by then.
         """
+        st = self._st
         pos_d = self._pos
         free_l = self._free_l
-        keys_l = self._keys_l
-        by_sock, by_node = self._by_sock, self._by_node
-        by_leaf, by_line = self._by_leaf, self._by_line
+        keys_l = st.keys_l
+        by_sock, by_node = st.by_sock, st.by_node
+        by_leaf, by_line = st.by_leaf, st.by_line
         free_sock, free_node = self._free_sock, self._free_node
         free_leaf, free_line = self._free_leaf, self._free_line
-        all_positions = self._all_positions
-        np_members = self._np_members
+        all_positions = st.all_positions
         free_snap = self._free_snap
-        cores_l = self._cores_l
-        randint = self._randint
-        first = self._first
+        cores_l = st.cores_l
+        first = self.tie_break == "first"
         dirty = self._dirty
-        free_np = self._free_np
         threshold = self._SCAN_THRESHOLD
         total_free = self._total_free
+        ranks = self._ranks
+        ranks_stale = self._ranks_stale
+        randint = self.rng.integers
+        # Large pools serve their tie-breaks from bulk-drawn words (the
+        # fast accept of the rule is inlined below; see _TieBreakDraws).
+        draws = None
+        if not first and len(cores_l) > threshold:
+            draws = _TieBreakDraws(self.rng, len(M))
+        words: list = []
+        wi = 0
         try:
             for new_rank, ref_rank in program:
                 if total_free == 0:
@@ -643,8 +727,9 @@ class HierarchicalFreePool:
                 ref_core = M[ref_rank]
                 pos = pos_d.get(ref_core)
                 if pos is not None and free_l[pos]:
-                    # integers(1) consumes no rng state -> skip (see
-                    # place_closest)
+                    # The reference itself is free: distance 0 beats every
+                    # level.  CorePool draws integers(1) here, which
+                    # consumes no rng state, so no draw is made.
                     pick = pos
                 else:
                     if pos is not None:
@@ -662,30 +747,43 @@ class HierarchicalFreePool:
                     else:
                         members = all_positions
                         k = total_free
-                    if len(members) <= threshold:
-                        candidates = [m for m in members if free_l[m]]
-                        pick = candidates[0] if first or k == 1 else candidates[randint(k)]
+                    # integers(1) consumes no rng state: k == 1 skips it.
+                    if first or k == 1:
+                        r = 0
+                    elif draws is None:
+                        r = randint(k)
                     else:
-                        if dirty:
-                            if len(dirty) < 16:
-                                for i in dirty:
-                                    free_np[i] = False
-                            else:
-                                free_np[dirty] = False
-                            dirty.clear()
+                        try:
+                            m = words[wi] * k
+                        except IndexError:
+                            words = draws.more()
+                            m = words[wi] * k
+                        wi += 1
+                        if (m & 0xFFFFFFFF) < k:
+                            # below the rejection threshold's upper bound:
+                            # run the full rule from this word
+                            r, wi = draws.below(k, wi - 1)
+                        else:
+                            r = m >> 32
+                    if len(members) <= threshold:
+                        # the r-th free member (a loop beats a list
+                        # comprehension's call at socket size)
+                        for pick in members:
+                            if free_l[pick]:
+                                if not r:
+                                    break
+                                r -= 1
+                    elif members is all_positions:
+                        pick = self._pool_wide_pick(r, total_free)
+                        ranks = self._ranks
+                    else:
                         key = id(members)
                         snap = free_snap.get(key)
                         if snap is None:
-                            arr = np_members.get(key)
-                            if arr is None:
-                                arr = np.asarray(members, dtype=np.int64)
-                                np_members[key] = arr
-                            snap = arr[free_np[arr]]
-                        else:
-                            snap = snap[free_np[snap]]
-                        free_snap[key] = snap
-                        pick = snap[0] if first or k == 1 else snap[randint(k)]
-                    pick = int(pick)
+                            snap = self._member_array(members)
+                        snap = free_snap[key] = snap[self.free[snap]]
+                        # snap holds exactly the k free members, ascending.
+                        pick = int(snap[r])
                 free_l[pick] = False
                 dirty.append(pick)
                 gs, nd, lf, ln = keys_l[pick]
@@ -694,9 +792,13 @@ class HierarchicalFreePool:
                 free_leaf[lf] -= 1
                 free_line[ln] -= 1
                 total_free -= 1
+                if ranks is not None:
+                    ranks_stale.append(pick)
                 M[new_rank] = cores_l[pick]
         finally:
             self._total_free = total_free
+            if draws is not None:
+                draws.settle(wi)
 
 
 class Mapper(ABC):
@@ -740,7 +842,7 @@ class Mapper(ABC):
         if np.any(M < 0):
             missing = np.flatnonzero(M < 0)[:4].tolist()
             raise RuntimeError(f"mapper left ranks unmapped: {missing}")
-        if sorted(M.tolist()) != sorted(layout.tolist()):
+        if not same_multiset(M, layout):
             raise RuntimeError("mapper produced cores outside the layout")
         return M
 

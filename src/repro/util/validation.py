@@ -7,6 +7,8 @@ from typing import Sequence
 import numpy as np
 
 __all__ = [
+    "PY_SCAN_MAX",
+    "same_multiset",
     "check_permutation",
     "check_positive",
     "check_nonnegative",
@@ -14,6 +16,23 @@ __all__ = [
     "check_square_matrix",
     "check_symmetric_matrix",
 ]
+
+
+#: Length up to which a pure-Python scan or sort beats numpy's fixed
+#: per-call costs.  The mapping layer switches to numpy above it: for pool
+#: scans, tie-break draws and the multiset check below.
+PY_SCAN_MAX = 48
+
+
+def same_multiset(a: np.ndarray, b: np.ndarray) -> bool:
+    """True iff 1-D arrays ``a`` and ``b`` hold the same values, counted.
+
+    Sorted Python lists up to :data:`PY_SCAN_MAX` entries (the ~8-core
+    maps of intra-node mapping), one ``np.sort`` per side above it.
+    """
+    if a.size <= PY_SCAN_MAX:
+        return sorted(a.tolist()) == sorted(b.tolist())
+    return bool(np.array_equal(np.sort(a), np.sort(b)))
 
 
 def check_positive(name: str, value: float) -> None:

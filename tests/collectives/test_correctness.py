@@ -47,8 +47,16 @@ class TestRankReordering:
         assert ro.new_of_old[1] == 0
 
     def test_core_set_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="cores"):
-            RankReordering(layout=np.array([0, 1]), mapping=np.array([0, 2]))
+        # both sides of the list-sort / np.sort size gate
+        for p in (2, 1024):
+            layout = np.arange(p)
+            mapping = layout.copy()
+            mapping[-1] = p
+            with pytest.raises(ValueError, match="cores"):
+                RankReordering(layout=layout, mapping=mapping)
+            mapping[-1] = 0  # core 0 twice, core p - 1 missing
+            with pytest.raises(ValueError, match="cores"):
+                RankReordering(layout=layout, mapping=mapping)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):

@@ -172,7 +172,14 @@ class TestMapperPlumbing:
             Mapper._finish(M, layout)
 
     def test_finish_detects_foreign_cores(self):
-        layout = np.arange(4)
-        M = np.array([0, 1, 2, 7])
-        with pytest.raises(RuntimeError, match="outside"):
-            Mapper._finish(M, layout)
+        # both sides of the list-sort / np.sort size gate
+        for p in (4, 4096):
+            layout = np.arange(p)
+            M = layout.copy()
+            M[-1] = p + 3
+            with pytest.raises(RuntimeError, match="outside"):
+                Mapper._finish(M, layout)
+            M[-1] = M[0]  # a core twice, one missing
+            with pytest.raises(RuntimeError, match="outside"):
+                Mapper._finish(M, layout)
+            assert Mapper._finish(layout[::-1].copy(), layout) is not None

@@ -4,13 +4,19 @@ The vectorised engine (:class:`repro.mapping.base.HierarchicalFreePool`
 driven by ``execute_program``) must reproduce the naive per-query
 reference *bit for bit* — same cores, same rng stream, both tie-break
 modes — otherwise cached mappings and benchmark cross-checks would
-silently drift between engines.
+silently drift between engines.  Its bulk-drawn tie-breaks are checked
+against ``Generator.integers`` itself, so a change to numpy's bounded
+draw fails here instead of moving placements.
 """
+
+import hashlib
 
 import numpy as np
 import pytest
 
+from repro.mapping import base
 from repro.mapping.base import (
+    CorePool,
     HierarchicalFreePool,
     PoolExhaustedError,
     PLACEMENT_ENGINES,
@@ -18,8 +24,9 @@ from repro.mapping.base import (
 from repro.mapping.bbmh import BBMH
 from repro.mapping.bgmh import BGMH
 from repro.mapping.bruckmh import BruckMH
-from repro.mapping.initial import make_layout
+from repro.mapping.initial import INITIAL_LAYOUTS, make_layout
 from repro.mapping.rdmh import RDMH
+from repro.mapping.reorder import reorder_all
 from repro.mapping.rmh import RMH
 from repro.topology.cluster import (
     DEFAULT_DISTANCE_WEIGHTS,
@@ -203,3 +210,230 @@ class TestHierarchicalFreePool:
                 assert ca == cb
             assert b.n_free == 0
             assert a.rng.bit_generator.state == b.rng.bit_generator.state
+
+
+def _same_state(a, b) -> bool:
+    """Deep equality of two ``bit_generator.state`` values (arrays inside)."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same_state(a[k], b[k]) for k in a)
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return np.array_equal(a, b)
+    return a == b
+
+
+BIT_GENERATORS = [
+    np.random.PCG64,
+    np.random.PCG64DXSM,
+    np.random.MT19937,
+    np.random.Philox,
+    np.random.SFC64,
+]
+
+
+class TestBulkTieBreaks:
+    """``_TieBreakDraws`` against ``Generator.integers(k)``, draw for draw."""
+
+    #: Small pool-sized bounds, plus bounds >= 2**31 whose rejection
+    #: threshold ((2**32 - k) % k) turns down a quarter to a half of the
+    #: words, and the 2**32 edge (numpy returns the word itself).
+    KS = [1, 2, 3, 4, 7, 48, 240, 960, 12_142, 16_383, 2**31 + 1, 3 * 2**30, 2**32 - 1, 2**32]
+
+    @pytest.mark.parametrize("bitgen", BIT_GENERATORS)
+    def test_rule_matches_integers(self, bitgen):
+        ref = np.random.Generator(bitgen(2016))  # noqa: REP001
+        live = np.random.Generator(bitgen(2016))  # noqa: REP001
+        live.integers(1 << 30)  # start mid-stream, odd 32-bit word count
+        ref.integers(1 << 30)
+        ks = make_rng(1).choice(self.KS, size=600).tolist()
+        draws = base._TieBreakDraws(live, 16)  # small chunk: many refills
+        used = 0
+        for k in ks:
+            r, used = draws.below(k, used)
+            assert r == ref.integers(k), k
+        # every draw but k == 1 takes a word, and rejections take more
+        assert used > sum(1 for k in ks if k > 1)
+        assert len(draws.words) > used  # the bulk draw over-drew
+        draws.settle(used)
+        assert _same_state(live.bit_generator.state, ref.bit_generator.state)
+        assert live.integers(1 << 62) == ref.integers(1 << 62)
+
+    def test_settle_without_draws_leaves_generator_untouched(self):
+        g = make_rng(5)
+        before = g.bit_generator.state
+        base._TieBreakDraws(g, 100).settle(0)
+        assert g.bit_generator.state == before
+
+    @pytest.mark.parametrize("bitgen", BIT_GENERATORS)
+    def test_map_consumes_like_naive_engine(self, bitgen):
+        """Every bit generator ends a large-pool map where CorePool leaves it."""
+        cluster = gpc_cluster(n_nodes=16)
+        L = make_layout("cyclic-scatter", cluster, 128)
+        g1 = np.random.Generator(bitgen(9))  # noqa: REP001
+        g2 = np.random.Generator(bitgen(9))  # noqa: REP001
+        naive, vect = _both_engines(BGMH, cluster, L, "random", g1, g2)
+        assert np.array_equal(naive, vect)
+        assert _same_state(g1.bit_generator.state, g2.bit_generator.state)
+
+    def test_exhaustion_mid_program_leaves_generator_aligned(self, big_cluster):
+        """A program that outruns its pool raises with the rng where the
+        per-query engine would have left it."""
+        cores = make_layout("cyclic-scatter", big_cluster, 96)
+        assert cores.size > HierarchicalFreePool._SCAN_THRESHOLD  # bulk path
+        D, impl = big_cluster.distance_matrix(), big_cluster.implicit_distances()
+        g1, g2 = make_rng(31), make_rng(31)
+        naive = CorePool(D, cores, rng=g1)
+        vect = HierarchicalFreePool(impl, cores, rng=g2)
+        steps = [(i, (i - 1) // 3) for i in range(1, 120)]  # 119 > 95 free
+        M1 = [-1] * 120
+        M2 = [-1] * 120
+        M1[0] = M2[0] = int(cores[0])
+        naive.take(M1[0])
+        vect.take(M2[0])
+        with pytest.raises(PoolExhaustedError):
+            for new, ref in steps:
+                M1[new] = naive.place_closest(M1[ref])
+        with pytest.raises(PoolExhaustedError):
+            vect.execute_program(iter(steps), M2)
+        assert M1 == M2
+        assert g1.bit_generator.state == g2.bit_generator.state
+        assert g1.integers(1 << 62) == g2.integers(1 << 62)
+
+
+class _ZeroedWords(np.random.Generator):
+    """PCG64 whose 32-bit words that are multiples of 4 read as 0.
+
+    Word 0 is rejected by every bound ``k`` that is not a power of two
+    (``(2**32 - k) % k > 0``), so maps driven by this stream run the
+    executor's rejection path, which real streams reach about once per
+    10**6 draws at pool-sized ``k``.  Scalar ``integers(k)`` applies
+    numpy's rule to the same words, one ``next_uint32`` each.
+    """
+
+    def __init__(self, seed: int, zeroed: bool = True) -> None:
+        super().__init__(np.random.PCG64(seed))  # noqa: REP001
+        self.zeroed = zeroed
+
+    def integers(self, low, high=None, size=None, dtype=np.int64):
+        if high is not None:  # the bulk word draw
+            words = super().integers(low, high, size=size, dtype=dtype)
+            if self.zeroed:
+                words[words % 4 == 0] = 0
+            return words
+        k = int(low)
+        if k == 1:
+            return 0
+        while True:
+            w = int(super().integers(0, 1 << 32, dtype=np.uint32))
+            m = (0 if self.zeroed and w % 4 == 0 else w) * k
+            if (m & 0xFFFFFFFF) >= ((1 << 32) - k) % k:
+                return m >> 32
+
+
+class TestRejectionPath:
+    def test_stand_in_without_zeroing_is_numpy(self):
+        g, ref = _ZeroedWords(3, zeroed=False), make_rng(3)
+        for k in TestBulkTieBreaks.KS * 20:
+            assert g.integers(k) == ref.integers(k), k
+        assert g.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("cls", [RMH, BGMH])
+    def test_executor_rejections_match_naive(self, big_cluster, cls, monkeypatch):
+        calls = []
+        below = base._TieBreakDraws.below
+
+        def counting(draws, k, i):
+            calls.append(k)
+            return below(draws, k, i)
+
+        monkeypatch.setattr(base._TieBreakDraws, "below", counting)
+        L = make_layout("cyclic-scatter", big_cluster, 256)
+        g1, g2 = _ZeroedWords(17), _ZeroedWords(17)
+        naive, vect = _both_engines(cls, big_cluster, L, "random", g1, g2)
+        assert np.array_equal(naive, vect)
+        assert g1.bit_generator.state == g2.bit_generator.state
+        assert len(calls) > 10  # the executor handed rejections to the rule
+
+
+class TestPoolWidePicks:
+    """The Fenwick-tree level: a reference whose line switch is full."""
+
+    @pytest.fixture()
+    def select_calls(self, monkeypatch):
+        calls = []
+        select = base._FreeRanks.select
+
+        def counting(ranks, r):
+            calls.append(r)
+            return select(ranks, r)
+
+        monkeypatch.setattr(base._FreeRanks, "select", counting)
+        return calls
+
+    @pytest.mark.parametrize("tie_break", ["random", "first"])
+    def test_bgmh_identical_at_p1024(self, tie_break, select_calls):
+        cluster = gpc_cluster(n_nodes=128)
+        big = gpc_cluster(n_nodes=256)
+        cases = [(cluster, make_layout(name, cluster, 1024)) for name in sorted(INITIAL_LAYOUTS)]
+        cases.append((cluster, make_rng(8).permutation(1024)))
+        # half the cores of a 2048-core cluster: groups at every level are
+        # partly missing, so annulus counts differ from the cluster's
+        cases.append((big, make_rng(9).permutation(2048)[:1024]))
+        for cl, L in cases:
+            before = len(select_calls)
+            naive, vect = _both_engines(BGMH, cl, L, tie_break, 4)
+            assert np.array_equal(naive, vect)
+            assert len(select_calls) - before > 10  # the level was reached
+        if tie_break == "first":
+            assert set(select_calls) == {0}
+        else:
+            assert max(select_calls) > 100
+
+    def test_free_ranks_select_and_discard(self):
+        free = make_rng(3).random(1000) < 0.6
+        ranks = base._FreeRanks(free)
+        for pos in np.flatnonzero(free)[::3].tolist():
+            ranks.discard(pos)
+            free[pos] = False
+        expected = np.flatnonzero(free).tolist()
+        assert [ranks.select(r) for r in range(len(expected))] == expected
+        one = base._FreeRanks(np.ones(1, dtype=bool))
+        assert one.select(0) == 0
+
+
+#: sha1 over (pattern, mapping bytes) of reorder_all at p=16384, seed 7,
+#: per layout, and of the live-Generator run; computed before the
+#: executor served tie-breaks from bulk draws and pool-wide picks from a
+#: Fenwick tree, which must leave every placement unchanged.
+P16384_DIGESTS = {
+    "block-bunch": "5cf8e2aac4fa76ce3b2cabccc8f94bb6e1f87702",
+    "block-scatter": "12114e3ef749278a230e55ec8b1bc872fd0e527c",
+    "cyclic-bunch": "a4d7bd481da58142002c24a295345940bfad284a",
+    "cyclic-scatter": "3943df03fa1b592155968ab74b811323bcb31d54",
+    "random": "83986e9821c64828267cf8d5f413c7e88ea36241",
+    "live": "9d8af41384bd31e346913e307425e93fc47904d0",
+}
+#: the live Generator's next ``integers(1 << 62)`` after that run
+P16384_NEXT_DRAW = 163405077609869706
+
+
+def _digest(results) -> str:
+    h = hashlib.sha1()
+    for pattern in sorted(results):
+        h.update(pattern.encode())
+        h.update(np.ascontiguousarray(results[pattern].mapping, dtype="<i8").tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.slow
+def test_reorder_all_p16384_pinned():
+    """Every placement and rng draw at p=16384 stays what it was (~4 s)."""
+    cluster = gpc_cluster(n_nodes=2048)
+    D = cluster.implicit_distances()
+    p = cluster.n_cores
+    layouts = {name: make_layout(name, cluster, p) for name in sorted(INITIAL_LAYOUTS)}
+    layouts["random"] = make_rng(2016).permutation(p)
+    got = {name: _digest(reorder_all(L, D, rng=7, cache="off")) for name, L in layouts.items()}
+    g = make_rng(11)
+    got["live"] = _digest(reorder_all(layouts["random"], D, rng=g, cache="off"))
+    assert got == P16384_DIGESTS
+    assert int(g.integers(1 << 62)) == P16384_NEXT_DRAW

@@ -1,13 +1,16 @@
 """Validation-helper tests."""
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.util.validation import (
+    PY_SCAN_MAX,
     check_in_range,
     check_nonnegative,
     check_permutation,
     check_positive,
+    same_multiset,
 )
 
 
@@ -57,3 +60,29 @@ class TestCheckPermutation:
     def test_custom_name_in_message(self):
         with pytest.raises(ValueError, match="mymap"):
             check_permutation([0, 0], 2, name="mymap")
+
+
+class TestSameMultiset:
+    """Both sides of the list-sort / ``np.sort`` gate give one answer."""
+
+    @given(
+        st.lists(st.integers(-5, 5), min_size=1, max_size=2 * PY_SCAN_MAX + 8),
+        st.randoms(use_true_random=False),
+    )
+    def test_matches_sorted_lists(self, values, rnd):
+        a = np.array(values, dtype=np.int64)
+        shuffled = values[:]
+        rnd.shuffle(shuffled)
+        assert same_multiset(a, np.array(shuffled, dtype=np.int64))
+        changed = shuffled[:]
+        changed[rnd.randrange(len(changed))] += 11  # outside -5..5
+        assert not same_multiset(a, np.array(changed, dtype=np.int64))
+        assert not same_multiset(a, np.array(shuffled[1:], dtype=np.int64))
+
+    @pytest.mark.parametrize("n", [PY_SCAN_MAX, PY_SCAN_MAX + 1, 4096])
+    def test_repeat_versus_permutation(self, n):
+        a = np.arange(n, dtype=np.int64)
+        b = a[::-1].copy()
+        assert same_multiset(a, b)
+        b[0] = b[1]  # one core twice, one missing
+        assert not same_multiset(a, b)
