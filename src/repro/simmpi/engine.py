@@ -6,8 +6,8 @@ mapping.  Per stage:
 
 1. ranks are bound to cores through the mapping array ``M``;
 2. every message's route is fetched as a padded row of directed link ids;
-3. per-link byte loads are a single ``np.bincount``, padding landing in a
-   sentinel bin with α = β = 0;
+3. per-link byte loads are summed one route column at a time, padding
+   landing in a sentinel bin with α = β = 0;
 4. message time = Σ α(link) (one sum per padding pattern) + max over route
    links of β(link)·bytes(link) — steps 2–4 being one kernel behind every
    pricing path, :meth:`TimingEngine._route_kernel`;
@@ -25,14 +25,14 @@ from __future__ import annotations
 import hashlib
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from repro.analysis.runtime import maybe_verify_schedule
 from repro.collectives.schedule import Schedule, Stage
 from repro.simmpi.costmodel import CostModel
-from repro.topology.cluster import ClusterTopology
+from repro.topology.cluster import MEM_BUS_COLUMNS, ClusterTopology
 from repro.util.validation import check_positive
 
 __all__ = [
@@ -259,6 +259,34 @@ def _schedule_fingerprint(schedule: Schedule) -> bytes:
     return h.digest()
 
 
+class _Routed(NamedTuple):
+    """A message batch after route and load: what every β table shares.
+
+    ``bins`` is the route table as ``(MAX_ROUTE_LEN, n)`` contiguous rows
+    of load bins: link id + 1, so a ``-1`` pad lands in the sentinel bin
+    0 with α = β = 0, plus the message's stage block.  ``load`` is
+    ``(n_stages, n_links + 1)``, column 0 being the sentinel.
+    """
+
+    bins: np.ndarray
+    alpha_sum: np.ndarray
+    load: np.ndarray
+
+    def drains(self, beta: np.ndarray) -> np.ndarray:
+        """Per-message drains under ``beta``: max over route links of β·load.
+
+        ``beta`` is laid out like ``TimingEngine._beta``; the gather and
+        the max run one route column at a time (``max`` never rounds).
+        """
+        bin_drain = self.load * beta
+        bin_drain[:, 0] = 0.0  # padding drains nothing, whatever its load
+        flat = bin_drain.ravel()
+        drain = flat[self.bins[0]]
+        for row in self.bins[1:]:
+            np.maximum(drain, flat[row], out=drain)
+        return drain
+
+
 class TimingEngine:
     """Binds schedules + mappings to the cluster and prices them."""
 
@@ -300,53 +328,58 @@ class TimingEngine:
         src: np.ndarray,
         dst: np.ndarray,
         weights: np.ndarray,
-        beta: np.ndarray,
         stage_of: Optional[np.ndarray] = None,
         n_stages: int = 1,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Route -> load -> drain for a batch of messages (every pricing path).
+    ) -> _Routed:
+        """Route -> load for a batch of messages (every pricing path).
 
-        ``weights`` are the messages' byte counts, ``beta`` a β table laid
-        out like ``self._beta``, and ``stage_of`` each message's stage,
-        whose loads fill their own block of bins.  Returns per-message
-        α-sums and drains (max over route links of β·load) and the
-        ``(n_stages, n_links + 1)`` loads, column 0 being the sentinel.
+        ``weights`` are the messages' byte counts and ``stage_of`` each
+        message's stage, whose loads fill their own block of bins.  Reads
+        one ``routes_for`` table and accumulates the loads one route
+        column at a time, so no temporary holds an entry per route slot.
+        :meth:`_Routed.drains` then drains the batch under any β table.
         Bit-identical to the masked builder in ``tests/simmpi/
         test_pricing_kernel.py``, for the reasons docs/performance.md gives.
         """
-        routes = self.cluster.routes_for(src, dst).T  # contiguous columns
-        ids = np.add(routes, 1, dtype=np.intp)
-        alpha_sum = self._alpha_sums(routes >= 0, ids)
+        bins = self.cluster.routes_for(src, dst).T  # contiguous columns
+        alpha_sum = self._alpha_sums(bins)
         n_bins = self._beta.size
-        if stage_of is not None:
-            ids += stage_of * n_bins
-        # Message-major entry order, as the masked bincount saw it: every
-        # link load is summed, and so rounded, in the same order.
-        load = np.bincount(
-            ids.ravel(order="F"),
-            weights=np.repeat(weights, ids.shape[0]),
-            minlength=n_stages * n_bins,
-        ).reshape(n_stages, n_bins)
-        bin_drain = load * beta
-        bin_drain[:, 0] = 0.0  # padding drains nothing, whatever its load
-        return alpha_sum, bin_drain.ravel()[ids].max(axis=0), load
+        if stage_of is None:
+            bins += 1
+        else:
+            if n_stages * n_bins > np.iinfo(bins.dtype).max:
+                bins = bins.astype(np.intp)
+            bins += stage_of * n_bins + 1
+        # Every link id lives in one route column, except the memory bus,
+        # whose two columns are interleaved message by message.  So each
+        # link's entries are summed, and rounded, in message order, as
+        # the masked bincount summed them.
+        load = np.zeros(n_stages * n_bins)
+        first, second = MEM_BUS_COLUMNS
+        for col, row in enumerate(bins):
+            if col not in MEM_BUS_COLUMNS:
+                np.add.at(load, row.astype(np.intp), weights)
+        mem = np.empty(2 * bins.shape[1], dtype=np.intp)
+        mem[0::2], mem[1::2] = bins[first], bins[second]
+        np.add.at(load, mem, np.repeat(weights, 2))
+        return _Routed(bins, alpha_sum, load.reshape(n_stages, n_bins))
 
-    def _alpha_sums(self, used: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    def _alpha_sums(self, routes: np.ndarray) -> np.ndarray:
         """Per-message route α-sums, one row reduction per padding pattern.
 
         α depends only on a link's class and each route column holds one
-        class, so routes with the same padding pattern (``used`` flags
-        the real entries) have the same α row.  Each pattern is summed
-        as one contiguous row, rounding exactly as the per-message
-        ``sum(axis=1)`` it replaces.
+        class, so routes with the same padding pattern (which of their
+        ``-1``-padded ``routes`` rows are real) have the same α row.  Each
+        pattern is summed as one contiguous row, rounding exactly as the
+        per-message ``sum(axis=1)`` it replaces.
         """
-        pattern = np.zeros(ids.shape[1], dtype=np.intp)
-        for col, row in enumerate(used):
-            pattern |= row.astype(np.intp) << col
-        sample = np.full(1 << ids.shape[0], -1, dtype=np.intp)
-        sample[pattern] = np.arange(ids.shape[1])  # one message per pattern
+        pattern = np.zeros(routes.shape[1], dtype=np.intp)
+        for col, row in enumerate(routes):
+            pattern |= (row >= 0).astype(np.intp) << col
+        sample = np.full(1 << routes.shape[0], -1, dtype=np.intp)
+        sample[pattern] = np.arange(routes.shape[1])  # one message per pattern
         keys = np.flatnonzero(sample >= 0)
-        rows = np.ascontiguousarray(self._alpha[ids[:, sample[keys]].T])
+        rows = np.ascontiguousarray(self._alpha[routes[:, sample[keys]].T + 1])
         by_pattern = np.zeros(sample.size)
         by_pattern[keys] = rows.sum(axis=1)
         return by_pattern[pattern]
@@ -354,26 +387,27 @@ class TimingEngine:
     # ------------------------------------------------------------------
     def stage_time(self, stage: Stage, mapping: np.ndarray, block_bytes: float) -> StageTiming:
         """Price a single instance of ``stage`` under ``mapping``."""
-        return self._stage_time(stage, mapping, block_bytes, self._beta)
+        return self._stage_timing(stage, self._stage_loads(stage, mapping, block_bytes), self._beta)
 
-    def _stage_time(
-        self, stage: Stage, mapping: np.ndarray, block_bytes: float, beta: np.ndarray
-    ) -> StageTiming:
-        """Stage pricing against an explicit per-link beta table.
-
-        The fault-injection path swaps ``beta`` per stage as degradations
-        set in; the healthy path always passes ``self._beta``.
-        """
-        alpha_sum, drain, load = self._route_kernel(
-            mapping[stage.src], mapping[stage.dst], stage.units * block_bytes, beta
+    def _stage_loads(self, stage: Stage, mapping: np.ndarray, block_bytes: float) -> _Routed:
+        """One stage instance at ``block_bytes``, routed and loaded."""
+        return self._route_kernel(
+            mapping[stage.src], mapping[stage.dst], stage.units * block_bytes
         )
-        per_msg = alpha_sum + drain
+
+    def _stage_timing(self, stage: Stage, routed: _Routed, beta: np.ndarray) -> StageTiming:
+        """A routed stage priced against an explicit per-link β table.
+
+        The fault-injection path drains one stage's loads under the β
+        table of each fault state; the healthy path passes ``self._beta``.
+        """
+        per_msg = routed.alpha_sum + routed.drains(beta)
         return StageTiming(
             label=stage.label,
             seconds=float(per_msg.max()) + self.cost.stage_overhead,
             repeat=stage.repeat,
             n_messages=stage.n_messages,
-            max_link_load_bytes=float(load[0, 1:].max()),
+            max_link_load_bytes=float(routed.load[0, 1:].max()),
         )
 
     def evaluate(
@@ -439,7 +473,8 @@ class TimingEngine:
         the beta table of the degradations active at its index; the
         first round in which a failed node must send or receive aborts
         the collective.  Fault activation is monotone, so rounds are
-        re-priced only when the active event set changes.
+        re-priced only when the active event set changes, and then only
+        the drain: a stage's routes, α-sums and loads do not depend on β.
         """
         # Local import: repro.faults imports this module at package level.
         from dataclasses import replace
@@ -452,6 +487,7 @@ class TimingEngine:
         for stage in schedule.stages:
             state = None
             timing: Optional[StageTiming] = None
+            routed: Optional[_Routed] = None
             for _ in range(stage.repeat):
                 key = tuple(
                     ev.active_at_stage(round_idx) for ev in fault_plan.events
@@ -472,9 +508,9 @@ class TimingEngine:
                             raise FaultStopError(dead, round_idx, schedule.name)
                     scale = fault_plan.beta_scale_at_stage(self.cluster, round_idx)
                     beta = self._beta if scale is None else self._scaled_beta(scale)
-                    timing = replace(
-                        self._stage_time(stage, M, block_bytes, beta), repeat=1
-                    )
+                    if routed is None:
+                        routed = self._stage_loads(stage, M, block_bytes)
+                    timing = replace(self._stage_timing(stage, routed, beta), repeat=1)
                 timings.append(timing)
                 round_idx += 1
         copy_bytes = schedule.local_copy_units * block_bytes + extra_copy_bytes
@@ -514,14 +550,13 @@ class TimingEngine:
             raise ValueError("a schedule needs at least one stage")
         counts = np.array([s.src.size for s in stages], dtype=np.int64)
         bounds = np.concatenate(([0], np.cumsum(counts)))
-        src = np.concatenate([s.src for s in stages])
-        dst = np.concatenate([s.dst for s in stages])
+        src = mapping[np.concatenate([s.src for s in stages])]
+        dst = mapping[np.concatenate([s.dst for s in stages])]
         units = np.concatenate([np.asarray(s.units, dtype=np.float64) for s in stages])
         stage_of = np.repeat(np.arange(len(stages), dtype=np.intp), counts)
-        alpha_sum, unit_drain, unit_load = self._route_kernel(
-            mapping[src], mapping[dst], units, self._beta, stage_of, len(stages)
-        )
-        load_max = unit_load[:, 1:].max(axis=1)
+        routed = self._route_kernel(src, dst, units, stage_of, len(stages))
+        alpha_sum, unit_drain = routed.alpha_sum, routed.drains(self._beta)
+        load_max = routed.load[:, 1:].max(axis=1)
 
         priced: List[StagePricing] = []
         for i, stage in enumerate(stages):
@@ -593,7 +628,4 @@ class TimingEngine:
     def link_loads(self, stage: Stage, mapping: np.ndarray, block_bytes: float) -> np.ndarray:
         """Per-link byte loads of one stage (diagnostics / tests)."""
         M = np.asarray(mapping, dtype=np.int64)
-        _, _, load = self._route_kernel(
-            M[stage.src], M[stage.dst], stage.units * block_bytes, self._beta
-        )
-        return load[0, 1:]
+        return self._stage_loads(stage, M, block_bytes).load[0, 1:]

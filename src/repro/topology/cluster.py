@@ -23,12 +23,13 @@ down the destination's).  Two things fall out of the same structure:
   sum of per-class weights along the route, giving the strict hierarchy
   same-socket < cross-socket < same-leaf < same-line < cross-spine;
 * the **route matrix** the timing engine consumes: per-message padded rows
-  of directed link ids, so per-stage link loads are a single
-  ``np.bincount``.
+  of directed link ids, one link class per column, so per-stage link loads
+  are summed column by column.
 
-Routes are fully vectorised; the per-node-pair network segment is
-precomputed once (``O(n_nodes^2)`` int32, ~4 MB for the paper's 512-node
-runs).
+Routes are fully vectorised and computed per call in memory linear in the
+messages: the fat-tree segment of each inter-leaf message is a closed-form
+function of its endpoints (:meth:`FatTreeNetwork.route_columns`), so no
+per-node-pair table is kept.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ __all__ = [
     "LinkClass",
     "ClusterTopology",
     "MAX_ROUTE_LEN",
+    "MEM_BUS_COLUMNS",
     "DEFAULT_DISTANCE_WEIGHTS",
 ]
 
@@ -56,6 +58,11 @@ __all__ = [
 #: src-mem, qpi-up, hca-up, 4 network links, hca-down, qpi-down, dst-mem,
 #: core-down.
 MAX_ROUTE_LEN = 12
+
+#: The two route columns that share link ids: a socket's memory bus is
+#: crossed by the sender's write (column 1) and the receiver's read
+#: (column 10).  Every other link id appears in one column only.
+MEM_BUS_COLUMNS = (1, 10)
 
 
 class LinkClass(IntEnum):
@@ -151,7 +158,6 @@ class ClusterTopology:
         cls[self._core_up0 :] = LinkClass.SMEM
         self.link_class = cls
 
-        self._net_routes: Optional[np.ndarray] = None
         self._distance_matrix: Optional[np.ndarray] = None
         # Weak reference to the lazy ImplicitDistances view: the view holds
         # this cluster, so a strong one would make a cycle that keeps a
@@ -231,63 +237,6 @@ class ClusterTopology:
         return self._core_dn0 + np.asarray(core, dtype=np.int64)
 
     # ------------------------------------------------------------------
-    # network segment routes (node pair -> up to 4 switch-level links)
-    # ------------------------------------------------------------------
-    def _build_net_routes(self) -> np.ndarray:
-        """Precompute the fat-tree segment for every ordered node pair.
-
-        Returns an int32 array of shape (n_nodes, n_nodes, 4) holding
-        [leaf-line up, line-spine up, line-spine down, leaf-line down],
-        ``-1``-padded; same-node and same-leaf pairs are fully ``-1``
-        (their messages never enter the switch fabric beyond the leaf).
-        """
-        cfg = self.network.config
-        n = self.n_nodes
-        na = np.arange(n, dtype=np.int64)[:, None]
-        nb = np.arange(n, dtype=np.int64)[None, :]
-        leaf_a = na // cfg.nodes_per_leaf
-        leaf_b = nb // cfg.nodes_per_leaf
-        # Destination-based choices (mirrors FatTreeNetwork.route).
-        port = nb % (cfg.n_core_switches * cfg.leaf_uplinks_per_core)
-        core = port // cfg.leaf_uplinks_per_core
-        up_cable = port % cfg.leaf_uplinks_per_core
-        dn_cable = nb % cfg.leaf_uplinks_per_core
-        line_src = leaf_a % cfg.lines_per_core
-        line_dst = leaf_b % cfg.lines_per_core
-        spine = leaf_b % cfg.spines_per_core
-        ls_cable = nb % cfg.line_spine_multiplicity
-
-        net = self.network
-        ll_up = net._ll_up0 + ((leaf_a * cfg.n_core_switches + core) * cfg.leaf_uplinks_per_core + up_cable)
-        ll_dn = net._ll_dn0 + ((leaf_b * cfg.n_core_switches + core) * cfg.leaf_uplinks_per_core + dn_cable)
-        ls_up = net._ls_up0 + (
-            ((core * cfg.lines_per_core + line_src) * cfg.spines_per_core + spine)
-            * cfg.line_spine_multiplicity
-            + ls_cable
-        )
-        ls_dn = net._ls_dn0 + (
-            ((core * cfg.lines_per_core + line_dst) * cfg.spines_per_core + spine)
-            * cfg.line_spine_multiplicity
-            + ls_cable
-        )
-
-        routes = np.full((n, n, 4), -1, dtype=np.int32)
-        diff_leaf = leaf_a != leaf_b
-        same_line = line_src == line_dst
-        routes[..., 0] = np.where(diff_leaf, ll_up, -1)
-        routes[..., 1] = np.where(diff_leaf & ~same_line, ls_up, -1)
-        routes[..., 2] = np.where(diff_leaf & ~same_line, ls_dn, -1)
-        routes[..., 3] = np.where(diff_leaf, ll_dn, -1)
-        return routes
-
-    @property
-    def net_routes(self) -> np.ndarray:
-        """Lazily built per-node-pair network segment table."""
-        if self._net_routes is None:
-            self._net_routes = self._build_net_routes()
-        return self._net_routes
-
-    # ------------------------------------------------------------------
     # full routes
     # ------------------------------------------------------------------
     def route_matrix(self, src: Sequence[int], dst: Sequence[int]) -> np.ndarray:
@@ -297,15 +246,18 @@ class ClusterTopology:
         rejected because no collective schedule emits them.  Returns an
         int32 array of shape ``(n_msgs, MAX_ROUTE_LEN)``, ``-1``-padded and
         column-major (each column is contiguous), so the timing engine's
-        per-column gathers and reductions stream through memory.
+        per-column load sums and gathers stream through memory.  Columns
+        4-7 (the fat-tree segment) come from
+        :meth:`FatTreeNetwork.route_columns` for inter-leaf messages only;
+        everything is computed per call, in memory linear in the batch.
 
         Every column holds links of a single :class:`LinkClass` (or the
         pad), so a route's padding pattern names its locality level —
         same socket, cross socket, same leaf, same line, via spine — and
-        fixes its per-class link sequence.  An intra-socket message
-        crosses its socket's memory bus twice (sender write + receiver
-        read), so the bus id appears in both the source-side and
-        destination-side columns.
+        fixes its per-class link sequence.  Columns draw from disjoint
+        link-id blocks, except that an intra-socket message crosses its
+        socket's memory bus twice (sender write + receiver read), so the
+        bus id appears in both :data:`MEM_BUS_COLUMNS`.
         """
         s = np.asarray(src, dtype=np.int64)
         d = np.asarray(dst, dtype=np.int64)
@@ -330,7 +282,13 @@ class ClusterTopology:
         np.add(sock_s, self._mem0, out=cols[1])
         np.add(s, self._qpi_up0, out=cols[2], where=cross_socket)
         np.add(node_s, self._hca_up0, out=cols[3], where=inter_node)
-        cols[4:8] = self.net_routes[node_s, node_d].T
+        npl = self.network.config.nodes_per_leaf
+        far = np.flatnonzero(node_s // npl != node_d // npl)  # inter-leaf
+        if far.size:
+            node_far = node_d[far]
+            cols[4:8, far] = self.network.route_columns(
+                node_s[far] // npl, node_far // npl, node_far
+            )
         np.add(node_d, self._hca_dn0, out=cols[8], where=inter_node)
         np.add(d, self._qpi_dn0, out=cols[9], where=cross_socket)
         np.add(sock_d, self._mem0, out=cols[10])
@@ -342,7 +300,9 @@ class ClusterTopology:
 
         Returns :meth:`route_matrix`'s table.  Tables are not memoized
         here: the timing engine's pricing LRU already keeps every table a
-        repeated (schedule, mapping) needs.
+        repeated (schedule, mapping) needs.  So each call returns a fresh
+        table the caller owns; the timing engine turns it into load bins
+        in place.
         """
         return self.route_matrix(src, dst)
 

@@ -180,6 +180,44 @@ class FatTreeNetwork:
         route.append(self.leaf_line_down(dst_leaf, core, dn_cable))
         return route
 
+    def route_columns(
+        self, src_leaf: np.ndarray, dst_leaf: np.ndarray, dst_node: np.ndarray
+    ) -> np.ndarray:
+        """:meth:`route` for a batch of inter-leaf messages, one row per hop.
+
+        Takes equal-length integer arrays with ``src_leaf != dst_leaf``
+        everywhere and returns a ``(4, n)`` array of their dtype holding
+        [leaf-line up, line-spine up, line-spine down, leaf-line down];
+        the two line-spine rows are ``-1`` where both leaves share a line
+        switch.  The same destination-based choices as :meth:`route`, in
+        closed form, so no per-node-pair table is ever built.
+        """
+        c = self.config
+        # Destination picks the core switch, the parallel cables and the spine.
+        port = dst_node % (c.n_core_switches * c.leaf_uplinks_per_core)
+        core = port // c.leaf_uplinks_per_core
+        up_cable = port % c.leaf_uplinks_per_core
+        dn_cable = dst_node % c.leaf_uplinks_per_core
+        line_src = src_leaf % c.lines_per_core
+        line_dst = dst_leaf % c.lines_per_core
+        # _ls_index(core, line, spine, cable) == ls_spine + line * ls_per_line
+        ls_per_line = c.spines_per_core * c.line_spine_multiplicity
+        ls_spine = (
+            core * (c.lines_per_core * c.spines_per_core) + dst_leaf % c.spines_per_core
+        ) * c.line_spine_multiplicity + dst_node % c.line_spine_multiplicity
+
+        cols = np.empty((4, dst_node.size), dtype=dst_node.dtype)
+        cols[0] = self._ll_up0 + (
+            (src_leaf * c.n_core_switches + core) * c.leaf_uplinks_per_core + up_cable
+        )
+        cols[1] = self._ls_up0 + ls_spine + line_src * ls_per_line
+        cols[2] = self._ls_dn0 + ls_spine + line_dst * ls_per_line
+        cols[3] = self._ll_dn0 + (
+            (dst_leaf * c.n_core_switches + core) * c.leaf_uplinks_per_core + dn_cable
+        )
+        cols[1:3, line_src == line_dst] = -1
+        return cols
+
     def switch_hops(self, src_leaf: int, dst_leaf: int) -> int:
         """Number of switch-to-switch hops between two leaves.
 

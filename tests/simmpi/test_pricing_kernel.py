@@ -10,6 +10,8 @@ byte for byte: downstream figure pipelines and ``sweep.json`` compare
 latencies with exact equality.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -20,8 +22,8 @@ from repro.faults.shrink import shrink_layout
 from repro.mapping.initial import make_layout
 from repro.simmpi.costmodel import CostModel
 from repro.simmpi.engine import TimingEngine, _pareto_envelope
-from repro.topology.cluster import MAX_ROUTE_LEN, LinkClass
-from repro.topology.gpc import small_cluster
+from repro.topology.cluster import MAX_ROUTE_LEN, MEM_BUS_COLUMNS, LinkClass
+from repro.topology.gpc import gpc_cluster, small_cluster
 from repro.util.rng import make_rng
 
 #: 16 nodes on 8 two-node leaves over 3 line switches: every locality
@@ -212,7 +214,7 @@ class TestKernelMatchesMaskedOracle:
 
 
 class TestRouteLayout:
-    """What the kernel's α table relies on."""
+    """What the kernel's α table and per-column load sums rely on."""
 
     def _all_pairs(self):
         cores = np.arange(CLUSTER.n_cores)
@@ -228,7 +230,65 @@ class TestRouteLayout:
             classes = np.unique(CLUSTER.link_class[ids[ids >= 0]])
             assert classes.size == 1, (col, [LinkClass(c).name for c in classes])
 
+    def test_columns_draw_from_disjoint_link_blocks(self):
+        """Only the memory-bus columns share link ids, so summing loads
+        column by column (the memory bus interleaved) keeps every link's
+        message-order sum."""
+        routes = self._all_pairs()
+        blocks = []
+        for col in range(MAX_ROUTE_LEN):
+            ids = routes[:, col]
+            ids = ids[ids >= 0]
+            blocks.append((int(ids.min()), int(ids.max()), col))
+        first, second = MEM_BUS_COLUMNS
+        assert np.array_equal(np.unique(routes[:, first]), np.unique(routes[:, second]))
+        disjoint = sorted(b for b in blocks if b[2] != second)
+        for (_, hi, col), (lo, _, nxt) in zip(disjoint, disjoint[1:]):
+            assert hi < lo, (col, nxt)
+
     def test_padding_patterns_are_the_locality_levels(self):
         patterns = {tuple(row) for row in (self._all_pairs() >= 0).tolist()}
         # same socket, cross socket, same leaf, same line, via spine
         assert sorted(sum(p) for p in patterns) == [4, 6, 6, 8, 10]
+
+
+class TestKernelMemory:
+    def test_rd_table_at_p4096_is_linear_in_messages(self):
+        """One flat recursive-doubling table at p = 4096 (49,152 messages)
+        on a fresh cluster and engine peaks under 16 MiB.
+
+        The kernel holds one int32 route table and sums loads one route
+        column at a time; a flattened id array, its weights and the
+        drain gather with an entry per route slot peaked at 24 MiB.
+        """
+        cluster = gpc_cluster(512)
+        sched = make_algorithm("recursive-doubling").schedule(cluster.n_cores)
+        M = make_layout("cyclic-scatter", cluster, cluster.n_cores)
+        engine = TimingEngine(cluster, CostModel())
+        tracemalloc.start()
+        try:
+            priced = engine._price_schedule(sched, M)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(priced) == len(sched.stages) == 12
+        assert peak < 16 << 20, f"peak {peak / 2**20:.2f} MiB"
+
+
+class TestFaultPathReuse:
+    def test_each_stage_routed_once(self, monkeypatch):
+        """A fault state change re-drains the stage; it does not re-route it."""
+        eng, _ = ENGINES["plain"]
+        M = MAPPINGS["cyclic-scatter"]
+        sched = make_algorithm("ring").schedule(M.size)  # one stage, p - 1 rounds
+        calls = []
+        routes_for = CLUSTER.routes_for
+
+        def counted(src, dst):
+            calls.append(len(src))
+            return routes_for(src, dst)
+
+        monkeypatch.setattr(CLUSTER, "routes_for", counted)
+        res = eng.evaluate(sched, M, BLOCK_BYTES[1], fault_plan=FAULT_PLANS["cable_degradation"])
+        assert len({t.seconds for t in res.stage_timings}) == 2  # the onset changed the state
+        assert len(calls) == len(sched.stages) == 1

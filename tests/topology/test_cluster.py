@@ -2,6 +2,7 @@
 
 import gc
 import pickle
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -79,6 +80,25 @@ class TestRoutes:
         assert rows.shape == (4, MAX_ROUTE_LEN)
         for i in range(4):
             assert [x for x in rows[i] if x >= 0] == cl.route(int(src[i]), int(dst[i]))
+
+    def test_route_matrix_memory_linear_in_messages(self):
+        """Routing 1,000 messages at 2,048 nodes allocates per message.
+
+        A per-node-pair table of network segments would be 64 MiB at this
+        size; building one peaked at 172 MiB.
+        """
+        cl = gpc_cluster(2048)
+        rng = make_rng(0)
+        src = rng.integers(0, cl.n_cores, 1000)
+        dst = (src + rng.integers(1, cl.n_cores, 1000)) % cl.n_cores
+        tracemalloc.start()
+        try:
+            routes = cl.route_matrix(src, dst)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert routes.shape == (1000, MAX_ROUTE_LEN)
+        assert peak < 1 << 20, f"peak {peak / 2**20:.2f} MiB"
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 63), st.integers(0, 63))
