@@ -1,19 +1,20 @@
 """Concurrency / fork-safety lint (``PAR0xx``): AST pass over sources.
 
-The parallel sweep drivers fan work out over ``ProcessPoolExecutor``
-workers, and the checkpointed runner journals cells while other
-processes may be reading them.  Three statically checkable contracts
-keep that safe:
+The sweep supervisor (``bench/fabric.py``) fans cells out over
+``multiprocessing`` worker processes, and the sweep journal is written
+while other processes may be reading it.  Three statically checkable
+contracts keep that safe:
 
 ``PAR001``
     Assignment to a module-level name (via a ``global`` statement) inside
-    a function of a module that uses ``concurrent.futures``.  Worker
-    functions run in forked/spawned children: mutating module globals is
-    at best a per-worker cache (each child has its own copy — fine, but
-    it must be *intentional* and marked with a justified ``# noqa``) and
-    at worst an aliasing bug when the same function also runs in the
-    parent.  The deliberate per-worker caches in ``bench/runner.py`` and
-    ``bench/microbench.py`` carry exactly such suppressions.
+    a function of a module that uses ``multiprocessing`` or
+    ``concurrent.futures``.  Worker functions run in forked/spawned
+    children: mutating module globals is at best a per-worker cache
+    (each child has its own copy — fine, but it must be *intentional*
+    and marked with a justified ``# noqa``) and at worst an aliasing bug
+    when the same function also runs in the parent.  The deliberate
+    per-process evaluator cache in ``bench/runner.py`` carries exactly
+    such a suppression.
 
 ``PAR002``
     Direct (non-atomic) file writes on persistence paths — packages
@@ -27,12 +28,14 @@ keep that safe:
     :mod:`repro.util.atomicio` (tmp file + ``os.replace``).
 
 ``PAR003``
-    Unpicklable / fork-captured callables handed to a process pool:
-    a ``lambda`` or a function defined inside the submitting function
-    passed to ``submit`` / ``map`` / ``initializer=``.  Closures capture
-    live parent state (open handles, ``numpy.random.Generator`` objects)
-    that silently diverges — or fails to pickle at all — in the child.
-    Also flags raw ``os.fork()``.
+    Unpicklable / fork-captured callables handed to another process:
+    a ``lambda`` or a function defined inside the calling function
+    passed to ``submit`` / ``map`` / ``initializer=`` of a pool, or as
+    ``target=`` of a ``Process(...)``.  Closures capture live parent
+    state (open handles, ``numpy.random.Generator`` objects) that
+    silently diverges — or fails to pickle at all — in the child.
+    ``threading.Thread`` targets are left alone: a thread shares its
+    parent's memory.  Also flags raw ``os.fork()``.
 
 Suppress per line with ``# noqa: PAR00x`` plus a justification.
 """
@@ -63,7 +66,7 @@ _PERSIST_PKGS = (
 )
 
 #: Module references that mark a module as executor-using (PAR001 scope).
-_EXECUTOR_MARKERS = ("ProcessPoolExecutor", "concurrent.futures")
+_EXECUTOR_MARKERS = ("concurrent.futures", "multiprocessing")
 
 #: Direct-write method names on path-like objects.
 _WRITE_METHODS = {"write_text", "write_bytes"}
@@ -180,8 +183,8 @@ class _ParVisitor(SourceVisitor):
             self.flag(
                 "PAR003",
                 node,
-                "os.fork() captures all live parent state; use a "
-                "ProcessPoolExecutor with module-level workers",
+                "os.fork() captures all live parent state; start a "
+                "multiprocessing Process with a module-level target",
             )
         if (
             isinstance(node.func, ast.Attribute)
@@ -204,6 +207,19 @@ class _ParVisitor(SourceVisitor):
                     kw.value,
                     "pool initializer is a lambda/closure; use a module-level "
                     "function so spawn-based pools can import it",
+                )
+            elif (
+                kw.arg == "target"
+                and tail == "Process"
+                and self.uses_executor
+                and self._is_local_closure(kw.value)
+            ):
+                self.flag(
+                    "PAR003",
+                    kw.value,
+                    "Process target is a lambda/closure: it fork-captures live "
+                    "parent state and cannot pickle under spawn; use a "
+                    "module-level function",
                 )
 
         self.generic_visit(node)

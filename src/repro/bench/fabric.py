@@ -1,23 +1,27 @@
-"""Distributed sweep fabric: one ``O_EXCL`` claim per grid cell.
+"""Sweep fabric: one ``O_EXCL`` claim per grid cell, and its supervisor.
 
-:class:`~repro.bench.runner.CheckpointedSweep` already journals every
-grid cell atomically and resumes bit-identically — but it is a single
-process (plus its local pool).  This module fans the same journal out
-across any number of worker *processes or hosts* that share one
-directory (NFS, a bind-mounted volume, a plain local dir):
+:class:`~repro.bench.runner.CheckpointedSweep` journals every grid cell
+atomically and resumes bit-identically.  This module fans the same
+journal out across any number of worker *processes or hosts* that share
+one directory (NFS, a bind-mounted volume, a plain local dir), and is
+the only parallel path of ``repro sweep``:
 
 * **workers** (:class:`FabricWorker`, ``repro sweep --fabric``) walk the
   spec's cells in canonical order (rotated by worker id, so workers
   start apart), skip cells already journaled or quarantined, claim each
   remaining cell with an ``O_CREAT | O_EXCL`` file under
-  ``<out>/claims/`` and compute it through the very same journal write
-  the solo runner uses;
+  ``<out>/claims/`` and pass it through :func:`run_cell`, the per-cell
+  function the serial run uses too;
+* the **supervisor** (:func:`run_workers`, ``repro sweep --workers N``)
+  starts N worker processes on one journal, kills a worker whose claim
+  outlives ``--cell-timeout``, quarantines the cell of a worker that
+  dies mid-cell, starts a replacement, and merges;
 * the **merge** (:func:`fabric_merge`, ``repro sweep --merge``) verifies
   every cell's and worker's spec fingerprint, requires every cell to be
   journaled or quarantined, and emits a ``sweep.json`` byte-identical to
-  a solo :class:`CheckpointedSweep` run of the same spec.  It reads only
-  the manifest, the cells and the worker records, so it merges a solo
-  journal as well.
+  a serial :class:`CheckpointedSweep` run of the same spec — every run
+  ends here.  It reads only the manifest, the cells, the quarantine
+  records and the worker records, so it merges a solo journal as well.
 
 Safety model — claims are an *efficiency* mechanism, not a correctness
 one.  Cells are deterministic functions of ``(spec, cell)`` and their
@@ -40,7 +44,8 @@ Directory layout (shared by all workers)::
       manifest.json        # SweepSpec + fingerprint (CheckpointedSweep's)
       cells/<cell>.json    # the ordinary cell journal
       claims/<cell>.claim  # O_EXCL claim files, mtime = claim time
-      quarantine/<cell>.json  # per-cell failure records (per worker)
+      quarantine/<cell>.json  # per-cell failure records
+      quarantine.json      # the merge's summary of those records
       workers/<id>.json    # per-worker stats (cells/sec, takeovers, ...)
       sweep.json           # written by the merge step only
 """
@@ -48,11 +53,14 @@ Directory layout (shared by all workers)::
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import platform
+import shutil
 import time
 import zlib
 from dataclasses import asdict, dataclass, field
+from multiprocessing.connection import wait
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
@@ -63,7 +71,10 @@ from repro.util.atomicio import atomic_write_json, exclusive_create_text
 __all__ = [
     "FabricWorker",
     "WorkerStats",
+    "run_cell",
+    "clear_quarantine",
     "run_fabric_worker",
+    "run_workers",
     "try_claim",
     "fabric_merge",
     "FabricMergeResult",
@@ -73,10 +84,17 @@ __all__ = [
     "FabricFingerprintError",
     "FabricIncompleteError",
     "DEFAULT_LEASE_TTL",
+    "SUPERVISED_POLL_S",
 ]
 
 #: Seconds after which a claim on a still-uncovered cell is taken over.
 DEFAULT_LEASE_TTL = 30.0
+
+#: Idle poll of supervised workers, and the shortest interval of the
+#: supervisor's timeout check, in seconds.  The CLI worker's 0.5 s
+#: default would quantise every supervised run's tail to half-second
+#: steps.
+SUPERVISED_POLL_S = 0.05
 
 
 class FabricError(RuntimeError):
@@ -171,6 +189,40 @@ def _quarantine_path(out_dir, cell: str) -> Path:
     return _quarantine_dir(out_dir) / (cell.replace("::", "__") + ".json")
 
 
+def _quarantine(out_dir, cell: str, error: str, worker_id: str) -> None:
+    path = _quarantine_path(out_dir, cell)
+    path.parent.mkdir(exist_ok=True)
+    atomic_write_json(path, {"cell": cell, "error": error, "worker": worker_id})
+
+
+def clear_quarantine(out_dir) -> None:
+    """Drop every quarantine record, so the next run retries those cells."""
+    shutil.rmtree(_quarantine_dir(out_dir), ignore_errors=True)
+
+
+def run_cell(cs: CheckpointedSweep, cell: str, worker_id: str) -> Optional[Dict]:
+    """Compute one cell, then journal it or quarantine it.
+
+    Exceptions are retried ``cs.max_retries`` times with bounded
+    exponential backoff.  Returns the journaled payload, or None after
+    writing ``quarantine/<cell>.json``.  The serial run and every fabric
+    worker pass their cells through here.
+    """
+    last_error = "unknown error"
+    for attempt in range(cs.max_retries + 1):
+        if attempt:
+            time.sleep(min(cs.backoff_seconds * (2 ** (attempt - 1)), 10.0))
+        try:
+            payload = compute_cell(cs.spec, cell)
+        except Exception as exc:  # noqa: BLE001 - quarantine, don't abort
+            last_error = f"{type(exc).__name__}: {exc}"
+            continue
+        atomic_write_json(cs._cell_path(cell), payload)
+        return payload
+    _quarantine(cs.out_dir, cell, last_error, worker_id)
+    return None
+
+
 class FabricWorker:
     """One fabric participant: claim cells one at a time and compute them.
 
@@ -207,8 +259,6 @@ class FabricWorker:
         self.spec = self._cs.spec
         self.worker_id = worker_id or f"{platform.node() or 'worker'}-{os.getpid()}"
         self.lease_ttl = float(lease_ttl)
-        self.max_retries = int(max_retries)
-        self.backoff_seconds = float(backoff_seconds)
         self.poll_interval = (
             float(poll_interval)
             if poll_interval is not None
@@ -222,11 +272,9 @@ class FabricWorker:
     # ------------------------------------------------------------------
     def _prepare(self) -> None:
         self.out_dir.mkdir(parents=True, exist_ok=True)
-        self._cs.cells_dir.mkdir(exist_ok=True)
         _claims_dir(self.out_dir).mkdir(exist_ok=True)
-        _quarantine_dir(self.out_dir).mkdir(exist_ok=True)
         (self.out_dir / "workers").mkdir(exist_ok=True)
-        self._cs._write_manifest()
+        self._cs.prepare()
 
     def _is_covered(self, cell: str) -> bool:
         """Done-or-quarantined, with a positive-result cache."""
@@ -281,27 +329,13 @@ class FabricWorker:
 
     # ------------------------------------------------------------------
     def _run_cell(self, cell: str) -> None:
-        """One cell with bounded retries; quarantine on exhaustion."""
-        last_error = "unknown error"
-        for attempt in range(self.max_retries + 1):
-            if attempt:
-                time.sleep(min(self.backoff_seconds * (2 ** (attempt - 1)), 10.0))
-            try:
-                payload = compute_cell(self.spec, cell)
-            except Exception as exc:  # noqa: BLE001 - quarantine, don't abort
-                last_error = f"{type(exc).__name__}: {exc}"
-                continue
-            atomic_write_json(self._cs._cell_path(cell), payload)
-            self._covered.add(cell)
-            self.stats.cells_computed += 1
-            self.stats.compute_seconds += float(payload.get("compute_seconds", 0.0))
-            return
-        atomic_write_json(
-            _quarantine_path(self.out_dir, cell),
-            {"cell": cell, "error": last_error, "worker": self.worker_id},
-        )
+        payload = run_cell(self._cs, cell, self.worker_id)
         self._covered.add(cell)
-        self.stats.cells_quarantined += 1
+        if payload is None:
+            self.stats.cells_quarantined += 1
+            return
+        self.stats.cells_computed += 1
+        self.stats.compute_seconds += float(payload.get("compute_seconds", 0.0))
 
 
 def run_fabric_worker(
@@ -410,14 +444,17 @@ def fabric_merge(out_dir) -> FabricMergeResult:
     every worker record must carry the manifest's spec fingerprint.
     Cells neither journaled nor quarantined abort the merge
     (:class:`FabricIncompleteError`) — a partial fabric is resumed by
-    running more workers, not by merging.  The ``sweep.json`` written
+    running more workers, not by merging.  ``quarantine.json`` is
+    rebuilt from the per-cell quarantine records, in canonical cell
+    order, or deleted when there are none.  The ``sweep.json`` written
     here goes through :meth:`CheckpointedSweep.write_merged`, so it is
-    byte-identical to a solo run of the same spec.
+    byte-identical whoever computed the cells.
     """
     cs = CheckpointedSweep.resume(out_dir)
     fp = cs.spec.fingerprint()
     done, pending = cs.collect_cells()
-    quarantined = {c: e for c, e in _read_quarantine(out_dir).items() if c not in done}
+    records = _read_quarantine(out_dir)
+    quarantined = {c: records[c] for c in pending if c in records}
     missing = [c for c in pending if c not in quarantined]
     if missing:
         raise FabricIncompleteError(
@@ -425,8 +462,11 @@ def fabric_merge(out_dir) -> FabricMergeResult:
             f"quarantined (e.g. {missing[0]!r}); run more workers, then merge"
         )
     workers = _read_worker_stats(out_dir, fp)
+    summary = Path(out_dir) / "quarantine.json"
     if quarantined:
-        atomic_write_json(Path(out_dir) / "quarantine.json", quarantined)
+        atomic_write_json(summary, quarantined)
+    else:
+        summary.unlink(missing_ok=True)
     points = cs.write_merged(done)
     return FabricMergeResult(
         points=points,
@@ -538,3 +578,111 @@ def fabric_status(out_dir, lease_ttl: float = DEFAULT_LEASE_TTL) -> FabricStatus
             )
         )
     return status
+
+
+# ----------------------------------------------------------------------
+# supervisor
+# ----------------------------------------------------------------------
+def run_workers(
+    out_dir,
+    spec: Optional[SweepSpec] = None,
+    workers: int = 1,
+    cell_timeout: Optional[float] = None,
+    max_retries: int = 2,
+) -> FabricMergeResult:
+    """Run ``workers`` supervised fabric workers on one journal, then merge.
+
+    ``spec=None`` resumes the journal at ``out_dir``.  The claims,
+    quarantine records and worker records of an earlier run are cleared
+    first, so its quarantined cells are retried.  Children start with
+    the platform's default start method and poll every
+    :data:`SUPERVISED_POLL_S`.  The parent watches their claims on cells
+    neither journaled nor quarantined:
+
+    * a child whose claim is older than ``cell_timeout`` is SIGKILLed;
+    * a child found dead while holding one is handled the same way.
+
+    Either way the cell is quarantined and, while cells remain, a
+    replacement child starts.  Claims are read after a child's death,
+    so the cell it died on is the one quarantined.  A child that exits
+    nonzero holding no such claim, unless the parent killed it, stops
+    the run with :class:`FabricError`, which bounds the respawns.
+    """
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+    if cell_timeout is not None and cell_timeout <= 0:
+        raise ValueError("cell_timeout must be positive")
+    cs = CheckpointedSweep(spec, out_dir) if spec is not None else CheckpointedSweep.resume(out_dir)
+    cs.prepare()
+    for stale in (_claims_dir(cs.out_dir), _quarantine_dir(cs.out_dir), cs.out_dir / "workers"):
+        shutil.rmtree(stale, ignore_errors=True)
+    ctx = multiprocessing.get_context()
+    kwargs = {
+        "spec": cs.spec,
+        # a sibling's takeover must not pre-empt the parent's timeout
+        "lease_ttl": max(DEFAULT_LEASE_TTL, cell_timeout or 0.0),
+        "max_retries": max_retries,
+        "poll_interval": SUPERVISED_POLL_S,
+    }
+    children: Dict[str, multiprocessing.Process] = {}
+    timed_out: set = set()
+    n_started, to_start = 0, workers
+    try:
+        while True:
+            for _ in range(to_start):
+                worker_id = f"w{n_started}"
+                n_started += 1
+                children[worker_id] = ctx.Process(
+                    target=run_fabric_worker,
+                    args=(str(cs.out_dir),),
+                    kwargs={**kwargs, "worker_id": worker_id},
+                )
+                children[worker_id].start()
+            to_start = 0
+            if not children:
+                break
+            # woken by any child's exit; with a timeout, also every tenth
+            # of it to check the claims' ages
+            wait(
+                [child.sentinel for child in children.values()],
+                None if cell_timeout is None else max(SUPERVISED_POLL_S, cell_timeout / 10),
+            )
+            # children found dead before the scan show their last claims in it
+            dead = [worker_id for worker_id, child in children.items() if not child.is_alive()]
+            status = fabric_status(cs.out_dir)
+            # a child holds at most one uncovered claim; should the scan
+            # straddle its next claim, the younger one is the live one
+            claims = sorted(status.claims or (), key=lambda c: c.age, reverse=True)
+            held = {claim.owner: claim for claim in claims}
+            remaining = status.n_pending
+            for worker_id in dead:
+                exitcode = children.pop(worker_id).exitcode
+                if exitcode == 0:
+                    continue
+                claim = held.get(worker_id)
+                if claim is not None:
+                    error = (
+                        f"timeout: cell exceeded {cell_timeout}s"
+                        if worker_id in timed_out
+                        else f"worker exited with code {exitcode}"
+                    )
+                    _quarantine(cs.out_dir, claim.cell, error, worker_id)
+                    remaining -= 1
+                elif worker_id not in timed_out:  # a killed child may have just finished
+                    raise FabricError(
+                        f"{out_dir}: worker {worker_id} exited with code "
+                        f"{exitcode} holding no claim"
+                    )
+                if remaining > 0:
+                    to_start += 1
+            for worker_id, child in children.items():
+                claim = held.get(worker_id)
+                if cell_timeout is not None and claim is not None and claim.age > cell_timeout:
+                    child.kill()
+                    child.join()
+                    timed_out.add(worker_id)
+    finally:
+        for child in children.values():
+            child.kill()
+            child.join()
+    return fabric_merge(cs.out_dir)

@@ -10,17 +10,17 @@ The sweep is organised so the *size* loop is innermost and batched: per
 (layout, mapper, strategy) grid cell one
 :meth:`~repro.evaluation.evaluator.AllgatherEvaluator.reordered_latencies`
 call prices every message size against shared route/alpha/unit-load
-tables (see ``docs/performance.md``).  Passing ``workers=N`` additionally
-fans the (layout, mapper) grid cells out over a process pool — results
-are bit-identical to the serial sweep because every reordering seed is
-derived deterministically from the cell's content.
+tables (see ``docs/performance.md``).  These sweeps run serially in
+memory; a parallel or crash-safe run of the same grid is a sweep journal
+(:mod:`repro.bench.runner`) worked by supervised fabric workers
+(:func:`repro.bench.fabric.run_workers`), bit-identical because every
+reordering seed is derived deterministically from the cell's content.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 
 from repro.evaluation.evaluator import AllgatherEvaluator, LatencyReport
@@ -72,10 +72,9 @@ def sweep_nonhierarchical(
     sizes: Iterable[int] = OSU_SIZES,
     mappers: Sequence[str] = ("heuristic", "scotch"),
     strategies: Sequence[str] = ("initcomm", "endshfl"),
-    workers: Optional[int] = None,
 ) -> List[SweepPoint]:
     """The Fig. 3 sweep: non-hierarchical allgather, four initial mappings."""
-    return _sweep(evaluator, p, layouts, sizes, mappers, strategies, False, "binomial", workers)
+    return _sweep(evaluator, p, layouts, sizes, mappers, strategies, False, "binomial")
 
 
 def sweep_hierarchical(
@@ -86,80 +85,26 @@ def sweep_hierarchical(
     mappers: Sequence[str] = ("heuristic", "scotch"),
     strategies: Sequence[str] = ("initcomm", "endshfl"),
     intra: str = "binomial",
-    workers: Optional[int] = None,
 ) -> List[SweepPoint]:
     """The Fig. 4 sweep: hierarchical allgather, block mappings only.
 
     The paper skips cyclic mappings here ("hierarchical allgather is not
     supported with cyclic mapping" in MVAPICH).
     """
-    return _sweep(evaluator, p, layouts, sizes, mappers, strategies, True, intra, workers)
+    return _sweep(evaluator, p, layouts, sizes, mappers, strategies, True, intra)
 
 
-# ----------------------------------------------------------------------
-# process-pool plumbing: workers inherit one pickled evaluator each via
-# the pool initializer instead of re-pickling it per submitted cell.
-# ----------------------------------------------------------------------
-_WORKER_EVALUATOR: Optional[AllgatherEvaluator] = None
-
-
-def _init_worker(evaluator: AllgatherEvaluator) -> None:
-    # intentional per-worker cache: each pool child sets its own copy once,
-    # at initialization, before any cell runs — no cross-process aliasing
-    global _WORKER_EVALUATOR  # noqa: PAR001
-    _WORKER_EVALUATOR = evaluator
-
-
-def _worker_base_cell(args) -> Tuple[str, List[LatencyReport]]:
-    lname, p, sizes, hierarchical, intra = args
-    ev = _WORKER_EVALUATOR
-    L = make_layout(lname, ev.cluster, p)
-    return lname, ev.default_latencies(L, sizes, hierarchical, intra)
-
-
-def _worker_mapper_cell(args) -> Tuple[str, str, Dict[str, List[LatencyReport]]]:
-    lname, mapper, p, sizes, strategies, hierarchical, intra = args
-    ev = _WORKER_EVALUATOR
-    L = make_layout(lname, ev.cluster, p)
-    return lname, mapper, {
-        strategy: ev.reordered_latencies(L, sizes, mapper, strategy, hierarchical, intra)
-        for strategy in strategies
-    }
-
-
-def _compute_cells_parallel(
-    evaluator, p, layouts, sizes, mappers, strategies, hierarchical, intra, workers
-):
-    """Fan the (layout[, mapper]) grid cells out over a process pool."""
-    base: Dict[str, List[LatencyReport]] = {}
-    tuned: Dict[Tuple[str, str], Dict[str, List[LatencyReport]]] = {}
-    with ProcessPoolExecutor(
-        max_workers=workers, initializer=_init_worker, initargs=(evaluator,)
-    ) as pool:
-        base_futs = [
-            pool.submit(_worker_base_cell, (lname, p, sizes, hierarchical, intra))
-            for lname in layouts
-        ]
-        cell_futs = [
-            pool.submit(
-                _worker_mapper_cell,
-                (lname, mapper, p, sizes, strategies, hierarchical, intra),
-            )
-            for lname in layouts
-            for mapper in mappers
-        ]
-        for fut in base_futs:
-            lname, reports = fut.result()
-            base[lname] = reports
-        for fut in cell_futs:
-            lname, mapper, by_strategy = fut.result()
-            tuned[(lname, mapper)] = by_strategy
-    return base, tuned
-
-
-def _compute_cells_serial(
-    evaluator, p, layouts, sizes, mappers, strategies, hierarchical, intra
-):
+def _sweep(
+    evaluator: AllgatherEvaluator,
+    p: int,
+    layouts: Sequence[str],
+    sizes: Iterable[int],
+    mappers: Sequence[str],
+    strategies: Sequence[str],
+    hierarchical: bool,
+    intra: str,
+) -> List[SweepPoint]:
+    sizes = list(sizes)
     base: Dict[str, List[LatencyReport]] = {}
     tuned: Dict[Tuple[str, str], Dict[str, List[LatencyReport]]] = {}
     for lname in layouts:
@@ -172,29 +117,6 @@ def _compute_cells_serial(
                 )
                 for strategy in strategies
             }
-    return base, tuned
-
-
-def _sweep(
-    evaluator: AllgatherEvaluator,
-    p: int,
-    layouts: Sequence[str],
-    sizes: Iterable[int],
-    mappers: Sequence[str],
-    strategies: Sequence[str],
-    hierarchical: bool,
-    intra: str,
-    workers: Optional[int] = None,
-) -> List[SweepPoint]:
-    sizes = list(sizes)
-    if workers is not None and workers > 1:
-        base, tuned = _compute_cells_parallel(
-            evaluator, p, layouts, sizes, mappers, strategies, hierarchical, intra, workers
-        )
-    else:
-        base, tuned = _compute_cells_serial(
-            evaluator, p, layouts, sizes, mappers, strategies, hierarchical, intra
-        )
 
     points: List[SweepPoint] = []
     for lname in layouts:

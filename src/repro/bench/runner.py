@@ -1,9 +1,8 @@
-"""Crash-safe, resumable sweep driver (checkpointed grid fan-out).
+"""Crash-safe, resumable sweep journal (one checkpoint per grid cell).
 
-The PR-2 parallel sweep (:func:`repro.bench.microbench._sweep` with
-``workers=N``) is all-or-nothing: a worker crash, an OOM kill, or a
-pre-empted job throws away every completed grid cell.  This module wraps
-the same (layout[, mapper]) cell decomposition in a journaled runner:
+:func:`repro.bench.microbench._sweep` prices the whole grid in memory;
+a crash, an OOM kill or a pre-empted job throws every finished cell
+away.  This module journals the same (layout[, mapper]) cells instead:
 
 * every finished cell is checkpointed to ``<out_dir>/cells/*.json``
   with an atomic tmp-file + ``os.replace`` write, so a SIGKILL at any
@@ -13,19 +12,24 @@ the same (layout[, mapper]) cell decomposition in a journaled runner:
   skips every cell whose journal entry parses, recomputes the rest, and
   merges to **bit-identical** output — cell seeds are derived from cell
   content (see ``evaluator._seed_for``), not from execution order;
-* failing cells are retried with bounded exponential backoff and then
-  quarantined (reported in ``quarantine.json``, never fatal to the rest
-  of the grid);
-* a dying process pool (``BrokenProcessPool``) degrades the run to
-  serial in-process execution instead of aborting it.
+* :meth:`CheckpointedSweep.run` computes the pending cells serially in
+  this process, through the fabric's per-cell function
+  (:func:`repro.bench.fabric.run_cell`): failing cells are retried with
+  bounded exponential backoff and then quarantined, never fatal to the
+  rest of the grid.  Parallel runs are supervised fabric workers on the
+  same journal (:func:`repro.bench.fabric.run_workers`).
 
 Journal layout::
 
     out_dir/
-      manifest.json     # the SweepSpec + fingerprint (written first)
-      cells/<cell>.json # one checkpoint per finished grid cell
-      quarantine.json   # cells that kept failing (only when non-empty)
-      sweep.json        # merged SweepPoints (written last, atomically)
+      manifest.json         # the SweepSpec + fingerprint (written first)
+      cells/<cell>.json     # one checkpoint per finished grid cell
+      quarantine/<cell>.json  # one record per cell that kept failing
+      quarantine.json       # the merge's summary of those records
+      sweep.json            # merged SweepPoints (written last, atomically)
+
+A run clears the quarantine records of an earlier run first, so a
+resume retries quarantined cells.
 """
 
 from __future__ import annotations
@@ -33,13 +37,10 @@ from __future__ import annotations
 import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FuturesTimeoutError
-from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.bench.microbench import OSU_SIZES, SweepPoint
 from repro.evaluation.evaluator import AllgatherEvaluator, LatencyReport
@@ -107,18 +108,17 @@ def _cell_filename(cell: str) -> str:
 
 
 # ----------------------------------------------------------------------
-# the per-cell worker.  Module level (picklable), usable both inside a
-# ProcessPoolExecutor and serially in-process.  The evaluator is cached
-# per spec fingerprint so one pool worker prices many cells against the
-# same route tables.
+# the per-cell computation.  The evaluator is cached per spec
+# fingerprint, so one process (a serial run or one fabric worker)
+# prices many cells against the same route tables.
 # ----------------------------------------------------------------------
 _RUNNER_EVALUATOR: Optional[Tuple[str, AllgatherEvaluator]] = None
 
 
 def _evaluator_for(spec: SweepSpec) -> AllgatherEvaluator:
-    # intentional per-worker cache: the tuple swap is atomic, the value is
-    # derived only from the spec fingerprint, and each process (pool child
-    # or in-process caller) owns its private copy
+    # intentional per-process cache: the tuple swap is atomic, the value
+    # is derived only from the spec fingerprint, and each process (fabric
+    # worker or in-process caller) owns its private copy
     global _RUNNER_EVALUATOR  # noqa: PAR001
     fp = spec.fingerprint()
     if _RUNNER_EVALUATOR is None or _RUNNER_EVALUATOR[0] != fp:
@@ -197,7 +197,6 @@ class SweepRunResult:
     out_dir: Path
     n_computed: int = 0
     n_resumed: int = 0
-    degraded_to_serial: bool = False
     quarantined: Dict[str, str] = field(default_factory=dict)
     #: Wall seconds per cell, from the journal payloads (absent for cells
     #: checkpointed by pre-cost journal versions).
@@ -211,32 +210,20 @@ class CheckpointedSweep:
         self,
         spec: SweepSpec,
         out_dir,
-        workers: Optional[int] = None,
         max_retries: int = 2,
-        cell_timeout: Optional[float] = None,
         backoff_seconds: float = 0.25,
     ) -> None:
         if max_retries < 0:
             raise ValueError("max_retries must be >= 0")
-        if cell_timeout is not None and cell_timeout <= 0:
-            raise ValueError("cell_timeout must be positive")
         self.spec = spec
         self.out_dir = Path(out_dir)
-        self.workers = workers
         self.max_retries = int(max_retries)
-        self.cell_timeout = cell_timeout
         self.backoff_seconds = float(backoff_seconds)
-        self._errors: Dict[str, str] = {}
 
     # ------------------------------------------------------------------
     @classmethod
     def resume(
-        cls,
-        out_dir,
-        workers: Optional[int] = None,
-        max_retries: int = 2,
-        cell_timeout: Optional[float] = None,
-        backoff_seconds: float = 0.25,
+        cls, out_dir, max_retries: int = 2, backoff_seconds: float = 0.25
     ) -> "CheckpointedSweep":
         """Reopen a journal dir; the spec comes from its manifest."""
         out_dir = Path(out_dir)
@@ -254,14 +241,7 @@ class CheckpointedSweep:
                 f"{manifest}: corrupt sweep manifest ({exc}); "
                 "delete the journal dir and rerun the sweep from scratch"
             ) from exc
-        return cls(
-            spec,
-            out_dir,
-            workers=workers,
-            max_retries=max_retries,
-            cell_timeout=cell_timeout,
-            backoff_seconds=backoff_seconds,
-        )
+        return cls(spec, out_dir, max_retries=max_retries, backoff_seconds=backoff_seconds)
 
     # ------------------------------------------------------------------
     @property
@@ -310,21 +290,45 @@ class CheckpointedSweep:
         atomic_write_json(manifest, {"spec": asdict(self.spec), "fingerprint": fp})
 
     # ------------------------------------------------------------------
-    def run(self) -> SweepRunResult:
-        """Execute (or finish) the sweep; always safe to re-run."""
-        self.out_dir.mkdir(parents=True, exist_ok=True)
-        self.cells_dir.mkdir(exist_ok=True)
+    def prepare(self) -> None:
+        """Create the journal directories and write (or verify) the manifest."""
+        self.cells_dir.mkdir(parents=True, exist_ok=True)
         self._write_manifest()
+
+    def run(self) -> SweepRunResult:
+        """Execute (or finish) the sweep in this process; always safe to re-run.
+
+        Quarantine records of an earlier run are cleared first, so those
+        cells are retried.  Every pending cell goes through the fabric's
+        per-cell function, and the result comes from the fabric's merge,
+        so a serial run and supervised workers write the same journal.
+        """
+        # the fabric builds on this module, so it is imported on use
+        from repro.bench.fabric import clear_quarantine, fabric_merge, run_cell
+
+        self.prepare()
+        clear_quarantine(self.out_dir)
+        done, pending = self.collect_cells()
         with self._mapping_cache_env():
-            return self._run_cells()
+            for cell in pending:
+                run_cell(self, cell, worker_id="serial")
+        merged = fabric_merge(self.out_dir)
+        return SweepRunResult(
+            points=merged.points,
+            out_dir=self.out_dir,
+            n_computed=merged.n_cells - len(done),
+            n_resumed=len(done),
+            quarantined=merged.quarantined,
+            cell_seconds=merged.cell_seconds,
+        )
 
     @contextmanager
     def _mapping_cache_env(self):
         """Point the mapping cache at the journal dir for this run.
 
         Reorderings are content-addressed (topology fingerprint x layout x
-        mapper x seed), so cells recomputed on resume — or priced by pool
-        workers, which inherit the environment at spawn — reuse mappings
+        mapper x seed), so cells recomputed on resume — or priced by fabric
+        workers, which inherit the environment at start — reuse mappings
         from ``<out_dir>/mapcache`` instead of recomputing them.  A caller
         who already set :data:`~repro.mapping.cache.MAPPING_CACHE_ENV`
         wins; the variable is restored on exit either way.
@@ -357,8 +361,8 @@ class CheckpointedSweep:
     def write_merged(self, done: Dict[str, Dict]) -> List[SweepPoint]:
         """Merge checkpoints into points and atomically write ``sweep.json``.
 
-        The single exit path for both a solo run and a fabric merge —
-        whoever assembles the same ``done`` payloads emits byte-identical
+        Every run ends here, through :func:`repro.bench.fabric.fabric_merge`
+        — whoever assembles the same ``done`` payloads emits byte-identical
         output.
         """
         points = self._merge(done)
@@ -371,98 +375,6 @@ class CheckpointedSweep:
             },
         )
         return points
-
-    def _run_cells(self) -> SweepRunResult:
-
-        done, pending = self.collect_cells()
-        result = SweepRunResult(points=[], out_dir=self.out_dir, n_resumed=len(done))
-
-        attempts: Dict[str, int] = dict.fromkeys(pending, 0)
-        parallel = self.workers is not None and self.workers > 1
-        while pending:
-            if parallel:
-                try:
-                    failures = self._round_parallel(pending, done, attempts)
-                except BrokenProcessPool:
-                    # the pool died (OOM-killed worker, interpreter crash):
-                    # finish the remaining cells serially rather than abort
-                    parallel = False
-                    result.degraded_to_serial = True
-                    failures = [c for c in pending if c not in done]
-            else:
-                failures = self._round_serial(pending, done, attempts)
-            retry: List[str] = []
-            for cell in failures:
-                if attempts[cell] > self.max_retries:
-                    result.quarantined[cell] = self._errors.get(cell, "unknown error")
-                else:
-                    retry.append(cell)
-            if retry:
-                # bounded exponential backoff before the next round
-                worst = max(attempts[c] for c in retry)
-                time.sleep(min(self.backoff_seconds * (2 ** (worst - 1)), 10.0))
-            pending = retry
-
-        result.n_computed = len(done) - result.n_resumed
-        result.cell_seconds = _cell_seconds(done)
-        if result.quarantined:
-            atomic_write_json(self.out_dir / "quarantine.json", result.quarantined)
-        result.points = self.write_merged(done)
-        return result
-
-    # ------------------------------------------------------------------
-    def _record_success(self, cell: str, payload: Dict, done: Dict[str, Dict]) -> None:
-        atomic_write_json(self._cell_path(cell), payload)
-        done[cell] = payload
-
-    def _round_serial(
-        self, cells: Sequence[str], done: Dict[str, Dict], attempts: Dict[str, int]
-    ) -> List[str]:
-        failures: List[str] = []
-        for cell in cells:
-            attempts[cell] += 1
-            try:
-                self._record_success(cell, compute_cell(self.spec, cell), done)
-            except Exception as exc:  # noqa: BLE001 - quarantine, don't abort
-                self._errors[cell] = f"{type(exc).__name__}: {exc}"
-                failures.append(cell)
-        return failures
-
-    def _round_parallel(
-        self, cells: Sequence[str], done: Dict[str, Dict], attempts: Dict[str, int]
-    ) -> List[str]:
-        """One pool round over ``cells``; returns the cells that failed.
-
-        Each round gets a fresh pool: after a cell timeout the stuck
-        worker still occupies its process, so reusing the pool would
-        leak stuck workers across rounds.  ``cell_timeout`` is enforced
-        here only — serial in-process execution cannot pre-empt a cell.
-        """
-        failures: List[str] = []
-        with ProcessPoolExecutor(max_workers=self.workers) as pool:
-            futs = {
-                cell: pool.submit(compute_cell, self.spec, cell) for cell in cells
-            }
-            try:
-                for cell, fut in futs.items():
-                    attempts[cell] += 1
-                    try:
-                        payload = fut.result(timeout=self.cell_timeout)
-                    except BrokenProcessPool:
-                        raise
-                    except FuturesTimeoutError:
-                        self._errors[cell] = (
-                            f"timeout: cell exceeded {self.cell_timeout}s"
-                        )
-                        failures.append(cell)
-                    except Exception as exc:  # noqa: BLE001
-                        self._errors[cell] = f"{type(exc).__name__}: {exc}"
-                        failures.append(cell)
-                    else:
-                        self._record_success(cell, payload, done)
-            finally:
-                pool.shutdown(wait=False, cancel_futures=True)
-        return failures
 
     # ------------------------------------------------------------------
     def _merge(self, done: Dict[str, Dict]) -> List[SweepPoint]:

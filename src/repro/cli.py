@@ -5,10 +5,12 @@ The subcommands mirror the paper's workflow:
 * ``topo``      — describe a simulated cluster (structure, distance
   ladder, cost-model calibration probes);
 * ``sweep``     — micro-benchmark sweep (Fig. 3/4 style tables); also
-  the crash-safe journaled runner (``--out-dir`` / ``--resume``) and the
-  distributed sweep fabric (``--fabric`` worker that claims one grid cell
-  at a time, ``--merge`` fingerprint-verified combine of any journal,
-  ``--status`` read-only inspector);
+  the crash-safe journaled runner (``--out-dir`` / ``--resume``),
+  supervised parallel runs (``--workers N``: N fabric worker processes
+  on the journal, or on a temporary one) and the distributed sweep
+  fabric (``--fabric`` worker that claims one grid cell at a time,
+  ``--merge`` fingerprint-verified combine of any journal, ``--status``
+  read-only inspector);
 * ``app``       — application study (Fig. 5/6 style tables);
 * ``overheads`` — extraction + mapping overheads (Fig. 7 style);
 * ``adaptive``  — per-size adaptive reordering decisions (§VII);
@@ -34,7 +36,9 @@ subcommand: the benchmark of record is ``python3 perf/run.py`` (see
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
+import tempfile
 from typing import List, Optional
 
 
@@ -90,7 +94,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sweep.add_argument(
         "--workers", type=int, default=None,
-        help="fan (layout, mapper) grid cells out over N processes",
+        help="run N supervised fabric worker processes on the journal of "
+        "--out-dir or --resume (a temporary journal without either), then "
+        "merge; the output is byte-identical to a serial run",
     )
     p_sweep.add_argument(
         "--out-dir", default=None,
@@ -104,11 +110,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sweep.add_argument(
         "--max-retries", type=int, default=2,
-        help="per-cell retries before quarantining it (checkpointed runs)",
+        help="per-cell retries before quarantining it (journaled runs)",
     )
     p_sweep.add_argument(
         "--cell-timeout", type=float, default=None,
-        help="per-cell timeout in seconds (checkpointed parallel runs)",
+        help="per-cell timeout in seconds: a worker still computing a cell "
+        "after this long is killed and the cell quarantined (runs one "
+        "supervised worker unless --workers is given)",
     )
     p_sweep.add_argument(
         "--fabric", default=None, metavar="DIR",
@@ -307,6 +315,29 @@ def _cmd_topo(args) -> int:
     return 0
 
 
+def _sweep_spec(args):
+    """The :class:`~repro.bench.runner.SweepSpec` the grid flags describe."""
+    from repro.bench.runner import SweepSpec
+
+    if args.hierarchical:
+        layouts = args.layouts or ["block-bunch", "block-scatter"]
+    else:
+        layouts = args.layouts or sorted(INITIAL_LAYOUTS)
+    return SweepSpec(
+        n_nodes=args.nodes,
+        layouts=tuple(layouts),
+        sizes=tuple(OSU_SIZES if args.full_sizes else QUICK_SIZES),
+        mappers=tuple(args.mappers),
+        hierarchical=args.hierarchical,
+        intra=args.intra,
+    )
+
+
+def _sweep_title(spec) -> str:
+    kind = f"Hierarchical ({spec.intra})" if spec.hierarchical else "Non-hierarchical"
+    return f"{kind} allgather improvement %, p={8 * spec.n_nodes}"
+
+
 def _cmd_sweep(args) -> int:
     if args.status is not None:
         return _cmd_sweep_status(args)
@@ -314,73 +345,57 @@ def _cmd_sweep(args) -> int:
         return _cmd_sweep_merge(args)
     if args.fabric is not None:
         return _cmd_sweep_fabric(args)
-    if args.resume is not None or args.out_dir is not None:
-        return _cmd_sweep_checkpointed(args)
-    cluster = gpc_cluster(n_nodes=args.nodes)
-    p = cluster.n_cores
-    ev = AllgatherEvaluator(cluster, rng=0)
-    sizes = OSU_SIZES if args.full_sizes else QUICK_SIZES
-    if args.hierarchical:
-        layouts = args.layouts or ["block-bunch", "block-scatter"]
+    if any(v is not None for v in (args.resume, args.out_dir, args.workers, args.cell_timeout)):
+        return _cmd_sweep_journaled(args)
+    spec = _sweep_spec(args)
+    ev = AllgatherEvaluator(gpc_cluster(n_nodes=spec.n_nodes), rng=0)
+    p = ev.cluster.n_cores
+    if spec.hierarchical:
         points = sweep_hierarchical(
-            ev, p, layouts=layouts, sizes=sizes, mappers=args.mappers, intra=args.intra,
-            workers=args.workers,
+            ev, p, layouts=spec.layouts, sizes=spec.sizes, mappers=spec.mappers,
+            intra=spec.intra,
         )
-        title = f"Hierarchical ({args.intra}) allgather improvement %, p={p}"
     else:
-        layouts = args.layouts or sorted(INITIAL_LAYOUTS)
         points = sweep_nonhierarchical(
-            ev, p, layouts=layouts, sizes=sizes, mappers=args.mappers,
-            workers=args.workers,
+            ev, p, layouts=spec.layouts, sizes=spec.sizes, mappers=spec.mappers
         )
-        title = f"Non-hierarchical allgather improvement %, p={p}"
-    print(format_sweep_table(points, title=title))
+    print(format_sweep_table(points, title=_sweep_title(spec)))
     return 0
 
 
-def _cmd_sweep_checkpointed(args) -> int:
-    """Crash-safe journaled sweep (``--out-dir``) or its resume (``--resume``)."""
-    from repro.bench.runner import CheckpointedSweep, SweepSpec
+def _cmd_sweep_journaled(args) -> int:
+    """A journaled sweep: serial in this process (``--out-dir`` / ``--resume``).
 
-    if args.resume is not None:
-        sweep = CheckpointedSweep.resume(
-            args.resume,
-            workers=args.workers,
-            max_retries=args.max_retries,
-            cell_timeout=args.cell_timeout,
-        )
-    else:
-        sizes = OSU_SIZES if args.full_sizes else QUICK_SIZES
-        if args.hierarchical:
-            layouts = args.layouts or ["block-bunch", "block-scatter"]
+    With ``--workers N`` or ``--cell-timeout``, supervised fabric
+    workers compute it instead, on that journal or on a temporary one
+    that is deleted afterwards.
+    """
+    from repro.bench.fabric import FabricError, run_workers
+    from repro.bench.runner import CheckpointedSweep
+
+    journal = args.resume or args.out_dir
+    try:
+        spec = CheckpointedSweep.resume(args.resume).spec if args.resume else _sweep_spec(args)
+        if args.workers is None and args.cell_timeout is None:
+            result = CheckpointedSweep(spec, journal, max_retries=args.max_retries).run()
+            note = f"resumed {result.n_resumed}, computed {result.n_computed} cells"
         else:
-            layouts = args.layouts or sorted(INITIAL_LAYOUTS)
-        spec = SweepSpec(
-            n_nodes=args.nodes,
-            layouts=tuple(layouts),
-            sizes=tuple(sizes),
-            mappers=tuple(args.mappers),
-            hierarchical=args.hierarchical,
-            intra=args.intra,
-        )
-        sweep = CheckpointedSweep(
-            spec,
-            args.out_dir,
-            workers=args.workers,
-            max_retries=args.max_retries,
-            cell_timeout=args.cell_timeout,
-        )
-    result = sweep.run()
-    spec = sweep.spec
-    kind = "Hierarchical" if spec.hierarchical else "Non-hierarchical"
-    p = 8 * spec.n_nodes
-    print(format_sweep_table(result.points, title=f"{kind} allgather improvement %, p={p}"))
-    print(
-        f"\njournal: {result.out_dir}  "
-        f"(resumed {result.n_resumed}, computed {result.n_computed} cells)"
-    )
-    if result.degraded_to_serial:
-        print("warning: process pool died; finished the sweep serially")
+            with (
+                contextlib.nullcontext(journal)
+                if journal is not None
+                else tempfile.TemporaryDirectory(prefix="repro-sweep-")
+            ) as out:
+                result = run_workers(
+                    out, spec, workers=1 if args.workers is None else args.workers,
+                    cell_timeout=args.cell_timeout, max_retries=args.max_retries,
+                )
+            note = f"{len(result.workers)} supervised workers"
+    except (FabricError, FileNotFoundError, ValueError) as exc:
+        print(f"error: {exc}")
+        return 1
+    print(format_sweep_table(result.points, title=_sweep_title(spec)))
+    if journal is not None:
+        print(f"\njournal: {journal}  ({note})")
     for cell, err in sorted(result.quarantined.items()):
         print(f"warning: quarantined cell {cell}: {err}")
     return 0
@@ -391,24 +406,9 @@ def _cmd_sweep_fabric(args) -> int:
     from pathlib import Path
 
     from repro.bench.fabric import FabricWorker
-    from repro.bench.runner import SweepSpec
 
     out = Path(args.fabric)
-    spec = None
-    if not (out / "manifest.json").is_file():
-        sizes = OSU_SIZES if args.full_sizes else QUICK_SIZES
-        if args.hierarchical:
-            layouts = args.layouts or ["block-bunch", "block-scatter"]
-        else:
-            layouts = args.layouts or sorted(INITIAL_LAYOUTS)
-        spec = SweepSpec(
-            n_nodes=args.nodes,
-            layouts=tuple(layouts),
-            sizes=tuple(sizes),
-            mappers=tuple(args.mappers),
-            hierarchical=args.hierarchical,
-            intra=args.intra,
-        )
+    spec = None if (out / "manifest.json").is_file() else _sweep_spec(args)
     try:
         worker = FabricWorker(
             out,

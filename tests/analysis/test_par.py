@@ -123,6 +123,39 @@ class TestPar003ForkCaptures:
     def test_os_fork_flagged(self):
         assert codes("import os\npid = os.fork()\n") == ["PAR003"]
 
+    def test_nested_process_target_flagged(self):
+        src = textwrap.dedent(
+            """
+            import multiprocessing
+
+            def run(out):
+                def work():
+                    return out
+                ctx = multiprocessing.get_context()
+                ctx.Process(target=work).start()
+                multiprocessing.Process(target=lambda: out).start()
+            """
+        )
+        assert codes(src) == ["PAR003", "PAR003"]
+
+    def test_module_level_process_target_and_thread_closure_clean(self):
+        src = textwrap.dedent(
+            """
+            import multiprocessing
+            import threading
+
+            def work(out):
+                return out
+
+            def run(out):
+                def beside():
+                    return out
+                multiprocessing.get_context().Process(target=work, args=(out,)).start()
+                threading.Thread(target=beside).start()
+            """
+        )
+        assert codes(src) == []
+
     def test_module_level_worker_clean(self):
         src = _POOL_PREAMBLE + textwrap.dedent(
             """

@@ -14,12 +14,14 @@ import pytest
 
 import repro.bench.fabric as fabric_mod
 from repro.bench.fabric import (
+    FabricError,
     FabricFingerprintError,
     FabricIncompleteError,
     FabricWorker,
     fabric_merge,
     fabric_status,
     run_fabric_worker,
+    run_workers,
     try_claim,
 )
 from repro.bench.runner import CELL_DELAY_ENV, CheckpointedSweep, SweepSpec, compute_cell
@@ -275,6 +277,62 @@ class TestFabricRun:
 
 
 # ----------------------------------------------------------------------
+# supervisor: run_workers forks its children, so a fault patched into
+# the parent's ``fabric.compute_cell`` reaches them
+# ----------------------------------------------------------------------
+_FORK = multiprocessing.get_start_method() == "fork"
+
+
+@pytest.mark.skipif(not _FORK, reason="patches reach the children only through fork")
+class TestSupervisor:
+    def test_child_dying_mid_cell_is_quarantined(self, tmp_path, monkeypatch):
+        victim = "tuned::cyclic-scatter::heuristic"
+        real = compute_cell
+
+        def dies(spec, cell):
+            if cell == victim:
+                os._exit(3)
+            return real(spec, cell)
+
+        monkeypatch.setattr(fabric_mod, "compute_cell", dies)
+        out = tmp_path / "f"
+        # one worker: only the replacement can journal the cells left
+        merged = run_workers(out, SPEC, workers=1)
+        assert multiprocessing.active_children() == []
+        assert merged.quarantined == {victim: "worker exited with code 3"}
+        assert [w["worker_id"] for w in merged.workers] == ["w1"]
+        assert merged.n_cells == len(SPEC.cells()) - 1
+        assert sorted(p.name for p in (out / "cells").glob("*.json")) == sorted(
+            c.replace("::", "__") + ".json" for c in SPEC.cells() if c != victim
+        )
+        assert json.loads((out / "quarantine.json").read_text()) == merged.quarantined
+
+    def test_child_exiting_without_claim_stops_the_run(self, tmp_path, monkeypatch):
+        def dies(self):
+            os._exit(4)
+
+        monkeypatch.setattr(FabricWorker, "_prepare", dies)
+        with pytest.raises(FabricError, match="exited with code 4 holding no claim"):
+            run_workers(tmp_path / "f", SPEC, workers=2)
+        assert multiprocessing.active_children() == []
+
+    def test_rerun_retries_quarantined_cells(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(fabric_mod, "compute_cell", _raise)
+        out = tmp_path / "f"
+        assert len(run_workers(out, SPEC, max_retries=0).quarantined) == len(SPEC.cells())
+        monkeypatch.setattr(fabric_mod, "compute_cell", compute_cell)
+        merged = run_workers(out, None, workers=2)
+        assert not merged.quarantined
+        assert not (out / "quarantine.json").exists()
+        CheckpointedSweep(SPEC, tmp_path / "s").run()
+        assert (out / "sweep.json").read_bytes() == (tmp_path / "s" / "sweep.json").read_bytes()
+
+
+def _raise(spec, cell):
+    raise RuntimeError("cursed cell")
+
+
+# ----------------------------------------------------------------------
 # status inspector
 # ----------------------------------------------------------------------
 class TestStatus:
@@ -453,4 +511,96 @@ class TestSigkillRecovery:
         assert merge.returncode == 0, merge.stderr
         assert (fabric_dir / "sweep.json").read_bytes() == (
             serial_dir / "sweep.json"
+        ).read_bytes()
+
+
+def _children(pid):
+    """Pids of ``pid``'s child processes, from the ppid field of ``/proc/*/stat``."""
+    kids = []
+    for stat in sorted(Path("/proc").glob("[0-9]*/stat")):
+        try:
+            fields = stat.read_text().rsplit(")", 1)[1].split()
+        except (OSError, IndexError):
+            continue  # the process exited meanwhile
+        if int(fields[1]) == pid:
+            kids.append(int(stat.parent.name))
+    return sorted(kids)
+
+
+def _stopped(pid):
+    try:
+        return Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0] == "T"
+    except OSError:
+        return True  # gone: nothing left to wait for
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(
+    not _FORK or not Path("/proc/self/stat").is_file(),
+    reason="finds the forked children through /proc",
+)
+class TestSupervisedSigkill:
+    def test_sigkilled_child_quarantined_then_resume_bit_identical(self, tmp_path):
+        """SIGKILL one child of ``--workers 2`` mid-cell, then ``--resume``."""
+        args = [
+            sys.executable, "-m", "repro", "sweep",
+            "--nodes", "2",
+            "--layouts", "block-bunch", "cyclic-scatter",
+            "--mappers", "heuristic",
+        ]
+        env = _cli_env()
+        ref = subprocess.run(
+            args + ["--out-dir", str(tmp_path / "serial")],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert ref.returncode == 0, ref.stderr
+
+        out = tmp_path / "supervised"
+        env_slow = dict(env)
+        env_slow[CELL_DELAY_ENV] = "0.4"
+        proc = subprocess.Popen(
+            args + ["--workers", "2", "--out-dir", str(out)],
+            env=env_slow, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        try:
+            # Kill only while both children hold a claim on a cell not yet
+            # journaled, so the victim dies mid-cell; freezing them makes
+            # the check and the kill see the same state.
+            deadline = time.time() + 30
+            while True:
+                assert time.time() < deadline, "the children never were both mid-cell"
+                time.sleep(0.05)
+                kids = _children(proc.pid)
+                if len(kids) != 2:
+                    continue
+                for pid in kids:
+                    os.kill(pid, signal.SIGSTOP)
+                while not all(_stopped(pid) for pid in kids):
+                    time.sleep(0.01)
+                claims = fabric_status(out).claims or []
+                if len([c for c in claims if c.state == "claimed"]) == 2:
+                    break
+                for pid in kids:
+                    os.kill(pid, signal.SIGCONT)
+            os.kill(kids[0], signal.SIGKILL)
+            os.kill(kids[1], signal.SIGCONT)
+            stdout, stderr = proc.communicate(timeout=120)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+        assert proc.returncode == 0, stderr
+        assert "worker exited with code -9" in stdout
+        n_before = len(list((out / "cells").glob("*.json")))
+        assert n_before == 3
+
+        res = subprocess.run(
+            args + ["--resume", str(out)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert res.returncode == 0, res.stderr
+        assert "resumed 3, computed 1" in res.stdout
+        assert not (out / "quarantine.json").exists()
+        assert (out / "sweep.json").read_bytes() == (
+            tmp_path / "serial" / "sweep.json"
         ).read_bytes()

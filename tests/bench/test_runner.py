@@ -1,6 +1,7 @@
 """Crash-safe checkpointed sweep runner tests (journal, resume, SIGKILL)."""
 
 import json
+import multiprocessing
 import os
 import signal
 import subprocess
@@ -10,7 +11,9 @@ from pathlib import Path
 
 import pytest
 
+import repro.bench.fabric as fabric_mod
 import repro.bench.runner as runner_mod
+from repro.bench.fabric import run_workers
 from repro.bench.microbench import sweep_nonhierarchical
 from repro.bench.runner import CheckpointedSweep, SweepSpec, compute_cell
 from repro.evaluation.evaluator import AllgatherEvaluator
@@ -64,7 +67,7 @@ class TestCheckpointedRun:
         )
         assert result.points == plain
         assert result.n_computed == 4 and result.n_resumed == 0
-        assert not result.quarantined and not result.degraded_to_serial
+        assert not result.quarantined
 
     def test_journal_layout(self, tmp_path):
         out = tmp_path / "j"
@@ -97,12 +100,16 @@ class TestCheckpointedRun:
         assert (out / "sweep.json").read_bytes() == reference
 
     def test_parallel_matches_serial(self, tmp_path):
+        """Supervised fabric workers write the serial run's bytes."""
         serial = CheckpointedSweep(SPEC, tmp_path / "s").run()
-        parallel = CheckpointedSweep(SPEC, tmp_path / "p", workers=2).run()
-        assert parallel.points == serial.points
-        assert (tmp_path / "s" / "sweep.json").read_bytes() == (
-            tmp_path / "p" / "sweep.json"
-        ).read_bytes()
+        reference = (tmp_path / "s" / "sweep.json").read_bytes()
+        for workers in (1, 2, 3):
+            out = tmp_path / f"w{workers}"
+            merged = run_workers(out, SPEC, workers=workers)
+            assert merged.points == serial.points
+            assert (out / "sweep.json").read_bytes() == reference
+            assert sum(w["cells_computed"] for w in merged.workers) == len(SPEC.cells())
+        assert multiprocessing.active_children() == []
 
     def test_different_spec_same_dir_rejected(self, tmp_path):
         out = tmp_path / "j"
@@ -118,10 +125,14 @@ class TestCheckpointedRun:
         with pytest.raises(ValueError, match="max_retries"):
             CheckpointedSweep(SPEC, tmp_path, max_retries=-1)
         with pytest.raises(ValueError, match="cell_timeout"):
-            CheckpointedSweep(SPEC, tmp_path, cell_timeout=0)
+            run_workers(tmp_path, SPEC, cell_timeout=0)
+        with pytest.raises(ValueError, match="workers"):
+            run_workers(tmp_path, SPEC, workers=0)
 
 
 class TestFailureHandling:
+    # The serial run passes every cell through the fabric's per-cell
+    # function, so faults are injected on the fabric's binding.
     def test_flaky_cell_retried(self, tmp_path, monkeypatch):
         calls = {"n": 0}
         real = compute_cell
@@ -132,10 +143,11 @@ class TestFailureHandling:
                 raise RuntimeError("transient")
             return real(spec, cell)
 
-        monkeypatch.setattr(runner_mod, "compute_cell", flaky)
+        monkeypatch.setattr(fabric_mod, "compute_cell", flaky)
         result = CheckpointedSweep(
             SPEC, tmp_path / "j", max_retries=2, backoff_seconds=0.01
         ).run()
+        assert calls["n"] == 1
         assert not result.quarantined
         assert len(result.points) == 3 * 1 * 2 * 2  # sizes x mappers x strats x layouts
 
@@ -147,7 +159,7 @@ class TestFailureHandling:
                 raise RuntimeError("cursed cell")
             return real(spec, cell)
 
-        monkeypatch.setattr(runner_mod, "compute_cell", broken)
+        monkeypatch.setattr(fabric_mod, "compute_cell", broken)
         result = CheckpointedSweep(
             SPEC, tmp_path / "j", max_retries=1, backoff_seconds=0.01
         ).run()
@@ -157,30 +169,23 @@ class TestFailureHandling:
         assert {p.layout for p in result.points} == {"block-bunch"}
         quarantine = json.loads((tmp_path / "j" / "quarantine.json").read_text())
         assert "tuned::cyclic-scatter::heuristic" in quarantine
-
-    def test_broken_pool_degrades_to_serial(self, tmp_path, monkeypatch):
-        from concurrent.futures.process import BrokenProcessPool
-
-        def dead_pool(self, cells, done, attempts):
-            raise BrokenProcessPool("the pool is gone")
-
-        monkeypatch.setattr(CheckpointedSweep, "_round_parallel", dead_pool)
-        result = CheckpointedSweep(SPEC, tmp_path / "j", workers=2).run()
-        assert result.degraded_to_serial
-        assert len(result.points) == 12
-        serial = CheckpointedSweep(SPEC, tmp_path / "s").run()
-        assert result.points == serial.points
+        # one quarantine format: the serial run writes the fabric's record
+        assert (tmp_path / "j" / "quarantine" / "tuned__cyclic-scatter__heuristic.json").is_file()
 
     def test_cell_timeout_quarantines(self, tmp_path, monkeypatch):
+        """The supervisor kills a stuck worker: no 5 s wait, no leftover child."""
         monkeypatch.setenv(runner_mod.CELL_DELAY_ENV, "5")
         spec = SweepSpec(
             n_nodes=2, layouts=("block-bunch",), sizes=(64,), mappers=()
         )
-        result = CheckpointedSweep(
-            spec, tmp_path / "j", workers=2, max_retries=0, cell_timeout=0.2
-        ).run()
+        t0 = time.perf_counter()
+        result = run_workers(
+            tmp_path / "j", spec, workers=2, max_retries=0, cell_timeout=0.2
+        )
+        assert time.perf_counter() - t0 < 3.0
+        assert multiprocessing.active_children() == []
         assert list(result.quarantined) == ["base::block-bunch"]
-        assert "timeout" in result.quarantined["base::block-bunch"]
+        assert result.quarantined["base::block-bunch"] == "timeout: cell exceeded 0.2s"
         assert result.points == []
 
 

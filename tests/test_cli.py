@@ -1,7 +1,12 @@
 """CLI tests (python -m repro ...)."""
 
+import json
+import multiprocessing
+import tempfile
+
 import pytest
 
+import repro.bench.fabric as fabric_mod
 from repro.cli import build_parser, main
 
 
@@ -223,3 +228,70 @@ class TestFabricCLI:
 
     def test_status_missing_dir_fails(self, tmp_path):
         assert main(["sweep", "--status", str(tmp_path / "missing")]) == 1
+
+
+class TestJournaledQuarantine:
+    """A solo ``--out-dir`` run writes the fabric's per-cell quarantine."""
+
+    FLAGS = TestFabricCLI.FLAGS
+    VICTIM = "tuned::block-bunch::heuristic"
+
+    def _quarantined_run(self, jdir, monkeypatch, capsys):
+        real = fabric_mod.compute_cell
+
+        def broken(spec, cell):
+            if cell == self.VICTIM:
+                raise RuntimeError("cursed cell")
+            return real(spec, cell)
+
+        monkeypatch.setattr(fabric_mod, "compute_cell", broken)
+        assert main(self.FLAGS + ["--out-dir", str(jdir), "--max-retries", "0"]) == 0
+        assert f"quarantined cell {self.VICTIM}" in capsys.readouterr().out
+        monkeypatch.setattr(fabric_mod, "compute_cell", real)
+
+    def test_status_counts_it_and_merge_succeeds(self, tmp_path, monkeypatch, capsys):
+        jdir = tmp_path / "j"
+        self._quarantined_run(jdir, monkeypatch, capsys)
+        assert main(["sweep", "--status", str(jdir)]) == 0
+        assert "1 done, 0 pending, 1 quarantined" in capsys.readouterr().out
+        assert main(["sweep", "--merge", str(jdir)]) == 0
+        assert f"quarantined {self.VICTIM}: RuntimeError: cursed cell" in capsys.readouterr().out
+
+    def test_resume_that_recovers_leaves_no_quarantine(self, tmp_path, monkeypatch, capsys):
+        jdir = tmp_path / "j"
+        self._quarantined_run(jdir, monkeypatch, capsys)
+        assert self.VICTIM in json.loads((jdir / "quarantine.json").read_text())
+        assert main(["sweep", "--resume", str(jdir)]) == 0
+        assert "resumed 1, computed 1" in capsys.readouterr().out
+        assert not (jdir / "quarantine.json").exists()
+        assert main(self.FLAGS + ["--out-dir", str(tmp_path / "clean")]) == 0
+        assert (jdir / "sweep.json").read_bytes() == (tmp_path / "clean" / "sweep.json").read_bytes()
+
+
+class TestSupervisedCLI:
+    FLAGS = TestFabricCLI.FLAGS
+
+    def test_workers_without_journal_print_serial_table(self, tmp_path, capsys, monkeypatch):
+        assert main(self.FLAGS) == 0
+        serial = capsys.readouterr().out
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        assert main(self.FLAGS + ["--workers", "2"]) == 0
+        assert capsys.readouterr().out == serial
+        assert sorted(tmp_path.iterdir()) == []  # the temporary journal is gone
+        assert multiprocessing.active_children() == []
+
+    def test_cell_timeout_alone_runs_one_worker(self, tmp_path, capsys):
+        jdir = tmp_path / "j"
+        assert main(self.FLAGS + ["--cell-timeout", "60", "--out-dir", str(jdir)]) == 0
+        assert "journal:" in capsys.readouterr().out
+        assert [p.name for p in sorted((jdir / "workers").iterdir())] == ["w0.json"]
+
+    def test_workers_resume_and_bad_count(self, tmp_path, capsys):
+        jdir = tmp_path / "j"
+        assert main(self.FLAGS + ["--out-dir", str(jdir)]) == 0
+        solo = (jdir / "sweep.json").read_bytes()
+        assert main(["sweep", "--resume", str(jdir), "--workers", "2"]) == 0
+        assert (jdir / "sweep.json").read_bytes() == solo
+        capsys.readouterr()
+        assert main(self.FLAGS + ["--workers", "0"]) == 1
+        assert "workers must be >= 1" in capsys.readouterr().out
