@@ -19,8 +19,8 @@ object- and probe-anchored verifiers (suppress with ``ignore=`` globs)
     * :mod:`repro.analysis.mapping_checker` — bijectivity /
       distance-matrix / cluster invariants (``MAP`` / ``TOP``);
     * :mod:`repro.analysis.cch` — cache-key soundness: signature
-      coverage of the mapping-cache key, engine-identity probes, disk
-      tier hygiene, pricing-fingerprint coverage (``CCH``);
+      coverage of the mapping-cache key and of the pricing fingerprint
+      (``CCH``);
     * :mod:`repro.analysis.flt` — fault-plan verification against the
       round clock, cluster targets and factor ranges (``FLT``);
     * :mod:`repro.analysis.prc` — pricing-table invariants:
@@ -72,10 +72,8 @@ _LAZY = {
     "check_concurrency_source": "par",
     "check_concurrency_paths": "par",
     "check_cache_keys": "cch",
-    "check_cache_dir": "cch",
     "check_reorder_key_coverage": "cch",
     "check_pricing_fingerprint_coverage": "cch",
-    "probe_engine_identity": "cch",
     "verify_fault_plan": "flt",
     "check_pricing": "prc",
     "probe_pricing_identity": "prc",

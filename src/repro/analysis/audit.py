@@ -14,8 +14,8 @@ mapping   cluster / distance-matrix invariants plus one mapping per
 lint      repo-convention AST lint (``REP``) over the source trees
 det       determinism lint (``DET``) over the source trees
 par       concurrency / fork-safety lint (``PAR``) over the source trees
-cch       cache-key soundness: signature reflection, the engine
-          bit-identity probe, and (when configured) the disk-tier scan
+cch       cache-key soundness: signature reflection over the mapping
+          cache key and the pricing fingerprint
 flt       fault-plan verification of the canonical scenario builders
           against a real schedule + cluster, plus any ``*.json`` fault
           plans under ``--artifacts``
@@ -291,7 +291,6 @@ def run_audit(
     nodes: int = 4,
     sizes: Optional[Sequence[int]] = None,
     artifacts: Optional[str] = None,
-    cache_dir: Optional[str] = None,
     ignore: Iterable[str] = (),
     skip: Iterable[str] = (),
 ) -> AuditResult:
@@ -303,21 +302,16 @@ def run_audit(
         Source trees for the AST passes; defaults to the existing
         subset of :data:`DEFAULT_PATHS`.
     nodes:
-        Cluster size for the probe sections (mapping, cch, flt, prc).
+        Cluster size for the probe sections (mapping, flt, prc).
     sizes:
         Communicator sweep for the schedule section.
     artifacts:
         Directory of persisted fault-plan JSON files to verify.
-    cache_dir:
-        Mapping-cache disk tier to scan (CCH004); defaults to the
-        ``REPRO_MAPPING_CACHE`` environment variable when set.
     ignore:
         Code globs (``"FLT003"``, ``"PRC"``) removed from every section.
     skip:
         Section names or family prefixes to skip entirely.
     """
-    import os
-
     from repro.analysis.cch import check_cache_keys
     from repro.analysis.det import check_determinism_paths
     from repro.analysis.lint import lint_paths
@@ -325,8 +319,6 @@ def run_audit(
 
     if paths is None:
         paths = [p for p in DEFAULT_PATHS if Path(p).exists()]
-    if cache_dir is None:
-        cache_dir = os.environ.get("REPRO_MAPPING_CACHE") or None
     skip = {s.lower() for s in skip} | {
         name
         for name, fams in SECTION_FAMILIES.items()
@@ -346,12 +338,7 @@ def run_audit(
     _section("lint", lambda: lint_paths(paths))
     _section("det", lambda: check_determinism_paths(paths))
     _section("par", lambda: check_concurrency_paths(paths))
-    _section(
-        "cch",
-        lambda: check_cache_keys(
-            probe_engines=True, cache_dir=cache_dir, n_nodes=nodes
-        ),
-    )
+    _section("cch", check_cache_keys)
     _section("flt", lambda: _audit_faults(nodes, artifacts))
     _section("prc", lambda: _audit_pricing(nodes))
 
@@ -402,11 +389,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--artifacts", default=None, help="directory of fault-plan JSON artifacts"
     )
     parser.add_argument(
-        "--cache-dir",
-        default=None,
-        help="mapping-cache disk tier to scan (default: $REPRO_MAPPING_CACHE)",
-    )
-    parser.add_argument(
         "--ignore",
         action="append",
         default=[],
@@ -429,7 +411,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         nodes=args.nodes,
         sizes=args.sizes,
         artifacts=args.artifacts,
-        cache_dir=args.cache_dir,
         ignore=args.ignore,
         skip=args.skip_family,
     )

@@ -20,20 +20,8 @@ moment it is introduced, not when a cache hit goes wrong:
     The key payload drifted from the contract: ``mapping_cache_key``
     lost a payload parameter a role points at, or its kwarg exclusion
     set no longer equals the documented
-    :data:`DOCUMENTED_KWARG_EXCLUSIONS` (``{"engine"}``).
-
-``CCH003``
-    The documented ``engine`` exclusion is *behavioural*: naive and
-    vectorised placement must be bit-identical, otherwise dropping
-    ``engine`` from the key serves wrong permutations.  The probe runs
-    every fine-tuned heuristic on a small cluster through both engines
-    and compares the permutations element-wise.
-
-``CCH004``
-    Disk-tier hygiene: every ``<key>.json`` in a cache directory must
-    have a 64-char lowercase-hex stem (anything else is foreign or
-    collision-prone on case-insensitive filesystems) and parse into a
-    valid mapping record (mapping is a permutation of the layout).
+    :data:`DOCUMENTED_KWARG_EXCLUSIONS` (empty: every mapper kwarg is
+    content).
 
 ``CCH005``
     The engine pricing cache fingerprints a schedule via
@@ -44,10 +32,9 @@ moment it is introduced, not when a cache hit goes wrong:
     field to the schedule IR without deciding its cache fate is an
     error.
 
-Signature findings are anchored to the inspected function's ``def``
-line, so ``# noqa: CCH00x`` works there like for any AST pass; the
-probe/scan findings accept ``ignore=`` suppression (see
-:mod:`repro.analysis.suppress`).
+Findings are anchored to the inspected function's ``def`` line, so
+``# noqa: CCH00x`` works there like for any AST pass; every code also
+accepts ``ignore=`` suppression (see :mod:`repro.analysis.suppress`).
 """
 
 from __future__ import annotations
@@ -59,8 +46,6 @@ from dataclasses import fields as dataclass_fields
 from pathlib import Path
 from typing import Callable, Dict, Iterable, Optional
 
-import numpy as np
-
 from repro.analysis.diagnostics import DiagnosticReport
 from repro.analysis.suppress import NoqaFilter, apply_suppressions
 
@@ -69,10 +54,8 @@ __all__ = [
     "PRICING_IRRELEVANT_FIELDS",
     "REORDER_PARAM_ROLES",
     "check_cache_keys",
-    "check_cache_dir",
     "check_pricing_fingerprint_coverage",
     "check_reorder_key_coverage",
-    "probe_engine_identity",
 ]
 
 #: ``reorder_ranks`` parameter -> cache-key payload field.  ``None``
@@ -87,8 +70,9 @@ REORDER_PARAM_ROLES: Dict[str, Optional[str]] = {
     "mapper_kwargs": "kwargs",
 }
 
-#: Mapper kwargs deliberately dropped from the key (bit-identical by contract).
-DOCUMENTED_KWARG_EXCLUSIONS = frozenset({"engine"})
+#: Mapper kwargs deliberately dropped from the key.  Empty: every kwarg a
+#: mapper accepts can change its result, so all of them are content.
+DOCUMENTED_KWARG_EXCLUSIONS: frozenset = frozenset()
 
 #: Schedule/Stage dataclass fields that legitimately stay out of the
 #: pricing fingerprint.
@@ -133,8 +117,8 @@ def _extract_string_exclusions(func: Callable) -> Optional[frozenset]:
 
     Reads the function's AST and collects every string that appears on
     the right of a ``!=`` / ``not in`` test — the idiom
-    ``if k != "engine"`` (or ``k not in {...}``) used to drop kwargs
-    from the payload.  Returns ``None`` when the source is unavailable.
+    ``if k != "name"`` (or ``k not in {...}``) that drops kwargs from
+    the payload.  Returns ``None`` when the source is unavailable.
     """
     try:
         source = textwrap.dedent(inspect.getsource(func))
@@ -229,100 +213,6 @@ def check_reorder_key_coverage(
 
 
 # ----------------------------------------------------------------------
-# CCH003 — the engine exclusion is only legal while engines agree
-# ----------------------------------------------------------------------
-def probe_engine_identity(n_nodes: int = 2, seed: int = 0) -> DiagnosticReport:
-    """Run every heuristic through both placement engines and compare.
-
-    The 'engine' mapper kwarg is excluded from the mapping-cache key on
-    the strength of a bit-identity proof; this probe exercises the
-    engine pair that exclusion covers — naive vs. vectorized.
-    """
-    from repro.mapping.initial import make_layout
-    from repro.mapping.reorder import HEURISTICS, reorder_ranks
-    from repro.topology.gpc import gpc_cluster
-
-    report = DiagnosticReport(subject="engine bit-identity probe")
-    cluster = gpc_cluster(n_nodes=n_nodes)
-    p = cluster.n_cores
-    dense = cluster.distance_matrix()
-    implicit = cluster.implicit_distances()
-    layout = make_layout("cyclic-bunch", cluster, p)
-    for pattern in sorted(HEURISTICS):
-        naive = reorder_ranks(
-            pattern, layout, dense, kind="heuristic", rng=seed, cache="off",
-            engine="naive",
-        )
-        vectorized = reorder_ranks(
-            pattern, layout, implicit, kind="heuristic", rng=seed, cache="off",
-            engine="vectorized",
-        )
-        if not np.array_equal(naive.mapping, vectorized.mapping):
-            diff = int(np.count_nonzero(naive.mapping != vectorized.mapping))
-            report.add(
-                "CCH003",
-                f"pattern {pattern!r}: naive and vectorised placements differ "
-                f"at {diff}/{p} ranks — the documented 'engine' cache-key "
-                "exclusion is unsound until the engines are bit-identical again",
-            )
-    return report
-
-
-# ----------------------------------------------------------------------
-# CCH004 — disk-tier hygiene
-# ----------------------------------------------------------------------
-def check_cache_dir(directory) -> DiagnosticReport:
-    """Validate every entry of an on-disk mapping-cache tier."""
-    import json
-
-    from repro.mapping.cache import MappingCache
-
-    report = DiagnosticReport(subject="mapping-cache disk tier")
-    directory = Path(directory)
-    if not directory.is_dir():
-        return report
-    seen_lower: Dict[str, str] = {}
-    for path in sorted(directory.glob("*.json")):
-        stem = path.stem
-        if len(stem) != 64 or stem != stem.lower() or any(
-            c not in "0123456789abcdef" for c in stem.lower()
-        ):
-            report.add(
-                "CCH004",
-                f"{path.name}: cache filename is not a 64-char lowercase "
-                "sha256 hex key (foreign file, or collision-prone on "
-                "case-insensitive filesystems)",
-                path=str(path),
-            )
-            continue
-        if stem.lower() in seen_lower and seen_lower[stem.lower()] != stem:
-            report.add(
-                "CCH004",
-                f"{path.name}: collides with {seen_lower[stem.lower()]}.json "
-                "modulo case",
-                path=str(path),
-            )
-        seen_lower[stem.lower()] = stem
-        try:
-            entry = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            report.add(
-                "CCH004",
-                f"{path.name}: torn or unreadable cache entry ({exc})",
-                path=str(path),
-            )
-            continue
-        if not MappingCache._valid(entry):
-            report.add(
-                "CCH004",
-                f"{path.name}: entry is not a valid mapping record "
-                "(mapping must be a permutation of the cached layout)",
-                path=str(path),
-            )
-    return report
-
-
-# ----------------------------------------------------------------------
 # CCH005 — pricing fingerprint covers the schedule IR
 # ----------------------------------------------------------------------
 def check_pricing_fingerprint_coverage(
@@ -376,18 +266,9 @@ def check_pricing_fingerprint_coverage(
 
 
 # ----------------------------------------------------------------------
-def check_cache_keys(
-    probe_engines: bool = True,
-    cache_dir=None,
-    n_nodes: int = 2,
-    ignore: Iterable[str] = (),
-) -> DiagnosticReport:
+def check_cache_keys(ignore: Iterable[str] = ()) -> DiagnosticReport:
     """Run every CCH check; the one-call entry point used by the audit."""
     report = DiagnosticReport(subject="cache-key soundness")
     report.extend(check_reorder_key_coverage())
     report.extend(check_pricing_fingerprint_coverage())
-    if probe_engines:
-        report.extend(probe_engine_identity(n_nodes=n_nodes))
-    if cache_dir:
-        report.extend(check_cache_dir(cache_dir))
     return apply_suppressions(report, ignore)

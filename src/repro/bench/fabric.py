@@ -48,6 +48,9 @@ Directory layout (shared by all workers)::
       quarantine.json      # the merge's summary of those records
       workers/<id>.json    # per-worker stats (cells/sec, takeovers, ...)
       sweep.json           # written by the merge step only
+
+Workers share no mapping cache: no two cells of a grid share a cache
+key, so each worker reorders through its own in-memory one.
 """
 
 from __future__ import annotations
@@ -295,30 +298,29 @@ class FabricWorker:
         if cells:
             offset = zlib.crc32(self.worker_id.encode()) % len(cells)
             cells = cells[offset:] + cells[:offset]
-        with self._cs._mapping_cache_env():
-            while True:
-                claimed_any = outstanding = False
-                for cell in cells:
-                    # checked right before the claim: another worker may
-                    # have journaled the cell while this one computed
-                    if self._is_covered(cell):
-                        continue
-                    outstanding = True
-                    acquired, taken_over, contended = try_claim(
-                        self.out_dir, cell, self.worker_id, self.lease_ttl
-                    )
-                    self.stats.lease_contention += int(contended)
-                    if not acquired:
-                        continue
-                    claimed_any = True
-                    self.stats.steals += int(taken_over)
-                    self._run_cell(cell)
-                if not outstanding:
-                    break
-                if not claimed_any:
-                    # everything left is claimed by live workers: wait for
-                    # them to finish (or for their claims to expire).
-                    time.sleep(self.poll_interval)
+        while True:
+            claimed_any = outstanding = False
+            for cell in cells:
+                # checked right before the claim: another worker may
+                # have journaled the cell while this one computed
+                if self._is_covered(cell):
+                    continue
+                outstanding = True
+                acquired, taken_over, contended = try_claim(
+                    self.out_dir, cell, self.worker_id, self.lease_ttl
+                )
+                self.stats.lease_contention += int(contended)
+                if not acquired:
+                    continue
+                claimed_any = True
+                self.stats.steals += int(taken_over)
+                self._run_cell(cell)
+            if not outstanding:
+                break
+            if not claimed_any:
+                # everything left is claimed by live workers: wait for
+                # them to finish (or for their claims to expire).
+                time.sleep(self.poll_interval)
         elapsed = time.perf_counter() - t0
         self.stats.elapsed_seconds = elapsed
         self.stats.cells_per_sec = self.stats.cells_computed / elapsed if elapsed > 0 else 0.0

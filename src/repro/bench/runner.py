@@ -29,7 +29,10 @@ Journal layout::
       sweep.json            # merged SweepPoints (written last, atomically)
 
 A run clears the quarantine records of an earlier run first, so a
-resume retries quarantined cells.
+resume retries quarantined cells.  The journal holds no reorderings: a
+recomputed cell reorders again, through the process's in-memory mapping
+cache (:func:`~repro.mapping.cache.global_mapping_cache`), which a run
+leaves in place for its caller.
 """
 
 from __future__ import annotations
@@ -37,14 +40,12 @@ from __future__ import annotations
 import json
 import os
 import time
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from repro.bench.microbench import OSU_SIZES, SweepPoint
 from repro.evaluation.evaluator import AllgatherEvaluator, LatencyReport
-from repro.mapping.cache import MAPPING_CACHE_ENV
 from repro.mapping.initial import make_layout
 from repro.topology.gpc import gpc_cluster
 from repro.util.atomicio import atomic_write_json
@@ -309,9 +310,8 @@ class CheckpointedSweep:
         self.prepare()
         clear_quarantine(self.out_dir)
         done, pending = self.collect_cells()
-        with self._mapping_cache_env():
-            for cell in pending:
-                run_cell(self, cell, worker_id="serial")
+        for cell in pending:
+            run_cell(self, cell, worker_id="serial")
         merged = fabric_merge(self.out_dir)
         return SweepRunResult(
             points=merged.points,
@@ -321,26 +321,6 @@ class CheckpointedSweep:
             quarantined=merged.quarantined,
             cell_seconds=merged.cell_seconds,
         )
-
-    @contextmanager
-    def _mapping_cache_env(self):
-        """Point the mapping cache at the journal dir for this run.
-
-        Reorderings are content-addressed (topology fingerprint x layout x
-        mapper x seed), so cells recomputed on resume — or priced by fabric
-        workers, which inherit the environment at start — reuse mappings
-        from ``<out_dir>/mapcache`` instead of recomputing them.  A caller
-        who already set :data:`~repro.mapping.cache.MAPPING_CACHE_ENV`
-        wins; the variable is restored on exit either way.
-        """
-        prior = os.environ.get(MAPPING_CACHE_ENV)
-        if prior is None:
-            os.environ[MAPPING_CACHE_ENV] = str(self.out_dir / "mapcache")
-        try:
-            yield
-        finally:
-            if prior is None:
-                os.environ.pop(MAPPING_CACHE_ENV, None)
 
     def collect_cells(self) -> Tuple[Dict[str, Dict], List[str]]:
         """Scan the journal: ``(done payloads by cell, pending cells)``.

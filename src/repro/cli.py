@@ -269,10 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--artifacts", default=None, help="directory of fault-plan JSON artifacts"
     )
     p_aud.add_argument(
-        "--cache-dir", default=None,
-        help="mapping-cache directory to audit (default: $REPRO_MAPPING_CACHE)",
-    )
-    p_aud.add_argument(
         "--ignore", action="append", default=[],
         help="diagnostic code or family prefix to suppress (repeatable)",
     )
@@ -704,8 +700,6 @@ def _cmd_audit(args) -> int:
         argv += ["--sizes", *[str(s) for s in args.sizes]]
     if args.artifacts:
         argv += ["--artifacts", args.artifacts]
-    if args.cache_dir:
-        argv += ["--cache-dir", args.cache_dir]
     for code in args.ignore:
         argv += ["--ignore", code]
     for family in args.skip_family:

@@ -8,7 +8,6 @@ quality metrics and the :func:`reorder_ranks` entry point.
 
 from repro.mapping.analysis import StageLocality, locality_table, stage_locality
 from repro.mapping.base import (
-    PLACEMENT_ENGINES,
     CorePool,
     GreedyPlacementMapper,
     HierarchicalFreePool,
@@ -18,7 +17,6 @@ from repro.mapping.base import (
     map_batch,
 )
 from repro.mapping.cache import (
-    MAPPING_CACHE_ENV,
     MappingCache,
     global_mapping_cache,
     mapping_cache_key,
@@ -66,9 +64,7 @@ __all__ = [
     "PoolExhaustedError",
     "Mapper",
     "GreedyPlacementMapper",
-    "PLACEMENT_ENGINES",
     "as_distance_lookup",
-    "MAPPING_CACHE_ENV",
     "MappingCache",
     "global_mapping_cache",
     "mapping_cache_key",

@@ -12,16 +12,18 @@ closest to a reference core*.  Two layers fall out of that observation:
 
 Two pool implementations serve the ``find_closest_to`` step, both
 including the paper's random tie-breaking with identical rng-stream
-consumption, so their placements are bit-identical:
+consumption, so their placements are bit-identical.  The distance
+backend alone picks which one a map runs on:
 
-* :class:`CorePool` — the reference executor: argmin over the free
-  cores' distances (dense matrix or on-demand implicit rows);
-* :class:`HierarchicalFreePool` — the vectorised driver: when distances
-  come from an :class:`~repro.topology.implicit.ImplicitDistances`
-  backend with a strict ladder, the closest free core is found from
-  hierarchy *coordinates* alone — O(1) free-count bookkeeping per level
-  plus one gather over the winning annulus — no distance row is ever
-  materialised.
+* :class:`HierarchicalFreePool` — the vectorised driver, for an
+  :class:`~repro.topology.implicit.ImplicitDistances` backend with a
+  strict ladder (``supports_vectorized_placement``): the closest free
+  core is found from hierarchy *coordinates* alone — O(1) free-count
+  bookkeeping per level plus one gather over the winning annulus — no
+  distance row is ever materialised;
+* :class:`CorePool` — argmin over the free cores' distances, for a dense
+  matrix or an implicit backend whose ladder collapses levels; the tests
+  also use it as the vectorised driver's oracle.
 """
 
 from __future__ import annotations
@@ -43,15 +45,9 @@ __all__ = [
     "HierarchicalFreePool",
     "Mapper",
     "GreedyPlacementMapper",
-    "PLACEMENT_ENGINES",
     "as_distance_lookup",
     "map_batch",
 ]
-
-#: Executor choices for the program-based heuristics.  ``"auto"`` picks
-#: the vectorised driver whenever the backend supports it, else the naive
-#: reference.  All engines are bit-identical, including the rng stream.
-PLACEMENT_ENGINES = ("auto", "naive", "vectorized")
 
 
 class PoolExhaustedError(RuntimeError):
@@ -562,42 +558,6 @@ class HierarchicalFreePool:
         if self._ranks is not None:
             self._ranks_stale.append(pos)
 
-    # ------------------------------------------------------------------
-    def _candidates(self, ref_core: int):
-        """Ascending free pool positions nearest ``ref_core``.
-
-        The closest free cores live in the deepest hierarchy group around
-        the reference that still has one.  A level is consulted only when
-        every deeper group's free count is zero, so the free members of
-        the group *are* the free members of its annulus — no set
-        subtraction is ever needed, and candidate order (ascending pool
-        position) matches :class:`CorePool`'s free-core scan order.
-        """
-        st = self._st
-        pos = self._pos.get(ref_core)
-        if pos is not None:
-            if self._free_l[pos]:
-                # The reference itself is free: distance 0 beats every level.
-                return [pos]
-            gs, nd, lf, ln = st.keys_l[pos]
-        else:
-            gs, nd, lf, ln = self._coords_of(ref_core)
-        if self._free_sock[gs] > 0:
-            members = st.by_sock[gs]
-        elif self._free_node[nd] > 0:
-            members = st.by_node[nd]
-        elif self._free_leaf[lf] > 0:
-            members = st.by_leaf[lf]
-        elif self._free_line[ln] > 0:
-            members = st.by_line[ln]
-        else:
-            members = st.all_positions
-        if len(members) <= self._SCAN_THRESHOLD:
-            free_l = self._free_l
-            return [m for m in members if free_l[m]]
-        arr = self._member_array(members)
-        return arr[self.free[arr]]
-
     def _member_array(self, members: list) -> np.ndarray:
         """numpy mirror of a large member list, built once per structure."""
         key = id(members)
@@ -634,37 +594,11 @@ class HierarchicalFreePool:
         stale.clear()
         return ranks.select(r)
 
-    def closest_free(self, ref_core: int) -> int:
-        """Free core nearest ``ref_core``; bit-identical to :class:`CorePool`.
-
-        A non-taking query with one scalar ``integers(k)`` draw (the
-        placement programs go through :meth:`execute_program`).
-
-        Raises
-        ------
-        PoolExhaustedError
-            Every pool core is already assigned.
-        """
-        if self._total_free == 0:
-            raise PoolExhaustedError(
-                f"no free cores left in the pool ({self.cores.size} cores, all taken); "
-                f"cannot place another process near core {int(ref_core)}"
-            )
-        candidates = self._candidates(int(ref_core))
-        cores_l = self._st.cores_l
-        if self.tie_break == "first":
-            # First free member in ascending pool position == CorePool's argmin.
-            return cores_l[int(candidates[0])]
-        # CorePool draws unconditionally even for one candidate, but
-        # integers(1) consumes no rng state, so the single-candidate draw
-        # is skipped without diverging from its stream.
-        n = len(candidates)
-        if n == 1:
-            return cores_l[int(candidates[0])]
-        return cores_l[int(candidates[self.rng.integers(n)])]
-
     def place_closest(self, ref_core: int) -> int:
-        """Fused :meth:`closest_free` + :meth:`take`: a one-step program.
+        """Take the free core nearest ``ref_core``: a one-step program.
+
+        Picks what :meth:`CorePool.place_closest` picks, with the same
+        rng draws.
 
         Raises
         ------
@@ -689,7 +623,7 @@ class HierarchicalFreePool:
         ------
         PoolExhaustedError
             A step found every pool core assigned.  Placements made before
-            it stay made, and the rng has drawn what the per-call engine
+            it stay made, and the rng has drawn what :class:`CorePool`
             would have drawn by then.
         """
         st = self._st
@@ -821,21 +755,6 @@ class Mapper(ABC):
     def map(self, layout: Sequence[int], D, rng: RngLike = 0) -> np.ndarray:
         """Compute the mapping array ``M``."""
 
-    # ------------------------------------------------------------------
-    # shared plumbing for subclasses
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _setup(layout: Sequence[int], D, rng: RngLike, tie_break: str):
-        """Common Algorithm-1 initialisation: fix rank 0, open the pool."""
-        L = np.asarray(layout, dtype=np.int64)
-        if L.size < 1:
-            raise ValueError("empty layout")
-        M = np.full(L.size, -1, dtype=np.int64)
-        M[0] = L[0]
-        pool = CorePool(D, L, rng=rng, tie_break=tie_break)
-        pool.take(int(L[0]))
-        return L, M, pool
-
     @staticmethod
     def _finish(M: np.ndarray, layout: np.ndarray) -> np.ndarray:
         """Validate the result is a complete mapping over the same cores."""
@@ -852,26 +771,16 @@ class GreedyPlacementMapper(Mapper):
 
     Subclasses supply only their *placement program* — the structural
     ``(new_rank, ref_rank)`` sequence (:meth:`placements`), which never
-    depends on distances or randomness — and this base walks it against a
-    free-core pool.  ``engine`` selects the executor:
-
-    * ``"naive"`` — :class:`CorePool` free-core scans (the reference);
-    * ``"vectorized"`` — :class:`HierarchicalFreePool` coordinate driver
-      (requires an implicit backend with a strict ladder);
-    * ``"auto"`` (default) — vectorized whenever the backend supports
-      it, else naive.
-
-    All executors consume the rng stream identically, so the produced
-    permutations are bit-identical whatever the engine.
+    depends on distances or randomness — and this base walks it against the
+    free-core pool the distance backend calls for (:meth:`_open_pool`).
+    Both pools consume the rng stream identically, so the produced
+    permutations do not depend on which one ran.
     """
 
-    def __init__(self, tie_break: str = "random", engine: str = "auto") -> None:
+    def __init__(self, tie_break: str = "random") -> None:
         if tie_break not in ("random", "first"):
             raise ValueError(f"tie_break must be 'random' or 'first', got {tie_break!r}")
-        if engine not in PLACEMENT_ENGINES:
-            raise ValueError(f"engine must be one of {PLACEMENT_ENGINES}, got {engine!r}")
         self.tie_break = tie_break
-        self.engine = engine
 
     @abstractmethod
     def placements(self, p: int) -> Iterator[Tuple[int, int]]:
@@ -886,23 +795,13 @@ class GreedyPlacementMapper(Mapper):
         """Hook for heuristics with process-count constraints (e.g. RDMH)."""
 
     def _open_pool(self, D, L: np.ndarray, rng: RngLike):
-        """Instantiate the executor's pool according to ``engine``."""
-        vectorizable = getattr(D, "supports_vectorized_placement", False)
-        engine = self.engine
-        if engine == "auto":
-            engine = "vectorized" if vectorizable else "naive"
-        if engine == "vectorized":
-            if not vectorizable:
-                raise ValueError(
-                    f"engine={engine!r} needs an ImplicitDistances backend with a "
-                    "strict distance ladder; got a dense matrix or a backend with "
-                    "collapsed levels — use engine='naive' or 'auto'"
-                )
+        """:class:`HierarchicalFreePool` on a strict implicit ladder, else :class:`CorePool`."""
+        if getattr(D, "supports_vectorized_placement", False):
             return HierarchicalFreePool(D, L, rng=rng, tie_break=self.tie_break)
         return CorePool(D, L, rng=rng, tie_break=self.tie_break)
 
     def map(self, layout: Sequence[int], D, rng: RngLike = 0) -> np.ndarray:
-        """Execute the placement program against the selected pool."""
+        """Execute the placement program against the backend's pool."""
         L = np.asarray(layout, dtype=np.int64)
         if L.size < 1:
             raise ValueError("empty layout")
@@ -939,7 +838,7 @@ def map_batch(mappers, layout: Sequence[int], D, rngs, seconds_out=None) -> list
     ----------
     mappers:
         The mapper instances to run (typically one per registered
-        heuristic, all configured with the same engine).
+        heuristic).
     layout:
         The shared initial layout (``layout[old_rank] = core``).
     D:
@@ -967,9 +866,7 @@ def map_batch(mappers, layout: Sequence[int], D, rngs, seconds_out=None) -> list
     # The first mapper's clock covers the warm-up below: a standalone
     # ``map`` call pays that setup itself, so its reported cost must too.
     t0 = time.perf_counter()
-    if getattr(D, "supports_vectorized_placement", False) and any(
-        m.engine != "naive" for m in mappers
-    ):
+    if getattr(D, "supports_vectorized_placement", False):
         # Warm the shared immutable structure once; every pool the loop
         # below opens over (D, L) then hits the LRU instead of rebuilding
         # group membership.

@@ -1,4 +1,4 @@
-"""Content-addressed mapping cache (in-memory LRU + optional disk tier).
+"""Content-addressed mapping cache: one bounded in-memory LRU.
 
 "The whole rank reordering process happens only once at run-time" — but
 sweeps, fault-recovery drills and repeated evaluator runs recompute the
@@ -12,51 +12,32 @@ a pure function of
 * the **integer rng seed**,
 
 so a sha256 over those fields addresses the result exactly.  The cache
-stores entries under that key in a bounded in-memory LRU and, when a
-directory is configured, as one JSON file per key written through
-:mod:`repro.util.atomicio` (crash-safe, and warm across processes — the
-parallel sweep driver's workers inherit the directory via the
-``REPRO_MAPPING_CACHE`` environment variable).
+stores entries under that key in a bounded in-memory LRU, which lives as
+long as the process that reorders — the paper reorders once at run-time,
+in the job that uses the result.  Generator rng objects are left out of
+the key: only plain integer seeds are reproducible content, so
+:func:`repro.mapping.reorder.reorder_ranks` bypasses the cache entirely
+for live generators.
 
-Two deliberate exclusions from the key:
-
-* ``engine`` — the naive and vectorised executors are bit-identical by
-  contract, rng streams included (enforced by the placement-identity
-  tests and the CCH003 audit probe), so their results are
-  interchangeable;
-* Generator rng objects — only plain integer seeds are reproducible
-  content, so :func:`repro.mapping.reorder.reorder_ranks` bypasses the
-  cache entirely for live generators.
-
-Entries are validated on the way out (the mapping must be a permutation
-of the cached layout); anything torn or stale is treated as a miss and
-rewritten.
+Entries are validated on the way in (the mapping must be a permutation
+of the layout it was computed for).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
 import threading
 from collections import OrderedDict
-from pathlib import Path
-from typing import Any, Dict, Mapping, Optional, Tuple, Union
+from typing import Any, Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
-from repro.util.atomicio import atomic_write_json
-
 __all__ = [
-    "MAPPING_CACHE_ENV",
     "MappingCache",
     "global_mapping_cache",
     "mapping_cache_key",
 ]
-
-#: Environment variable naming the on-disk cache directory.  Unset or
-#: empty means the process-global cache is memory-only.
-MAPPING_CACHE_ENV = "REPRO_MAPPING_CACHE"
 
 
 def _normalise(value: Any) -> Any:
@@ -78,17 +59,8 @@ def mapping_cache_key(
     seed: int,
     mapper_kwargs: Optional[Mapping[str, Any]] = None,
 ) -> str:
-    """Content address of one mapping computation.
-
-    ``engine`` is dropped from ``mapper_kwargs``: both executors
-    (naive, vectorized) produce bit-identical placements, so the
-    engine choice is not content.
-    """
-    kwargs = {
-        k: _normalise(v)
-        for k, v in sorted((mapper_kwargs or {}).items())
-        if k != "engine"
-    }
+    """Content address of one mapping computation."""
+    kwargs = {k: _normalise(v) for k, v in sorted((mapper_kwargs or {}).items())}
     payload = json.dumps(
         {
             "fingerprint": fingerprint,
@@ -105,25 +77,18 @@ def mapping_cache_key(
 
 
 class MappingCache:
-    """Bounded in-memory LRU over mapping entries, with a disk tier.
+    """Bounded in-memory LRU over mapping entries.
 
     Parameters
     ----------
-    directory:
-        Optional on-disk tier: one ``<key>.json`` file per entry,
-        written atomically.  Created on first write.
     max_memory_entries:
-        In-memory LRU bound; the disk tier is unbounded.
+        LRU bound: admitting one more entry evicts the least recently
+        used one.
     """
 
-    def __init__(
-        self,
-        directory: Optional[Union[str, Path]] = None,
-        max_memory_entries: int = 256,
-    ) -> None:
+    def __init__(self, max_memory_entries: int = 256) -> None:
         if max_memory_entries < 1:
             raise ValueError(f"max_memory_entries must be >= 1, got {max_memory_entries}")
-        self.directory = Path(directory) if directory else None
         self.max_memory_entries = max_memory_entries
         self._memory: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
         # int64 (layout, mapping) views of each memory entry, built once
@@ -137,11 +102,6 @@ class MappingCache:
         self.evictions = 0
 
     # ------------------------------------------------------------------
-    def _path_for(self, key: str) -> Optional[Path]:
-        if self.directory is None:
-            return None
-        return self.directory / f"{key}.json"
-
     @staticmethod
     def _valid(entry: Any) -> bool:
         """True iff ``entry`` looks like an intact mapping record."""
@@ -154,7 +114,7 @@ class MappingCache:
         return len(mapping) == len(layout) and sorted(mapping) == sorted(layout)
 
     def get(self, key: str) -> Optional[Dict[str, Any]]:
-        """Entry for ``key``, or None; corrupt entries count as misses."""
+        """Entry for ``key``, or None."""
         hit = self.get_arrays(key)
         return hit[0] if hit is not None else None
 
@@ -173,35 +133,20 @@ class MappingCache:
                 self._memory.move_to_end(key)
                 self.hits += 1
                 return (entry,) + self._arrays[key]
-        path = self._path_for(key)
-        if path is not None and path.exists():
-            try:
-                entry = json.loads(path.read_text())
-            except (OSError, json.JSONDecodeError):
-                entry = None
-            if self._valid(entry):
-                with self._lock:
-                    self._remember(key, entry)
-                    self.hits += 1
-                    return (entry,) + self._arrays[key]
-        self.misses += 1
+            self.misses += 1
         return None
 
     def put(self, key: str, entry: Dict[str, Any]) -> None:
-        """Store ``entry`` in memory and (when configured) on disk."""
+        """Store ``entry`` (evicting the least recently used past the bound)."""
         if not self._valid(entry):
             raise ValueError("refusing to cache an invalid mapping entry")
         with self._lock:
             self._remember(key, entry)
-        path = self._path_for(key)
-        if path is not None:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            atomic_write_json(path, entry)
 
     def peek(self, key: str) -> bool:
-        """True iff ``key`` is resident in the memory tier.
+        """True iff ``key`` is resident.
 
-        No counter updates, no LRU movement, no disk probe — this is the
+        No counter updates, no LRU movement — this is the
         serve daemon's warm-test (safe to call from a thread other than
         the one mutating the cache, since it is one dict lookup).
         """
@@ -219,12 +164,6 @@ class MappingCache:
             self._arrays.pop(gone, None)
             self.evictions += 1
 
-    def clear(self) -> None:
-        """Drop the in-memory tier (disk files are left in place)."""
-        with self._lock:
-            self._memory.clear()
-            self._arrays.clear()
-
     def stats(self) -> Dict[str, Any]:
         """Counter snapshot (what the daemon's ``stats`` op reports)."""
         return {
@@ -233,34 +172,21 @@ class MappingCache:
             "hits": self.hits,
             "misses": self.misses,
             "evictions": self.evictions,
-            "directory": str(self.directory) if self.directory else None,
         }
 
     def __len__(self) -> int:
         return len(self._memory)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        where = str(self.directory) if self.directory else "memory-only"
         return (
-            f"MappingCache({where}, entries={len(self._memory)}, "
+            f"MappingCache(entries={len(self._memory)}, "
             f"hits={self.hits}, misses={self.misses}, evictions={self.evictions})"
         )
 
 
-_GLOBAL_CACHE: Optional[MappingCache] = None
-_GLOBAL_CACHE_DIR: Optional[str] = None
+_GLOBAL_CACHE = MappingCache()
 
 
 def global_mapping_cache() -> MappingCache:
-    """The process-wide cache, honouring :data:`MAPPING_CACHE_ENV`.
-
-    Rebuilt whenever the environment variable changes, so worker
-    processes (and tests) that set or clear it get a cache matching the
-    current configuration rather than a stale singleton.
-    """
-    global _GLOBAL_CACHE, _GLOBAL_CACHE_DIR
-    directory = os.environ.get(MAPPING_CACHE_ENV) or None
-    if _GLOBAL_CACHE is None or directory != _GLOBAL_CACHE_DIR:
-        _GLOBAL_CACHE = MappingCache(directory=directory)
-        _GLOBAL_CACHE_DIR = directory
+    """The process-wide cache (one instance for the life of the process)."""
     return _GLOBAL_CACHE

@@ -7,7 +7,7 @@ TCP port.  Every request takes one of three routes:
 
 * ``health`` is answered on the event loop;
 * **warm fast path** — a reorder whose result is resident in the shared
-  mapping cache's memory tier is answered inline on the event loop
+  mapping cache is answered inline on the event loop
   (:meth:`~repro.serve.service.ReorderService.reorder_warm`), with no
   executor hop;
 * every other op runs on a one-thread executor lane, in arrival order.
@@ -301,7 +301,7 @@ class ReproServer:
         if op == "health":
             return self.service.health(self._server_extra())
         if op == "reorder":
-            # A memory-tier hit is answered inline; anything that probes
+            # A mapping-cache hit is answered inline; anything that probes
             # cold (including anything malformed) takes the lane below.
             warm = self.service.reorder_warm(payload)
             if warm is not None:

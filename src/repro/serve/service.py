@@ -48,10 +48,6 @@ def _mapper_options(payload: Mapping[str, Any]) -> Dict[str, Any]:
     options = payload.get("options", {})
     if not isinstance(options, Mapping):
         raise ProtocolError(ERROR_BAD_REQUEST, "'options' must be a JSON object")
-    if "engine" in options:
-        # The engine tiers are bit-identical by contract; letting clients
-        # pick one would only fragment the shared cache's key space.
-        raise ProtocolError(ERROR_BAD_REQUEST, "'options.engine' is not a client choice")
     return dict(options)
 
 
@@ -164,7 +160,7 @@ class ReorderService:
         }
 
     def reorder_warm(self, payload: Mapping[str, Any]) -> Optional[Dict[str, Any]]:
-        """Answer a reorder straight from the memory-tier cache, or None.
+        """Answer a reorder straight from the mapping cache, or None.
 
         The server calls this on the **event loop thread** before paying
         the executor hop: a warm hit is one locked dict lookup plus JSON

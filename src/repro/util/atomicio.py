@@ -16,7 +16,7 @@ manifests, mapping-cache entries, reports) instead goes through
 * a failed write unlinks its temp file and leaves the old file intact;
 * the result gets the mode a plain ``open(path, "w")`` would create,
   ``0o666 & ~umask`` (``mkstemp`` alone creates ``0o600``), because
-  fabric directories and the mapping-cache disk tier are shared.
+  fabric directories are shared.
 
 Readers therefore see either the old complete file or the new complete
 file — never a torn one — and with many writers, exactly one writer's

@@ -93,15 +93,6 @@ class TestArtifacts:
         )
         assert result.ok()
 
-    def test_cache_dir_scanned(self, tmp_path):
-        (tmp_path / "foreign.json").write_text("{}")
-        result = run_audit(
-            paths=[],
-            cache_dir=str(tmp_path),
-            skip=("schedule", "mapping", "lint", "det", "par", "flt", "prc"),
-        )
-        assert result.sections["cch"].has("CCH004")
-
 
 class TestReports:
     def test_json_shape(self, dirty_tree):

@@ -261,3 +261,46 @@ class TestCellCosts:
         victim.write_text(json.dumps(payload))
         result = CheckpointedSweep(SPEC, out).run()
         assert result.n_computed == 1 and result.n_resumed == 3
+
+
+class TestMappingCacheStaysPut:
+    """A run reorders through the caller's in-memory cache, never a disk tier.
+
+    Each test starts from a fresh evaluator: one left by an earlier run in
+    this process would answer the reorders from its own memo.
+    """
+
+    SMALL = SweepSpec(
+        n_nodes=2,
+        layouts=("block-bunch",),
+        mappers=("heuristic",),
+        sizes=(64, 4096),
+    )
+
+    def test_serial_run_keeps_the_callers_cache(self, tmp_path, monkeypatch):
+        from repro.mapping.cache import global_mapping_cache
+        from repro.mapping.initial import make_layout
+        from repro.mapping.reorder import reorder_ranks
+
+        monkeypatch.delenv("REPRO_MAPPING_CACHE", raising=False)
+        monkeypatch.setattr(runner_mod, "_RUNNER_EVALUATOR", None)
+        cluster = gpc_cluster(2)
+        L = make_layout("cyclic-scatter", cluster, cluster.n_cores)
+        impl = cluster.implicit_distances()
+        cache = global_mapping_cache()
+        first = reorder_ranks("bruck", L, impl, rng=2016)
+        out = tmp_path / "j"
+        CheckpointedSweep(self.SMALL, out).run()
+        assert global_mapping_cache() is cache
+        again = reorder_ranks("bruck", L, impl, rng=2016)
+        assert again.cached
+        assert (again.mapping == first.mapping).all()
+        assert "REPRO_MAPPING_CACHE" not in os.environ
+        assert not (out / "mapcache").exists()
+
+    def test_workers_write_no_mapcache(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(runner_mod, "_RUNNER_EVALUATOR", None)
+        out = tmp_path / "w"
+        run_workers(out, self.SMALL, workers=1)
+        assert (out / "sweep.json").is_file()
+        assert not (out / "mapcache").exists()

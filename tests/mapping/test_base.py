@@ -151,20 +151,13 @@ class TestCorePool:
         layout = np.arange(cluster.n_cores, dtype=np.int64)
         tracemalloc.start()
         try:
-            RDMH(engine="naive").map(layout, D, rng=0)
+            RDMH().map(layout, D, rng=0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20, f"peak {peak / 2**20:.2f} MiB"
 
 class TestMapperPlumbing:
-    def test_setup_fixes_rank0(self, tiny_D):
-        layout = np.array([3, 1, 2, 0])
-        L, M, pool = Mapper._setup(layout, tiny_D, 0, "first")
-        assert M[0] == 3
-        assert not pool.is_free(3)
-        assert pool.n_free == 3
-
     def test_finish_detects_unmapped(self, tiny_D):
         layout = np.arange(4)
         M = np.array([0, 1, -1, 3])

@@ -1,12 +1,9 @@
-"""Content-addressed mapping cache tests (memory tier, disk tier, wiring)."""
-
-import json
+"""Content-addressed mapping cache tests (LRU, key, wiring)."""
 
 import numpy as np
 import pytest
 
 from repro.mapping.cache import (
-    MAPPING_CACHE_ENV,
     MappingCache,
     global_mapping_cache,
     mapping_cache_key,
@@ -64,16 +61,6 @@ class TestCacheKey:
         )
         assert a != b
 
-    def test_engine_kwarg_is_not_content(self):
-        # Both engines are bit-identical by contract, so a mapping
-        # computed by one must be a hit for the other.
-        L = np.arange(8)
-        keys = {
-            mapping_cache_key("fp", "ring", "heuristic", L, 0, kw)
-            for kw in ({}, {"engine": "naive"}, {"engine": "vectorized"})
-        }
-        assert len(keys) == 1
-
 
 class TestMappingCache:
     def test_memory_roundtrip_and_stats(self):
@@ -95,37 +82,12 @@ class TestMappingCache:
         with pytest.raises(ValueError, match="invalid"):
             cache.put("k", {"mapping": [0, 1], "layout": [5, 6]})
 
-    def test_disk_tier_warm_across_instances(self, tmp_path):
-        a = MappingCache(directory=tmp_path)
-        a.put("deadbeef", _entry([0, 1, 2, 3]))
-        b = MappingCache(directory=tmp_path)
-        assert b.get("deadbeef")["mapping"] == [3, 2, 1, 0]
-
-    def test_corrupt_disk_entry_is_a_miss(self, tmp_path):
-        cache = MappingCache(directory=tmp_path)
-        cache.put("k", _entry([0, 1]))
-        (tmp_path / "k.json").write_text("{ torn")
-        cache.clear()
-        assert cache.get("k") is None
-
-    def test_tampered_disk_entry_is_a_miss(self, tmp_path):
-        cache = MappingCache(directory=tmp_path)
-        cache.put("k", _entry([0, 1]))
-        bad = _entry([0, 1])
-        bad["mapping"] = [0, 7]  # not a permutation of the layout
-        (tmp_path / "k.json").write_text(json.dumps(bad))
-        cache.clear()
-        assert cache.get("k") is None
-
 
 class TestGlobalCache:
-    def test_follows_environment(self, tmp_path, monkeypatch):
-        monkeypatch.delenv(MAPPING_CACHE_ENV, raising=False)
-        assert global_mapping_cache().directory is None
-        monkeypatch.setenv(MAPPING_CACHE_ENV, str(tmp_path))
-        assert global_mapping_cache().directory == tmp_path
-        monkeypatch.delenv(MAPPING_CACHE_ENV)
-        assert global_mapping_cache().directory is None
+    def test_one_instance_per_process(self):
+        cache = global_mapping_cache()
+        assert isinstance(cache, MappingCache)
+        assert global_mapping_cache() is cache
 
 
 class TestReorderRanksCaching:
@@ -139,13 +101,14 @@ class TestReorderRanksCaching:
         assert np.array_equal(first.mapping, again.mapping)
         assert again.mapper_name == first.mapper_name
 
-    def test_engines_share_entries(self, mid_cluster):
+    def test_engine_kwarg_is_rejected(self, mid_cluster):
+        # The distance backend picks the placement executor; no kwarg does.
         cache = MappingCache()
         L = make_layout("block-bunch", mid_cluster, 16)
         impl = mid_cluster.implicit_distances()
-        reorder_ranks("ring", L, impl, rng=1, cache=cache, engine="vectorized")
-        hit = reorder_ranks("ring", L, impl, rng=1, cache=cache, engine="naive")
-        assert hit.cached
+        with pytest.raises(TypeError, match="engine"):
+            reorder_ranks("ring", L, impl, rng=1, cache=cache, engine=None)
+        assert len(cache) == 0
 
     def test_dense_matrix_bypasses_cache(self, mid_cluster, mid_D):
         # No fingerprint on a plain ndarray -> nothing content-addressable.
@@ -168,18 +131,3 @@ class TestReorderRanksCaching:
         assert not res.cached
         with pytest.raises(ValueError, match="cache"):
             reorder_ranks("ring", L, impl, rng=0, cache=42)
-
-    def test_disk_hit_across_processes_shape(self, tmp_path, mid_cluster):
-        # Same directory, fresh cache object — models a pool worker
-        # inheriting REPRO_MAPPING_CACHE from the sweep driver.
-        L = make_layout("cyclic-scatter", mid_cluster, 32)
-        impl = mid_cluster.implicit_distances()
-        first = reorder_ranks(
-            "bruck", L, impl, rng=9, cache=MappingCache(directory=tmp_path)
-        )
-        again = reorder_ranks(
-            "bruck", L, impl, rng=9, cache=MappingCache(directory=tmp_path)
-        )
-        assert not first.cached and again.cached
-        assert np.array_equal(first.mapping, again.mapping)
-        assert len(list(tmp_path.glob("*.json"))) == 1

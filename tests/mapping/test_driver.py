@@ -1,10 +1,11 @@
-"""Placement-identity tests: naive CorePool vs. the vectorised driver.
+"""Placement-identity tests: CorePool vs. the vectorised driver.
 
-The vectorised engine (:class:`repro.mapping.base.HierarchicalFreePool`
-driven by ``execute_program``) must reproduce the naive per-query
-reference *bit for bit* — same cores, same rng stream, both tie-break
-modes — otherwise cached mappings and benchmark cross-checks would
-silently drift between engines.  Its bulk-drawn tie-breaks are checked
+The vectorised driver (:class:`repro.mapping.base.HierarchicalFreePool`
+driven by ``execute_program``, which a map opens on a strict implicit
+ladder) must reproduce :class:`~repro.mapping.base.CorePool` (which a map
+opens on the dense matrix) *bit for bit* — same cores, same rng stream,
+both tie-break modes — otherwise a mapping would depend on the distance
+backend it was computed from.  Its bulk-drawn tie-breaks are checked
 against ``Generator.integers`` itself, so a change to numpy's bounded
 draw fails here instead of moving placements.
 """
@@ -19,7 +20,6 @@ from repro.mapping.base import (
     CorePool,
     HierarchicalFreePool,
     PoolExhaustedError,
-    PLACEMENT_ENGINES,
 )
 from repro.mapping.bbmh import BBMH
 from repro.mapping.bgmh import BGMH
@@ -48,12 +48,11 @@ def big_cluster():
 
 
 def _both_engines(cls, cluster, layout, tie_break, seed, vect_seed=None):
-    """Map once per engine; ``vect_seed`` gives the vectorised map its own
+    """Map on the dense matrix (CorePool) and on the implicit backend
+    (HierarchicalFreePool); ``vect_seed`` gives the vectorised map its own
     rng when ``seed`` is a live Generator (default: ``seed`` itself)."""
-    naive = cls(tie_break=tie_break, engine="naive").map(
-        layout, cluster.distance_matrix(), rng=seed
-    )
-    vect = cls(tie_break=tie_break, engine="vectorized").map(
+    naive = cls(tie_break=tie_break).map(layout, cluster.distance_matrix(), rng=seed)
+    vect = cls(tie_break=tie_break).map(
         layout,
         cluster.implicit_distances(),
         rng=seed if vect_seed is None else vect_seed,
@@ -127,38 +126,32 @@ class TestPlacementIdentity:
 
 
 class TestEngineSelection:
-    def test_engine_validated_at_construction(self):
-        with pytest.raises(ValueError, match="engine"):
-            RMH(engine="bogus")
-        assert PLACEMENT_ENGINES == ("auto", "naive", "vectorized")
+    """The distance backend alone picks the pool a map runs on."""
 
     def test_auto_opens_hierarchical_pool_on_implicit_backend(self, mid_cluster):
         impl = mid_cluster.implicit_distances()
         assert impl.supports_vectorized_placement
         L = make_layout("block-bunch", mid_cluster, 16)
-        pool = RMH(engine="auto")._open_pool(impl, L, 0)
-        assert type(pool) is HierarchicalFreePool
-
-    def test_vectorized_rejects_dense_matrix(self, mid_cluster):
-        L = make_layout("block-bunch", mid_cluster, 16)
-        with pytest.raises(ValueError, match="vectorized"):
-            RMH(engine="vectorized").map(L, mid_cluster.distance_matrix(), rng=0)
+        assert type(RMH()._open_pool(impl, L, 0)) is HierarchicalFreePool
+        dense = mid_cluster.distance_matrix()
+        assert type(RMH()._open_pool(dense, L, 0)) is CorePool
 
     def test_auto_falls_back_on_collapsed_ladder(self):
         # Zero LEAF_LINE weight collapses the same-leaf and same-line
         # levels: the implicit backend advertises no vectorised support,
-        # and engine="auto" must quietly fall back to the naive pool.
+        # so a map quietly runs on CorePool.
         weights = dict(DEFAULT_DISTANCE_WEIGHTS)
         weights[LinkClass.LEAF_LINE] = 0.0
         cluster = ClusterTopology(n_nodes=8, distance_weights=weights)
         impl = cluster.implicit_distances()
         assert not impl.supports_vectorized_placement
         L = make_layout("block-bunch", cluster, 16)
-        via_auto = RMH(engine="auto").map(L, impl, rng=2)
-        via_naive = RMH(engine="naive").map(L, cluster.distance_matrix(), rng=2)
-        assert np.array_equal(via_auto, via_naive)
-        with pytest.raises(ValueError, match="vectorized"):
-            RMH(engine="vectorized").map(L, impl, rng=2)
+        assert type(RMH()._open_pool(impl, L, 2)) is CorePool
+        via_implicit = RMH().map(L, impl, rng=2)
+        via_dense = RMH().map(L, cluster.distance_matrix(), rng=2)
+        assert np.array_equal(via_implicit, via_dense)
+        with pytest.raises(ValueError, match="CorePool"):
+            HierarchicalFreePool(impl, L, rng=2)
 
 
 class TestHierarchicalFreePool:
@@ -169,8 +162,6 @@ class TestHierarchicalFreePool:
         for core in range(4):
             pool.take(core)
         with pytest.raises(PoolExhaustedError, match="no free cores"):
-            pool.closest_free(0)
-        with pytest.raises(PoolExhaustedError):
             pool.place_closest(0)
 
     def test_closest_free_matches_reference(self, mid_cluster, mid_D, big_cluster):
@@ -182,10 +173,7 @@ class TestHierarchicalFreePool:
         rng = make_rng(123)
         for _ in range(20):
             ref = int(rng.integers(24))
-            ca, cb = a.closest_free(ref), b.closest_free(ref)
-            assert ca == cb
-            a.take(ca)
-            b.take(cb)
+            assert a.place_closest(ref) == b.place_closest(ref)
 
         # A pool that leaves out nodes, one socket of node 5 and the whole
         # second leaf switch (nodes 30, 31): references on those cores
@@ -195,21 +183,14 @@ class TestHierarchicalFreePool:
         nodes = [np.arange(n * cpn, (n + 1) * cpn) for n in (0, 1, 3, 17)]
         cores = np.concatenate(nodes + [np.arange(5 * cpn, 5 * cpn + 4)])
         D, impl = big_cluster.distance_matrix(), big_cluster.implicit_distances()
-        for query in ("closest_free", "place_closest"):
-            a = CorePool(D, cores, rng=7)
-            b = HierarchicalFreePool(impl, cores, rng=7)
-            draws = make_rng(321).integers(big_cluster.n_cores, size=cores.size - 3)
-            refs = [30 * cpn, 2 * cpn, 5 * cpn + 4] + draws.tolist()
-            for ref in refs:
-                if query == "closest_free":
-                    ca, cb = a.closest_free(ref), b.closest_free(ref)
-                    a.take(ca)
-                    b.take(cb)
-                else:
-                    ca, cb = a.place_closest(ref), b.place_closest(ref)
-                assert ca == cb
-            assert b.n_free == 0
-            assert a.rng.bit_generator.state == b.rng.bit_generator.state
+        a = CorePool(D, cores, rng=7)
+        b = HierarchicalFreePool(impl, cores, rng=7)
+        draws = make_rng(321).integers(big_cluster.n_cores, size=cores.size - 3)
+        refs = [30 * cpn, 2 * cpn, 5 * cpn + 4] + draws.tolist()
+        for ref in refs:
+            assert a.place_closest(ref) == b.place_closest(ref)
+        assert b.n_free == 0
+        assert a.rng.bit_generator.state == b.rng.bit_generator.state
 
 
 def _same_state(a, b) -> bool:
