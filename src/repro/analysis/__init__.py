@@ -40,6 +40,7 @@ from repro.analysis.mapping_checker import (
     check_cluster,
     check_core_mapping,
     check_distance_matrix,
+    check_node_groups,
     check_rank_permutation,
 )
 from repro.analysis.registry import FAMILIES, RULES, is_registered, rules_for_family
@@ -106,6 +107,7 @@ __all__ = [
     "check_cluster",
     "check_core_mapping",
     "check_distance_matrix",
+    "check_node_groups",
     "check_rank_permutation",
     "REPRO_VERIFY_ENV",
     "ScheduleVerificationError",

@@ -7,6 +7,9 @@ hold *independently of any timing result*:
 
 * a mapping must be a bijection (``MAP001``) — a silent repeat or hole
   would corrupt collective results;
+* a hierarchical world mapping must keep each node communicator's ranks
+  together on one node of its own (``MAP007``) — the intra-node phase
+  would otherwise cross the network;
 * a distance matrix must be a square, symmetric, zero-diagonal,
   non-negative matrix (``MAP002``–``MAP005``), optionally satisfying the
   triangle inequality (``MAP006``, an opt-in audit: the paper's ladder
@@ -39,6 +42,7 @@ __all__ = [
     "check_rank_permutation",
     "check_core_mapping",
     "check_distance_matrix",
+    "check_node_groups",
     "check_cluster",
 ]
 
@@ -79,6 +83,35 @@ def check_core_mapping(mapping: Sequence[int], layout: Sequence[int]) -> Diagnos
             "MAP001",
             f"mapping uses cores outside the layout's core set (e.g. {stray})",
         )
+    return report
+
+
+def check_node_groups(mapping: Sequence[int], groups, cluster) -> DiagnosticReport:
+    """MAP007 unless every rank group sits on one node, no two on the same.
+
+    ``groups`` lists the new ranks of each node communicator of a
+    hierarchical world ``mapping`` (paper §VI-A2: ranks are reordered
+    within each node and across the node leaders, never off their node).
+    Together with :func:`check_core_mapping` against the layout, this
+    puts each node's processes on exactly that node's cores.
+    """
+    report = DiagnosticReport(subject="node groups")
+    M = np.asarray(mapping, dtype=np.int64)
+    ranks = [np.asarray(g, dtype=np.int64) for g in groups]
+    try:
+        check_permutation(np.concatenate(ranks) if ranks else [], M.size, name="node groups")
+    except ValueError as exc:
+        report.add("MAP007", f"groups do not partition the ranks: {exc}")
+        return report
+    owner = {}
+    for j, g in enumerate(ranks):
+        nodes = np.unique(cluster.node_of(M[g])).tolist()
+        if len(nodes) != 1:
+            report.add("MAP007", f"node group {j} sits on nodes {nodes[:4]}, not on one")
+        elif nodes[0] in owner:
+            report.add("MAP007", f"node groups {owner[nodes[0]]} and {j} share node {nodes[0]}")
+        else:
+            owner[nodes[0]] = j
     return report
 
 

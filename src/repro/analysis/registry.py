@@ -80,6 +80,7 @@ _RULE_TABLE = [
     ("MAP004", "distance matrix has a non-zero diagonal"),
     ("MAP005", "distance matrix has negative entries"),
     ("MAP006", "triangle-inequality violation (opt-in audit)", Severity.WARNING),
+    ("MAP007", "hierarchical mapping moves a node group's ranks off its node"),
     ("TOP001", "cluster arithmetic inconsistency (cores / nodes / sockets)"),
     ("TOP002", "cluster distance structure broken (ladder or matrix)"),
     ("TOP003", "network capacity / fat-tree configuration inconsistency"),

@@ -596,10 +596,12 @@ def _cmd_verify(args) -> int:
         check_cluster,
         check_core_mapping,
         check_distance_matrix,
+        check_node_groups,
     )
     from repro.analysis.schedule_verifier import verify_algorithm
     from repro.collectives.registry import make_algorithm, registered_algorithm_names
     from repro.mapping.reorder import HEURISTICS, reorder_all, reorder_ranks
+    from repro.util.bits import is_power_of_two
 
     names = args.alg or registered_algorithm_names()
     unknown = [n for n in names if n not in registered_algorithm_names()]
@@ -634,15 +636,31 @@ def _cmd_verify(args) -> int:
         reports.append(check_distance_matrix(D, triangle=args.triangle))
         distances = cluster.implicit_distances()
         L = make_layout("cyclic-bunch", cluster, p)
-        for pattern, res in reorder_all(
-            L, distances, patterns=sorted(HEURISTICS), rng=0
-        ).items():
+        # RDMH maps power-of-two process counts only.
+        rd = "recursive-doubling"
+        skipped = [] if is_power_of_two(p) else [f"{rd} heuristic mapping"]
+        patterns = [pt for pt in sorted(HEURISTICS) if pt != rd or not skipped]
+        for pattern, res in reorder_all(L, distances, patterns=patterns, rng=0).items():
             rep = check_core_mapping(res.mapping, L)
             rep.subject = f"{pattern} heuristic mapping"
+            reports.append(rep)
+        # The Fig. 4 world mapping: per-node maps plus the leader reorder.
+        ev = AllgatherEvaluator(cluster, rng=0)
+        L = make_layout("block-scatter", cluster, p)
+        for leaders in (rd, "ring"):
+            if leaders == rd and not is_power_of_two(cluster.n_nodes):
+                skipped.append(f"hierarchical mapping ({rd} leaders)")
+                continue
+            world, groups, _ = ev._hierarchical_reordering(L, "heuristic", "binomial", leaders, 0)
+            rep = check_core_mapping(world.mapping, L)
+            rep.extend(check_node_groups(world.mapping, groups, cluster))
+            rep.subject = f"hierarchical mapping ({leaders} leaders)"
             reports.append(rep)
         for rep in reports:
             print(f"  {rep.format()}")
             total += len(rep.diagnostics)
+        for subject in skipped:
+            print(f"  {subject}: skip (count not a power of two)")
 
     print(f"\nverify: {total} diagnostic(s)")
     return 1 if total else 0

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import copy
 import hashlib
+import itertools
 import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -468,21 +469,29 @@ class AllgatherEvaluator:
         """Each node group's cores in intra-reordered order, plus mapping seconds.
 
         Only binomial phases are reordered; a linear phase has no pattern
-        to optimise (paper Fig. 4(c,d) commentary).
+        to optimise (paper Fig. 4(c,d) commentary).  The groups of more
+        than one core are mapped in group order from ``rng``: with the
+        heuristic by one :meth:`~repro.mapping.base.Mapper.map_groups`
+        call, with a graph mapper (whose pattern graph has the group's
+        size) by one call per run of equal-sized groups.
         """
-        overhead = 0.0
-        per_group_cores: List[np.ndarray] = []
-        for g in groups_old:
-            cores_g = L[np.asarray(g, dtype=np.int64)]
-            if intra == "binomial" and len(g) > 1:
-                mapper = self._intra_mapper(kind, len(g))
-                t0 = time.perf_counter()
-                M_g = mapper.map(cores_g, self.distances, rng=rng)
-                overhead += time.perf_counter() - t0
-            else:
-                M_g = cores_g.copy()
-            per_group_cores.append(np.asarray(M_g, dtype=np.int64))
-        return per_group_cores, overhead
+        per_group_cores = [L[np.asarray(g, dtype=np.int64)] for g in groups_old]
+        if intra != "binomial":
+            return per_group_cores, 0.0
+        todo = [i for i, cores in enumerate(per_group_cores) if cores.size > 1]
+        if kind == "heuristic":
+            runs = [(self._intra_mapper(kind, 0), todo)]
+        else:
+            runs = [
+                (self._intra_mapper(kind, m), list(run))
+                for m, run in itertools.groupby(todo, key=lambda i: per_group_cores[i].size)
+            ]
+        t0 = time.perf_counter()
+        for mapper, run in runs:
+            mapped = mapper.map_groups([per_group_cores[i] for i in run], self.distances, rng)
+            for i, M_g in zip(run, mapped):
+                per_group_cores[i] = M_g
+        return per_group_cores, time.perf_counter() - t0
 
     def _leader_reordering(
         self,

@@ -32,7 +32,7 @@ import time
 import weakref
 from abc import ABC, abstractmethod
 from collections import OrderedDict
-from typing import Dict, Iterator, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -121,10 +121,6 @@ class CorePool:
     def n_free(self) -> int:
         """Number of cores still unassigned."""
         return int(self.free.sum())
-
-    def is_free(self, core: int) -> bool:
-        """True iff ``core`` has not been assigned yet."""
-        return bool(self.free[self._pos[int(core)]])
 
     def take(self, core: int) -> None:
         """Mark ``core`` as assigned."""
@@ -536,10 +532,6 @@ class HierarchicalFreePool:
         """Number of cores still unassigned."""
         return self._total_free
 
-    def is_free(self, core: int) -> bool:
-        """True iff ``core`` has not been assigned yet."""
-        return bool(self._free_l[self._pos[int(core)]])
-
     def take(self, core: int) -> None:
         """Mark ``core`` as assigned (O(1) group-count updates)."""
         pos = self._pos.get(int(core))
@@ -755,6 +747,17 @@ class Mapper(ABC):
     def map(self, layout: Sequence[int], D, rng: RngLike = 0) -> np.ndarray:
         """Compute the mapping array ``M``."""
 
+    def map_groups(self, groups: Sequence[Sequence[int]], D, rng: RngLike = 0) -> List[np.ndarray]:
+        """Map each group of cores on its own, in order, from one generator.
+
+        ``result[g] == self.map(groups[g], D, rng=gen)`` for one
+        ``gen = make_rng(rng)`` that the groups draw from in turn (an
+        integer seed seeds one stream for all groups, not one each).  This
+        is the per-node pass of hierarchical reordering (paper §VI-A2).
+        """
+        gen = make_rng(rng)
+        return [self.map(g, D, rng=gen) for g in groups]
+
     @staticmethod
     def _finish(M: np.ndarray, layout: np.ndarray) -> np.ndarray:
         """Validate the result is a complete mapping over the same cores."""
@@ -820,6 +823,66 @@ class GreedyPlacementMapper(Mapper):
             for new_rank, ref_rank in self.placements(L.size):
                 M[new_rank] = place(M[ref_rank])
         return self._finish(np.asarray(M, dtype=np.int64), L)
+
+    def map_groups(self, groups: Sequence[Sequence[int]], D, rng: RngLike = 0) -> List[np.ndarray]:
+        """Per-node maps as one placement program (equal to the ``map`` loop).
+
+        On a strict implicit ladder (``supports_vectorized_placement``),
+        groups that each sit on one node, no two on the same node — what
+        :meth:`~repro.evaluation.evaluator.AllgatherEvaluator.
+        groups_from_layout` yields — run as one :meth:`HierarchicalFreePool.
+        execute_program` call over their concatenated cores: every group's
+        first core is taken up front, then each group's program, shifted by
+        the group's offset, runs in group order.  Around any reference in
+        group ``g`` the socket and node levels hold only ``g``'s cores, and
+        ``g`` keeps a free core until its program ends, so no step reaches
+        the leaf, line or pool-wide level; candidate order (pool position)
+        and every tie-break bound ``k`` are those of ``g``'s own pool, and
+        bulk-drawn tie-breaks consume the stream as ``integers(k)`` does
+        (:class:`_TieBreakDraws`).  Mappings and the generator's end state
+        therefore equal the per-group loop's.  Any other input runs the
+        loop; a group size the heuristic rejects raises before any draw.
+        """
+        gen = make_rng(rng)
+        Ls = [np.asarray(g, dtype=np.int64) for g in groups]
+        sizes = [L.size for L in Ls]
+        if not getattr(D, "supports_vectorized_placement", False) or not Ls or min(sizes) < 1:
+            return super().map_groups(Ls, D, gen)
+        cat = np.concatenate(Ls)
+        starts = np.cumsum([0] + sizes[:-1])
+        nodes = D.cluster.node_of(cat)
+        leads = nodes[starts]
+        if np.unique(leads).size != leads.size or not np.array_equal(
+            np.repeat(leads, sizes), nodes
+        ):
+            return super().map_groups(Ls, D, gen)
+        programs: Dict[int, list] = {}
+        for m in sizes:
+            if m not in programs:
+                self._validate_p(m)
+                programs[m] = list(self.placements(m))
+        pool = HierarchicalFreePool(D, cat, rng=gen, tie_break=self.tie_break)
+        cat_l = cat.tolist()
+        M = [-1] * len(cat_l)
+        starts_l = starts.tolist()
+        for s in starts_l:
+            M[s] = cat_l[s]
+            pool.take(M[s])
+        pool.execute_program(
+            [(new + s, ref + s) for m, s in zip(sizes, starts_l) for new, ref in programs[m]],
+            M,
+        )
+        out = np.asarray(M, dtype=np.int64)
+        if np.any(out < 0):
+            missing = np.flatnonzero(out < 0)[:4].tolist()
+            raise RuntimeError(f"mapper left ranks unmapped: {missing}")
+        # Per group: rank 0 stays put and the cores are the group's own
+        # (group-offset keys make one sort check every group at once).
+        key = np.repeat(np.arange(len(sizes), dtype=np.int64) * _n_rows(D), sizes)
+        if not np.array_equal(out[starts], cat[starts]) or not same_multiset(out + key, cat + key):
+            raise RuntimeError("mapper moved a group's rank 0 or produced cores outside its group")
+        ends = starts_l[1:] + [out.size]
+        return [out[a:b] for a, b in zip(starts_l, ends)]
 
 
 def map_batch(mappers, layout: Sequence[int], D, rngs, seconds_out=None) -> list:

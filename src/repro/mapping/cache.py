@@ -19,8 +19,9 @@ the key: only plain integer seeds are reproducible content, so
 :func:`repro.mapping.reorder.reorder_ranks` bypasses the cache entirely
 for live generators.
 
-Entries are validated on the way in (the mapping must be a permutation
-of the layout it was computed for).
+Each entry keeps its layout and mapping as one read-only int64 array
+pair, validated on the way in (the mapping must be a permutation of the
+layout it was computed for).
 """
 
 from __future__ import annotations
@@ -29,9 +30,11 @@ import hashlib
 import json
 import threading
 from collections import OrderedDict
-from typing import Any, Dict, Mapping, Optional, Tuple
+from typing import Any, Dict, Mapping, Optional
 
 import numpy as np
+
+from repro.util.validation import same_multiset
 
 __all__ = [
     "MappingCache",
@@ -91,11 +94,8 @@ class MappingCache:
             raise ValueError(f"max_memory_entries must be >= 1, got {max_memory_entries}")
         self.max_memory_entries = max_memory_entries
         self._memory: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
-        # int64 (layout, mapping) views of each memory entry, built once
-        # at admission so repeat hits skip list round-trips entirely.
-        self._arrays: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
-        # Guards _memory/_arrays: the serve daemon answers warm hits from
-        # its event loop thread while the pipeline lane admits entries.
+        # Guards _memory: the serve daemon answers warm hits from its event
+        # loop thread while the pipeline lane admits entries.
         self._lock = threading.RLock()
         self.hits = 0
         self.misses = 0
@@ -104,44 +104,50 @@ class MappingCache:
     # ------------------------------------------------------------------
     @staticmethod
     def _valid(entry: Any) -> bool:
-        """True iff ``entry`` looks like an intact mapping record."""
+        """True iff ``entry`` holds integer arrays, the mapping a permutation of the layout."""
         if not isinstance(entry, dict):
             return False
-        mapping = entry.get("mapping")
-        layout = entry.get("layout")
-        if not isinstance(mapping, list) or not isinstance(layout, list):
-            return False
-        return len(mapping) == len(layout) and sorted(mapping) == sorted(layout)
+        layout, mapping = entry.get("layout"), entry.get("mapping")
+        for arr in (layout, mapping):
+            if not isinstance(arr, np.ndarray) or not np.issubdtype(arr.dtype, np.integer):
+                return False
+        return layout.ndim == 1 and mapping.shape == layout.shape and same_multiset(mapping, layout)
 
     def get(self, key: str) -> Optional[Dict[str, Any]]:
-        """Entry for ``key``, or None."""
-        hit = self.get_arrays(key)
-        return hit[0] if hit is not None else None
+        """Entry for ``key``, or None.
 
-    def get_arrays(
-        self, key: str
-    ) -> Optional[Tuple[Dict[str, Any], np.ndarray, np.ndarray]]:
-        """Hit as ``(entry, layout, mapping)`` with int64 array views.
-
-        The arrays are the cache's own (built once at admission): callers
-        must treat them as read-only and copy before mutating.  This is
-        the hot serving path — a warm hit does no per-element work.
+        Its ``layout`` and ``mapping`` are the cache's own read-only int64
+        arrays: copy before mutating.  A warm hit does no per-element work.
         """
         with self._lock:
             entry = self._memory.get(key)
-            if entry is not None:
-                self._memory.move_to_end(key)
-                self.hits += 1
-                return (entry,) + self._arrays[key]
-            self.misses += 1
-        return None
+            if entry is None:
+                self.misses += 1
+                return None
+            self._memory.move_to_end(key)
+            self.hits += 1
+            return entry
 
     def put(self, key: str, entry: Dict[str, Any]) -> None:
-        """Store ``entry`` (evicting the least recently used past the bound)."""
+        """Store ``entry`` (evicting the least recently used past the bound).
+
+        ``entry["layout"]`` and ``entry["mapping"]`` are integer arrays;
+        the cache keeps read-only int64 copies of them, so the caller may
+        go on mutating its own.
+        """
         if not self._valid(entry):
             raise ValueError("refusing to cache an invalid mapping entry")
+        stored = dict(entry)
+        for field in ("layout", "mapping"):
+            arr = np.array(entry[field], dtype=np.int64)
+            arr.flags.writeable = False
+            stored[field] = arr
         with self._lock:
-            self._remember(key, entry)
+            self._memory[key] = stored
+            self._memory.move_to_end(key)
+            while len(self._memory) > self.max_memory_entries:
+                self._memory.popitem(last=False)
+                self.evictions += 1
 
     def peek(self, key: str) -> bool:
         """True iff ``key`` is resident.
@@ -151,18 +157,6 @@ class MappingCache:
         the one mutating the cache, since it is one dict lookup).
         """
         return key in self._memory
-
-    def _remember(self, key: str, entry: Dict[str, Any]) -> None:
-        self._memory[key] = entry
-        self._arrays[key] = (
-            np.asarray(entry["layout"], dtype=np.int64),
-            np.asarray(entry["mapping"], dtype=np.int64),
-        )
-        self._memory.move_to_end(key)
-        while len(self._memory) > self.max_memory_entries:
-            gone, _ = self._memory.popitem(last=False)
-            self._arrays.pop(gone, None)
-            self.evictions += 1
 
     def stats(self) -> Dict[str, Any]:
         """Counter snapshot (what the daemon's ``stats`` op reports)."""

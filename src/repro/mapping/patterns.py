@@ -15,14 +15,14 @@ optimise.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Callable, Dict, List, Tuple
 
 import numpy as np
 
 from repro.collectives import binomial
 from repro.util.bits import ceil_log2, ilog2, is_power_of_two
 
-__all__ = ["PatternGraph", "build_pattern", "PATTERN_BUILDERS"]
+__all__ = ["PatternGraph", "build_pattern", "pattern_builder", "PATTERN_BUILDERS"]
 
 
 @dataclass
@@ -153,12 +153,16 @@ PATTERN_BUILDERS = {
 }
 
 
-def build_pattern(name: str, p: int) -> PatternGraph:
-    """Build the named communication-pattern graph over ``p`` ranks."""
+def pattern_builder(name: str) -> Callable[[int], PatternGraph]:
+    """The builder (``p -> PatternGraph``) of the named pattern graph."""
     try:
-        builder = PATTERN_BUILDERS[name]
+        return PATTERN_BUILDERS[name]
     except KeyError:
         raise KeyError(
             f"unknown pattern {name!r}; known: {sorted(PATTERN_BUILDERS)}"
         )
-    return builder(p)
+
+
+def build_pattern(name: str, p: int) -> PatternGraph:
+    """Build the named communication-pattern graph over ``p`` ranks."""
+    return pattern_builder(name)(p)

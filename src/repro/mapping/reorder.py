@@ -15,6 +15,7 @@ every subsequent collective call, which is what
 
 from __future__ import annotations
 
+import inspect
 import time
 from dataclasses import dataclass
 from typing import Dict, Mapping, Sequence, Type
@@ -28,7 +29,7 @@ from repro.mapping.bgmh import BGMH
 from repro.mapping.bruckmh import BruckMH
 from repro.mapping.cache import MappingCache, global_mapping_cache, mapping_cache_key
 from repro.mapping.greedy import GreedyGraphMapper
-from repro.mapping.patterns import build_pattern
+from repro.mapping.patterns import pattern_builder
 from repro.mapping.rdmh import RDMH
 from repro.mapping.rmh import RMH
 from repro.mapping.scotch import ScotchLikeMapper
@@ -88,6 +89,55 @@ def _cache_for(cache) -> "MappingCache | None":
     raise ValueError(f"cache must be 'auto', 'off', or a MappingCache, got {cache!r}")
 
 
+def _fingerprint(D) -> "str | None":
+    """The backend's topology fingerprint, or None (nothing to key on)."""
+    fp = getattr(D, "fingerprint", None)
+    if callable(fp):  # ClusterTopology-style callable fingerprints
+        fp = fp()
+    return fp if isinstance(fp, str) else None
+
+
+def _cached(cache_obj: MappingCache, key: str, L: np.ndarray, pattern: str):
+    """The cached :class:`ReorderResult` for ``key``, or None."""
+    entry = cache_obj.get(key)
+    if entry is None or not np.array_equal(entry["layout"], L):
+        return None
+    return ReorderResult(
+        # Copy: the cache's arrays are read-only and shared.
+        reordering=RankReordering(layout=L, mapping=entry["mapping"].copy()),
+        pattern=pattern,
+        mapper_name=entry.get("mapper_name", "mapper"),
+        map_seconds=float(entry.get("map_seconds", 0.0)),
+        graph_seconds=float(entry.get("graph_seconds", 0.0)),
+        cached=True,
+    )
+
+
+def _remember(cache_obj: MappingCache, key: str, res: ReorderResult, kind: str) -> None:
+    """Admit a freshly computed result under ``key``."""
+    cache_obj.put(
+        key,
+        {
+            "mapping": res.mapping,
+            "layout": res.reordering.layout,
+            "pattern": res.pattern,
+            "kind": kind,
+            "mapper_name": res.mapper_name,
+            "map_seconds": res.map_seconds,
+            "graph_seconds": res.graph_seconds,
+        },
+    )
+
+
+def _heuristic(pattern: str, mapper_kwargs: Mapping) -> Mapper:
+    """The fine-tuned heuristic for ``pattern``, built with ``mapper_kwargs``."""
+    try:
+        mapper_cls = HEURISTICS[pattern]
+    except KeyError:
+        raise KeyError(f"no fine-tuned heuristic for pattern {pattern!r}")
+    return mapper_cls(**mapper_kwargs)
+
+
 def reorder_ranks(
     pattern: str,
     layout: Sequence[int],
@@ -123,79 +173,57 @@ def reorder_ranks(
     mapper_kwargs:
         Forwarded to the mapper constructor (e.g. ``tie_break="first"``,
         ``traversal=...``, ``update_after=...``).
+
+    An unknown pattern or a keyword the mapper does not take raises
+    before the cache is consulted, so a refused call counts no miss.
     """
     if kind not in MAPPER_KINDS:
         raise ValueError(f"kind must be one of {MAPPER_KINDS}, got {kind!r}")
     L = np.asarray(layout, dtype=np.int64)
     p = L.size
 
+    # Resolve the mapper before the lookup; a graph mapper's pattern graph
+    # is built only on a miss (its construction is measured overhead).
+    if kind == "heuristic":
+        mapper: "Mapper | None" = _heuristic(pattern, mapper_kwargs)
+    else:
+        builder = pattern_builder(pattern)
+        graph_mapper = ScotchLikeMapper if kind == "scotch" else GreedyGraphMapper
+        inspect.signature(graph_mapper).bind(None, **mapper_kwargs)
+        mapper = None
+
     cache_obj = _cache_for(cache)
     key = None
-    if cache_obj is not None:
-        fp = getattr(D, "fingerprint", None)
-        if callable(fp):  # ClusterTopology-style callable fingerprints
-            fp = fp()
-        if isinstance(fp, str) and isinstance(rng, (int, np.integer)):
-            key = mapping_cache_key(fp, pattern, kind, L, int(rng), mapper_kwargs)
-            hit = cache_obj.get_arrays(key)
-            if hit is not None:
-                entry, cached_layout, cached_mapping = hit
-                if np.array_equal(cached_layout, L):
-                    return ReorderResult(
-                        reordering=RankReordering(
-                            # Copy: the arrays are the cache's own views.
-                            layout=L, mapping=cached_mapping.copy()
-                        ),
-                        pattern=pattern,
-                        mapper_name=entry.get("mapper_name", "mapper"),
-                        map_seconds=float(entry.get("map_seconds", 0.0)),
-                        graph_seconds=float(entry.get("graph_seconds", 0.0)),
-                        cached=True,
-                    )
+    fp = _fingerprint(D) if cache_obj is not None else None
+    if fp is not None and isinstance(rng, (int, np.integer)):
+        key = mapping_cache_key(fp, pattern, kind, L, int(rng), mapper_kwargs)
+        hit = _cached(cache_obj, key, L, pattern)
+        if hit is not None:
+            return hit
 
     graph_seconds = 0.0
-    if kind == "heuristic":
-        try:
-            mapper_cls = HEURISTICS[pattern]
-        except KeyError:
-            raise KeyError(f"no fine-tuned heuristic for pattern {pattern!r}")
-        mapper: Mapper = mapper_cls(**mapper_kwargs)
-    else:
+    if mapper is None:
         # General-purpose mappers must build the process-topology graph
         # first — that construction is part of their measured overhead.
         t0 = time.perf_counter()
-        graph = build_pattern(pattern, p)
+        graph = builder(p)
         graph_seconds = time.perf_counter() - t0
-        if kind == "scotch":
-            mapper = ScotchLikeMapper(graph, **mapper_kwargs)
-        else:
-            mapper = GreedyGraphMapper(graph, **mapper_kwargs)
+        mapper = graph_mapper(graph, **mapper_kwargs)
 
     t0 = time.perf_counter()
     M = mapper.map(L, D, rng=rng)
     map_seconds = time.perf_counter() - t0
 
-    if key is not None:
-        cache_obj.put(
-            key,
-            {
-                "mapping": M.tolist(),
-                "layout": L.tolist(),
-                "pattern": pattern,
-                "kind": kind,
-                "mapper_name": mapper.name,
-                "map_seconds": map_seconds,
-                "graph_seconds": graph_seconds,
-            },
-        )
-
-    return ReorderResult(
+    res = ReorderResult(
         reordering=RankReordering(layout=L, mapping=M),
         pattern=pattern,
         mapper_name=mapper.name,
         map_seconds=map_seconds,
         graph_seconds=graph_seconds,
     )
+    if key is not None:
+        _remember(cache_obj, key, res, kind)
+    return res
 
 
 def reorder_all(
@@ -253,68 +281,39 @@ def reorder_all(
         rng_of = dict(rng)
     else:
         rng_of = {pt: rng for pt in patterns}
+    # Built before any lookup, so a refused keyword counts no miss.
+    mappers = {pt: _heuristic(pt, mapper_kwargs) for pt in patterns}
 
     # --- cache lookups (fingerprint + layout serialised once) ---------
     cache_obj = _cache_for(cache)
-    keys: Dict[str, object] = {}
+    keys: Dict[str, str] = {}
     results: Dict[str, ReorderResult] = {}
-    if cache_obj is not None:
-        fp = getattr(D, "fingerprint", None)
-        if callable(fp):
-            fp = fp()
-        if isinstance(fp, str):
-            for pt in patterns:
-                if not isinstance(rng_of[pt], (int, np.integer)):
-                    continue  # live Generators bypass the cache
-                key = mapping_cache_key(
-                    fp, pt, "heuristic", L, int(rng_of[pt]), mapper_kwargs
-                )
-                keys[pt] = key
-                hit = cache_obj.get_arrays(key)
-                if hit is not None:
-                    entry, cached_layout, cached_mapping = hit
-                    if not np.array_equal(cached_layout, L):
-                        continue
-                    results[pt] = ReorderResult(
-                        reordering=RankReordering(
-                            layout=L, mapping=cached_mapping.copy()
-                        ),
-                        pattern=pt,
-                        mapper_name=entry.get("mapper_name", "mapper"),
-                        map_seconds=float(entry.get("map_seconds", 0.0)),
-                        graph_seconds=float(entry.get("graph_seconds", 0.0)),
-                        cached=True,
-                    )
+    fp = _fingerprint(D) if cache_obj is not None else None
+    if fp is not None:
+        for pt in patterns:
+            if not isinstance(rng_of[pt], (int, np.integer)):
+                continue  # live Generators bypass the cache
+            keys[pt] = mapping_cache_key(fp, pt, "heuristic", L, int(rng_of[pt]), mapper_kwargs)
+            hit = _cached(cache_obj, keys[pt], L, pt)
+            if hit is not None:
+                results[pt] = hit
 
     # --- batched mapping of the misses --------------------------------
     misses = [pt for pt in patterns if pt not in results]
     if misses:
-        mappers = [HEURISTICS[pt](**mapper_kwargs) for pt in misses]
         seconds: list = []
         mappings = map_batch(
-            mappers, L, D, [rng_of[pt] for pt in misses], seconds_out=seconds
+            [mappers[pt] for pt in misses], L, D, [rng_of[pt] for pt in misses],
+            seconds_out=seconds,
         )
-        for pt, mapper, M, secs in zip(misses, mappers, mappings, seconds):
-            key = keys.get(pt)
-            if key is not None:
-                cache_obj.put(
-                    key,
-                    {
-                        "mapping": M.tolist(),
-                        "layout": L.tolist(),
-                        "pattern": pt,
-                        "kind": "heuristic",
-                        "mapper_name": mapper.name,
-                        "map_seconds": secs,
-                        "graph_seconds": 0.0,
-                    },
-                )
+        for pt, M, secs in zip(misses, mappings, seconds):
             results[pt] = ReorderResult(
                 reordering=RankReordering(layout=L, mapping=M),
                 pattern=pt,
-                mapper_name=mapper.name,
+                mapper_name=mappers[pt].name,
                 map_seconds=secs,
-                graph_seconds=0.0,
             )
+            if pt in keys:
+                _remember(cache_obj, keys[pt], results[pt], "heuristic")
 
     return {pt: results[pt] for pt in patterns}

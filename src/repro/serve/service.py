@@ -191,20 +191,19 @@ class ReorderService:
         except (ProtocolError, TypeError, ValueError):
             return None
         cache = self.registry.mapping_cache
-        # peek first: get_arrays counts a miss, and the lane's
-        # reorder_ranks counts the same cold key's miss again.
-        hit = cache.get_arrays(key) if cache.peek(key) else None
-        if hit is None:
+        # peek first: get counts a miss, and the lane's reorder_ranks
+        # counts the same cold key's miss again.
+        cached = cache.get(key) if cache.peek(key) else None
+        if cached is None:
             # Rare: evicted between peek and get.
             return None
-        cached, cached_layout, cached_mapping = hit
-        if not np.array_equal(cached_layout, L):
+        if not np.array_equal(cached["layout"], L):
             return None
         self.warm_inline += 1
         return {
             "pattern": pattern,
             "mapper_name": cached.get("mapper_name", "mapper"),
-            "mapping": cached_mapping.tolist(),
+            "mapping": cached["mapping"].tolist(),
             "cached": True,
             "map_seconds": float(cached.get("map_seconds", 0.0)),
             "graph_seconds": float(cached.get("graph_seconds", 0.0)),

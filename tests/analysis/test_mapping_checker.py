@@ -7,6 +7,7 @@ from repro.analysis import (
     check_cluster,
     check_core_mapping,
     check_distance_matrix,
+    check_node_groups,
     check_rank_permutation,
 )
 from repro.topology.gpc import gpc_cluster
@@ -41,6 +42,32 @@ class TestCoreMapping:
 
     def test_map001_shape_mismatch(self):
         assert check_core_mapping([4, 5], [4, 5, 6]).has("MAP001")
+
+
+class TestNodeGroups:
+    """MAP007 over 4 nodes x 8 cores; groups list new ranks."""
+
+    @pytest.fixture(scope="class")
+    def cluster(self):
+        return gpc_cluster(n_nodes=4)
+
+    def test_node_local_groups_clean(self, cluster):
+        mapping = np.array([16, 17, 0, 1, 8, 9])  # nodes 2, 0, 1
+        assert check_node_groups(mapping, [[0, 1], [2, 3], [4, 5]], cluster).ok()
+
+    def test_map007_group_spans_two_nodes(self, cluster):
+        report = check_node_groups([0, 8, 1, 9], [[0, 1], [2, 3]], cluster)
+        assert report.has("MAP007")
+        assert "not on one" in report.diagnostics[0].message
+
+    def test_map007_two_groups_share_a_node(self, cluster):
+        report = check_node_groups([0, 1, 2, 3], [[0, 1], [2, 3]], cluster)
+        assert report.codes() == ["MAP007"]
+        assert "share node 0" in report.diagnostics[0].message
+
+    def test_map007_groups_must_partition_ranks(self, cluster):
+        assert check_node_groups([0, 1, 8, 9], [[0, 1], [1, 2]], cluster).has("MAP007")
+        assert check_node_groups([0, 1, 8, 9], [[0, 1]], cluster).has("MAP007")
 
 
 def ladder_matrix():

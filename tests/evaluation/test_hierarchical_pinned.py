@@ -1,7 +1,7 @@
 """Pinned Fig. 4 hierarchical reorderings at p = 4096 (512 GPC nodes).
 
-The hierarchical pipeline maps each node's cores with one intra-node
-``Mapper.map`` call, then reorders the node leaders.  Both leader
+The hierarchical pipeline maps every node's cores in one intra-node
+``Mapper.map_groups`` pass, then reorders the node leaders.  Both leader
 patterns start from a copy of the generator the intra pass leaves
 behind (``AllgatherEvaluator._hierarchical_reordered_batch``).  These
 digests freeze every world mapping and every generator state of that

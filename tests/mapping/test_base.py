@@ -40,7 +40,7 @@ class TestCorePool:
         assert pool.n_free == 4
         pool.take(2)
         assert pool.n_free == 3
-        assert not pool.is_free(2)
+        assert pool.free.tolist() == [True, True, False, True]
 
     def test_double_take_rejected(self, tiny_D):
         pool = CorePool(tiny_D, [0, 1])

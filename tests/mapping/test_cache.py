@@ -9,14 +9,16 @@ from repro.mapping.cache import (
     mapping_cache_key,
 )
 from repro.mapping.initial import make_layout
-from repro.mapping.reorder import reorder_ranks
+from repro.mapping.patterns import PATTERN_BUILDERS
+from repro.mapping.reorder import reorder_all, reorder_ranks
 from repro.util.rng import make_rng
 
 
 def _entry(layout):
+    layout = np.asarray(layout, dtype=np.int64)
     return {
-        "mapping": list(reversed(layout)),
-        "layout": list(layout),
+        "mapping": layout[::-1].copy(),
+        "layout": layout,
         "mapper_name": "test",
         "map_seconds": 0.01,
         "graph_seconds": 0.0,
@@ -67,7 +69,7 @@ class TestMappingCache:
         cache = MappingCache()
         assert cache.get("k") is None
         cache.put("k", _entry([3, 1, 2]))
-        assert cache.get("k")["mapping"] == [2, 1, 3]
+        assert np.array_equal(cache.get("k")["mapping"], [2, 1, 3])
         assert cache.hits == 1 and cache.misses == 1
 
     def test_lru_bound(self):
@@ -81,6 +83,24 @@ class TestMappingCache:
         cache = MappingCache()
         with pytest.raises(ValueError, match="invalid"):
             cache.put("k", {"mapping": [0, 1], "layout": [5, 6]})
+
+    def test_non_permutation_arrays_rejected(self):
+        cache = MappingCache()
+        for mapping, layout in (([5, 5], [5, 6]), ([5, 6, 7], [5, 6]), ([5.0, 6.0], [5, 6])):
+            with pytest.raises(ValueError, match="invalid"):
+                cache.put("k", {"mapping": np.array(mapping), "layout": np.array(layout)})
+        assert len(cache) == 0
+
+    def test_entry_holds_one_read_only_copy(self):
+        cache = MappingCache()
+        entry = _entry([3, 1, 2])
+        cache.put("k", entry)
+        entry["mapping"][0] = 99  # the caller's arrays stay the caller's
+        got = cache.get("k")
+        assert got["mapping"].dtype == np.int64 and got["layout"].dtype == np.int64
+        assert np.array_equal(got["mapping"], [2, 1, 3])
+        with pytest.raises(ValueError):
+            got["mapping"][0] = 7
 
 
 class TestGlobalCache:
@@ -123,6 +143,37 @@ class TestReorderRanksCaching:
         impl = mid_cluster.implicit_distances()
         res = reorder_ranks("ring", L, impl, rng=make_rng(0), cache=cache)
         assert not res.cached and len(cache) == 0
+
+    def test_refused_calls_count_no_miss(self, mid_cluster):
+        cache = MappingCache()
+        L = make_layout("block-bunch", mid_cluster, 16)
+        impl = mid_cluster.implicit_distances()
+        with pytest.raises(TypeError, match="bogus"):
+            reorder_ranks("ring", L, impl, rng=1, cache=cache, bogus=1)
+        with pytest.raises(KeyError, match="nosuch"):
+            reorder_ranks("nosuch", L, impl, rng=1, cache=cache)
+        with pytest.raises(KeyError, match="nosuch"):
+            reorder_ranks("nosuch", L, impl, kind="scotch", rng=1, cache=cache)
+        with pytest.raises(TypeError, match="bogus"):
+            reorder_ranks("ring", L, impl, kind="scotch", rng=1, cache=cache, bogus=2)
+        with pytest.raises(TypeError, match="bogus"):
+            reorder_all(L, impl, rng=1, cache=cache, bogus=1)
+        assert (cache.hits, cache.misses, len(cache)) == (0, 0, 0)
+
+    @pytest.mark.parametrize("kind", ["scotch", "greedy"])
+    def test_hit_builds_no_pattern_graph(self, mid_cluster, monkeypatch, kind):
+        cache = MappingCache()
+        L = make_layout("cyclic-bunch", mid_cluster, 16)
+        impl = mid_cluster.implicit_distances()
+        first = reorder_ranks("ring", L, impl, kind=kind, rng=2, cache=cache)
+
+        def no_graph(p):
+            raise AssertionError("a cache hit built the pattern graph")
+
+        monkeypatch.setitem(PATTERN_BUILDERS, "ring", no_graph)
+        again = reorder_ranks("ring", L, impl, kind=kind, rng=2, cache=cache)
+        assert again.cached and np.array_equal(again.mapping, first.mapping)
+        assert again.graph_seconds == first.graph_seconds
 
     def test_cache_off_and_bad_value(self, mid_cluster):
         L = make_layout("block-bunch", mid_cluster, 16)

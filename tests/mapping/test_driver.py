@@ -15,6 +15,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from repro.evaluation.evaluator import AllgatherEvaluator
 from repro.mapping import base
 from repro.mapping.base import (
     CorePool,
@@ -379,6 +380,171 @@ class TestPoolWidePicks:
         assert [ranks.select(r) for r in range(len(expected))] == expected
         one = base._FreeRanks(np.ones(1, dtype=bool))
         assert one.select(0) == 0
+
+
+class TestMapGroups:
+    """``map_groups`` against the per-group ``map`` loop, draw for draw.
+
+    On node-disjoint single-node groups the greedy heuristics run every
+    group's program as one executor pass; every mapping, the generator's
+    end state and its next draw must equal the loop's.
+    """
+
+    @pytest.fixture(scope="class")
+    def fig4(self):
+        """512 GPC nodes (4,096 cores) and their node groups per layout."""
+        cluster = gpc_cluster(n_nodes=512)
+        ev = AllgatherEvaluator(cluster, rng=0)
+        groups = {}
+        for name in sorted(INITIAL_LAYOUTS):
+            L = make_layout(name, cluster, cluster.n_cores)
+            groups[name] = [L[np.asarray(g)] for g in ev.groups_from_layout(L)]
+        return cluster.implicit_distances(), groups
+
+    @staticmethod
+    def _match(mapper, groups, D, bitgen=np.random.PCG64, seed=2016):
+        """Assert ``map_groups`` equals the loop; return its ``map`` calls."""
+        g1 = np.random.Generator(bitgen(seed))  # noqa: REP001
+        g2 = np.random.Generator(bitgen(seed))  # noqa: REP001
+        loop = [mapper.map(c, D, rng=g1) for c in groups]
+        calls = []
+        with pytest.MonkeyPatch.context() as mp:
+            cls = type(mapper)
+            mapped = cls.map
+
+            def counting(self, layout, D, rng=0):
+                calls.append(len(layout))
+                return mapped(self, layout, D, rng=rng)
+
+            mp.setattr(cls, "map", counting)
+            one = mapper.map_groups(groups, D, g2)
+        assert len(one) == len(loop)
+        for a, b in zip(loop, one):
+            assert np.array_equal(a, b)
+        assert _same_state(g1.bit_generator.state, g2.bit_generator.state)
+        assert g1.integers(1 << 62) == g2.integers(1 << 62)
+        return len(calls)
+
+    @pytest.mark.parametrize("cls", [BGMH, BBMH, RDMH])
+    @pytest.mark.parametrize("tie_break", ["random", "first"])
+    def test_named_layouts_p4096(self, fig4, cls, tie_break):
+        D, groups = fig4
+        for name in sorted(INITIAL_LAYOUTS):
+            assert self._match(cls(tie_break=tie_break), groups[name], D) == 0, name
+
+    @pytest.mark.parametrize("cls", [BGMH, BBMH, RDMH])
+    def test_mt19937_p4096(self, fig4, cls):
+        D, groups = fig4
+        for name in ("block-bunch", "cyclic-scatter"):
+            assert self._match(cls(), groups[name], D, np.random.MT19937, 9) == 0
+
+    def test_one_program_draws_in_bulk(self, fig4, monkeypatch):
+        """4,096 pooled cores pass the executor's size gate: one bulk
+        stream serves the tie-breaks the per-node pools draw one by one."""
+        D, groups = fig4
+        bulk = []
+        more = base._TieBreakDraws.more
+
+        def counting(draws):
+            bulk.append(1)
+            return more(draws)
+
+        monkeypatch.setattr(base._TieBreakDraws, "more", counting)
+        assert self._match(BGMH(), groups["block-scatter"], D) == 0
+        assert bulk
+
+    @pytest.mark.parametrize("cls", [BGMH, BBMH])
+    @pytest.mark.parametrize("tie_break", ["random", "first"])
+    def test_random_partial_layout_uneven_groups(self, cls, tie_break):
+        cluster = gpc_cluster(n_nodes=64)
+        L = make_rng(3).permutation(cluster.n_cores)[:250]
+        nodes = cluster.node_of(L)
+        groups = [L[nodes == n] for n in np.unique(nodes)]
+        assert len({g.size for g in groups}) > 3 and min(g.size for g in groups) == 1
+        D = cluster.implicit_distances()
+        assert self._match(cls(tie_break=tie_break), groups, D, seed=5) == 0
+
+    @pytest.mark.parametrize("cls", [BGMH, BBMH, RDMH])
+    @pytest.mark.parametrize("bitgen", [np.random.PCG64, np.random.MT19937])
+    def test_small_cluster_scalar_draws(self, cls, bitgen, monkeypatch):
+        """32 cores: at or below the size gate, every tie-break is one
+        ``integers(k)`` call, in the loop and in the one program alike."""
+        cluster = gpc_cluster(n_nodes=4)
+        assert cluster.n_cores <= HierarchicalFreePool._SCAN_THRESHOLD
+
+        def no_bulk(draws):
+            raise AssertionError("bulk draw below the size gate")
+
+        monkeypatch.setattr(base._TieBreakDraws, "more", no_bulk)
+        D = cluster.implicit_distances()
+        for name in sorted(INITIAL_LAYOUTS):
+            L = make_layout(name, cluster, cluster.n_cores)
+            nodes = cluster.node_of(L)
+            groups = [L[nodes == n] for n in np.unique(nodes)]
+            assert self._match(cls(), groups, D, bitgen, 4) == 0, name
+
+    def test_groups_sharing_a_node_run_the_loop(self, mid_cluster):
+        D = mid_cluster.implicit_distances()
+        shared = [np.arange(0, 4), np.arange(4, 8), np.arange(8, 16)]
+        assert self._match(BGMH(), shared, D) == 3
+        spanning = [np.arange(4, 12), np.arange(16, 24)]
+        assert self._match(BGMH(), spanning, D) == 2
+
+    def test_dense_matrix_runs_the_loop(self, mid_cluster, mid_D):
+        groups = [np.arange(n * 8, n * 8 + 8) for n in range(8)]
+        assert self._match(BBMH(), groups, mid_D) == 8
+
+    def test_scotch_map_groups_is_its_loop(self, mid_cluster):
+        from repro.mapping.patterns import build_pattern
+        from repro.mapping.scotch import ScotchLikeMapper
+
+        D = mid_cluster.implicit_distances()
+        groups = [np.arange(n * 8, n * 8 + 8)[::-1].copy() for n in range(8)]
+        mapper = ScotchLikeMapper(build_pattern("binomial-gather", 8))
+        assert self._match(mapper, groups, D) == 8
+
+    def test_rejected_group_size_raises_before_drawing(self, mid_cluster):
+        D = mid_cluster.implicit_distances()
+        g = make_rng(6)
+        before = g.bit_generator.state
+        with pytest.raises(ValueError, match="power-of-two"):
+            RDMH().map_groups([np.arange(8), np.arange(8, 14)], D, g)
+        assert g.bit_generator.state == before
+
+    # Groups of 8: swapping positions 0 and 1 moves group 0's rank 0;
+    # swapping 7 and 9 moves a core into group 1, past its rank 0 at 8.
+    @pytest.mark.parametrize("swap", [(0, 1), (7, 9)], ids=["moved-rank-0", "cross-group"])
+    def test_per_group_check_rejects_a_bad_program(self, mid_cluster, monkeypatch, swap):
+        run = HierarchicalFreePool.execute_program
+
+        def corrupting(pool, program, M):
+            run(pool, program, M)
+            i, j = swap
+            M[i], M[j] = M[j], M[i]
+
+        monkeypatch.setattr(HierarchicalFreePool, "execute_program", corrupting)
+        D = mid_cluster.implicit_distances()
+        groups = [np.arange(n * 8, n * 8 + 8) for n in range(8)]
+        with pytest.raises(RuntimeError, match="rank 0 or produced cores outside its group"):
+            BGMH().map_groups(groups, D, 1)
+
+    def test_intra_pass_is_one_map_groups_call(self, mid_cluster, monkeypatch):
+        ev = AllgatherEvaluator(mid_cluster, rng=0)
+        L = make_layout("cyclic-scatter", mid_cluster, mid_cluster.n_cores)
+        groups = ev.groups_from_layout(L)
+        expected, _ = ev._intra_reordering(L, groups, "heuristic", "binomial", make_rng(3))
+        calls = []
+        map_groups = base.GreedyPlacementMapper.map_groups
+
+        def counting(mapper, groups, D, rng=0):
+            calls.append(len(groups))
+            return map_groups(mapper, groups, D, rng)
+
+        monkeypatch.setattr(base.GreedyPlacementMapper, "map_groups", counting)
+        monkeypatch.setattr(base.GreedyPlacementMapper, "map", None)  # never per node
+        got, _ = ev._intra_reordering(L, groups, "heuristic", "binomial", make_rng(3))
+        assert calls == [8]
+        assert all(np.array_equal(a, b) for a, b in zip(expected, got))
 
 
 #: sha1 over (pattern, mapping bytes) of reorder_all at p=16384, seed 7,

@@ -159,6 +159,16 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert "topology invariants" in out
         assert "heuristic mapping: clean" in out
+        for leaders in ("recursive-doubling", "ring"):
+            assert f"hierarchical mapping ({leaders} leaders): clean" in out
+
+    def test_verify_mappings_skips_rdmh_off_powers_of_two(self, capsys):
+        rc = main(["verify", "--alg", "ring", "-p", "4", "--mappings", "--nodes", "3"])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "recursive-doubling heuristic mapping: skip" in out
+        assert "hierarchical mapping (recursive-doubling leaders): skip" in out
+        assert "hierarchical mapping (ring leaders): clean" in out
 
 
 class TestLintCommand:
