@@ -14,6 +14,7 @@ warm inline answers, solo reorders and cache traffic, which the
 
 from __future__ import annotations
 
+import sys
 import time
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
@@ -35,6 +36,9 @@ from repro.serve.registry import (
 )
 
 __all__ = ["ReorderService"]
+
+#: The largest finite float: a JSON number above it (or NaN) is no size.
+_MAX_FLOAT = sys.float_info.max
 
 
 def _require_int(payload: Mapping[str, Any], key: str, default: Optional[int] = None) -> int:
@@ -242,15 +246,21 @@ class ReorderService:
         sizes = payload.get("sizes")
         if not isinstance(sizes, (list, tuple)) or not sizes:
             raise ProtocolError(ERROR_BAD_REQUEST, "'sizes' must be a non-empty list")
+        # json parses NaN, Infinity and integers past the float range;
+        # none of them is a size.
         for s in sizes:
-            if isinstance(s, bool) or not isinstance(s, (int, float)) or s <= 0:
+            if isinstance(s, bool) or not isinstance(s, (int, float)) or not 0 < s <= _MAX_FLOAT:
                 raise ProtocolError(
-                    ERROR_BAD_REQUEST, f"sizes must be positive numbers, got {s!r}"
+                    ERROR_BAD_REQUEST, f"sizes must be positive finite numbers, got {s!r}"
                 )
         extra = payload.get("extra_copy_bytes", 0.0)
-        if isinstance(extra, bool) or not isinstance(extra, (int, float)) or extra < 0:
+        if (
+            isinstance(extra, bool)
+            or not isinstance(extra, (int, float))
+            or not 0 <= extra <= _MAX_FLOAT
+        ):
             raise ProtocolError(
-                ERROR_BAD_REQUEST, f"'extra_copy_bytes' must be >= 0, got {extra!r}"
+                ERROR_BAD_REQUEST, f"'extra_copy_bytes' must be finite and >= 0, got {extra!r}"
             )
         schedule = entry.schedule_for(algorithm, M.size)
         try:

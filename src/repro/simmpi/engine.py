@@ -5,13 +5,15 @@ on a :class:`~repro.topology.cluster.ClusterTopology` under a given rank-to-core
 mapping.  Per stage:
 
 1. ranks are bound to cores through the mapping array ``M``;
-2. every message's route is fetched as a padded row of directed link ids
-   (:meth:`TimingEngine._route_kernel`, once per schedule);
+2. every message's route is fetched as a padded row of directed link ids,
+   with its locality level (:meth:`TimingEngine._route_kernel`, once per
+   schedule);
 3. per-link byte loads are summed into one link-sized buffer, one route
-   column at a time, padding landing in a sentinel bin with α = β = 0;
-4. message time = Σ α(link) (one sum per padding pattern) + max over route
+   column at a time, over only the columns real at a level the stage
+   holds, padding landing in a sentinel bin with α = β = 0;
+4. message time = Σ α(link) (one sum per locality level) + max over route
    links of β(link)·bytes(link) — steps 3–4 being one per-stage helper
-   behind every pricing path, :class:`_Routed`;
+   behind every pricing path, :class:`_StageRoutes`;
 5. stage time = max message time (stage-synchronous barrier semantics);
 6. schedule time = Σ stage time · repeat, plus local-copy cost.
 
@@ -23,6 +25,7 @@ enough to sweep 4096-process schedules on one machine.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -33,7 +36,12 @@ import numpy as np
 from repro.analysis.runtime import maybe_verify_schedule
 from repro.collectives.schedule import Schedule, Stage
 from repro.simmpi.costmodel import CostModel
-from repro.topology.cluster import MEM_BUS_COLUMNS, ClusterTopology
+from repro.topology.cluster import (
+    COLUMN_CLASSES,
+    LEVEL_COLUMNS,
+    MEM_BUS_COLUMNS,
+    ClusterTopology,
+)
 from repro.util.validation import check_positive
 
 __all__ = [
@@ -86,7 +94,9 @@ class TimingResult:
         return "\n".join(lines)
 
 
-def _pareto_envelope(alpha_sum: np.ndarray, unit_drain: np.ndarray):
+def _pareto_envelope(
+    unit_drain: np.ndarray, level: np.ndarray, levels: Sequence[int], level_alpha: np.ndarray
+):
     """Upper envelope of the per-message lines ``alpha + size * drain``.
 
     For any size >= 0 the stage maximum is attained by a message whose
@@ -96,14 +106,33 @@ def _pareto_envelope(alpha_sum: np.ndarray, unit_drain: np.ndarray):
     handful of candidate lines, and — because max() and multiplication by
     a non-negative size are monotone in floating point too — evaluating
     the envelope gives exactly the same maximum as scanning every message.
+
+    A message's alpha-sum is ``level_alpha[level]``, and ``levels`` are
+    the locality levels the stage holds, so it has at most five distinct
+    alpha-sums.  The staircase is built from the highest one down: each
+    keeps its distinct drains that lie above every drain of the higher
+    ones.  The kept lines come out sorted by drain, each drain once, with
+    the largest alpha-sum of any message at it.  Levels are grouped by
+    alpha value, not by level, because two levels can tie.
     """
-    u_drain, inverse = np.unique(unit_drain, return_inverse=True)
-    u_alpha = np.full(u_drain.size, -np.inf)
-    np.maximum.at(u_alpha, inverse, alpha_sum)
-    # Drop any line whose alpha-sum is beaten at an equal-or-larger drain.
-    suffix_max = np.maximum.accumulate(u_alpha[::-1])[::-1]
-    keep = u_alpha >= suffix_max
-    return u_alpha[keep], u_drain[keep]
+    alphas = sorted({level_alpha[lvl] for lvl in levels}, reverse=True)
+    if len(alphas) == 1:
+        drain = np.unique(unit_drain)
+        return np.full(drain.size, alphas[0]), drain
+    env_alpha, env_drain = [], []
+    for alpha in alphas:
+        tied = [lvl for lvl in levels if level_alpha[lvl] == alpha]
+        at = level == tied[0]
+        for lvl in tied[1:]:
+            at |= level == lvl
+        drain = unit_drain[at]
+        if env_drain:
+            drain = drain[drain > env_drain[-1][-1]]
+        if drain.size:
+            drain = np.unique(drain)
+            env_alpha.append(np.full(drain.size, alpha))
+            env_drain.append(drain)
+    return np.concatenate(env_alpha), np.concatenate(env_drain)
 
 
 @dataclass(frozen=True)
@@ -191,7 +220,7 @@ class SchedulePricing:
         # segment starts, so pricing a size vector is one broadcast and
         # one segmented max instead of a numpy pass per stage.  No segment
         # is empty: schedules and stages reject being empty, and the
-        # Pareto keep-mask always retains at least one line.
+        # envelope keeps every distinct drain of the highest alpha-sum.
         self._fused_alpha = np.concatenate([s.env_alpha for s in self.stages])
         self._fused_drain = np.concatenate([s.env_drain for s in self.stages])
         counts = np.array([s.env_alpha.size for s in self.stages], dtype=np.int64)
@@ -226,8 +255,8 @@ class SchedulePricing:
         sz = np.asarray(list(sizes), dtype=np.float64)
         if sz.ndim != 1 or sz.size == 0:
             raise ValueError("sizes must be a non-empty 1-D sequence")
-        if np.any(sz <= 0):
-            raise ValueError("block sizes must be positive")
+        if not np.all((sz > 0) & np.isfinite(sz)):
+            raise ValueError("block sizes must be positive and finite")
         return sz
 
     def _finish_sizes(
@@ -260,37 +289,89 @@ def _schedule_fingerprint(schedule: Schedule) -> bytes:
     return h.digest()
 
 
+#: A stage's layout: its levels, its real route columns, their runs.
+_StageLayout = Tuple[Tuple[int, ...], Tuple[int, ...], Tuple[Tuple[int, int, int], ...]]
+
+
+@functools.lru_cache(maxsize=None)  # one entry per set of levels, at most 31
+def _stage_columns(mask: int) -> _StageLayout:
+    """Layout of a stage whose locality levels are the set bits of ``mask``.
+
+    Returns the levels, the route columns real at one of them, and those
+    columns as runs ``(first, end, row)`` of adjacent columns: route
+    columns ``first:end`` land in rows ``row:row + end - first``.
+    """
+    levels = [lvl for lvl in range(len(LEVEL_COLUMNS)) if mask >> lvl & 1]
+    cols = np.flatnonzero(LEVEL_COLUMNS[levels].any(axis=0)).tolist()
+    runs: List[Tuple[int, int, int]] = []
+    for row, col in enumerate(cols):
+        if runs and runs[-1][1] == col:
+            runs[-1] = (runs[-1][0], col + 1, runs[-1][2])
+        else:
+            runs.append((col, col + 1, row))
+    return tuple(levels), tuple(cols), tuple(runs)
+
+
 class _Routed(NamedTuple):
-    """A message batch after routing: the per-stage load and drain helper.
+    """A message batch after routing: what every stage's loads read.
 
     ``bins`` is the route table as ``(MAX_ROUTE_LEN, n)`` contiguous rows
     of load bins: link id + 1, so a ``-1`` pad lands in the sentinel bin
-    0 with α = β = 0.  Loads and drains go into link-sized buffers the
-    caller owns, so nothing here has an entry per (stage, link).
+    0 with α = β = 0.  ``level`` is each message's locality level, which
+    fixes the route columns that are real for it (``LEVEL_COLUMNS``).
     """
 
     bins: np.ndarray
-    alpha_sum: np.ndarray
+    level: np.ndarray
 
-    def stage(self, lo: int = 0, hi: Optional[int] = None) -> "_Routed":
-        """Messages ``lo:hi`` as one stage, its bins cast once to ``intp``
-        for both the load sums and the drain gather."""
-        return _Routed(self.bins[:, lo:hi].astype(np.intp), self.alpha_sum[lo:hi])
+    def stage(self, lo: int = 0, hi: Optional[int] = None) -> "_StageRoutes":
+        """Messages ``lo:hi`` as one stage, cut to the columns they cross.
+
+        A column real at none of the stage's levels (the six network
+        columns of an intra-node stage, the QPI columns of an inter-node
+        one) is neither cast, summed nor gathered: its loads would land in
+        the sentinel bin, which no caller reads, and its drains would be
+        the sentinel's 0, which never raises a max.  The kept columns are
+        cast to ``intp`` in one pass, a run of adjacent columns at a time.
+        """
+        level = self.level[lo:hi]
+        mask = int(np.bitwise_or.reduce(np.left_shift(np.uint8(1), level.view(np.uint8))))
+        levels, cols, runs = _stage_columns(mask)
+        rows = np.empty((len(cols), level.size), dtype=np.intp)
+        for first, end, row in runs:
+            rows[row : row + end - first] = self.bins[first:end, lo:hi]
+        return _StageRoutes(cols, rows, level, levels)
+
+
+class _StageRoutes(NamedTuple):
+    """One stage's routed messages: the per-stage load and drain helper.
+
+    ``rows`` holds the load bins of the route columns ``cols`` the stage
+    crosses; ``level`` is each message's locality level and ``levels``
+    the levels the stage holds.  Loads and drains go into link-sized
+    buffers the caller owns, so nothing here has an entry per (stage,
+    link).
+    """
+
+    cols: Tuple[int, ...]
+    rows: np.ndarray
+    level: np.ndarray
+    levels: Tuple[int, ...]
 
     def load(self, weights: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Add the messages' ``weights`` into the zeroed link-sized ``out``.
 
         Every link id lives in one route column, except the memory bus,
-        whose two columns are interleaved message by message.  So each
-        link's entries are summed, and rounded, in message order, as the
-        masked bincount summed them.
+        whose two columns (real at every level) are interleaved message
+        by message.  So each link's entries are summed, and rounded, in
+        message order, as the masked bincount summed them.
         """
-        for col, row in enumerate(self.bins):
+        for col, row in zip(self.cols, self.rows):
             if col not in MEM_BUS_COLUMNS:
                 np.add.at(out, row, weights)
-        first, second = MEM_BUS_COLUMNS
+        first, second = (self.rows[self.cols.index(col)] for col in MEM_BUS_COLUMNS)
         mem = np.empty(2 * weights.size, dtype=np.intp)
-        mem[0::2], mem[1::2] = self.bins[first], self.bins[second]
+        mem[0::2], mem[1::2] = first, second
         np.add.at(out, mem, np.repeat(weights, 2))
         return out
 
@@ -304,8 +385,8 @@ class _Routed(NamedTuple):
         """
         np.multiply(load, beta, out=out)
         out[0] = 0.0  # padding drains nothing, whatever its load
-        drain = out[self.bins[0]]
-        for row in self.bins[1:]:
+        drain = out[self.rows[0]]
+        for row in self.rows[1:]:
             np.maximum(drain, out[row], out=drain)
         return drain
 
@@ -324,8 +405,14 @@ class TimingEngine:
         # Dense per-link α/β tables indexed by link id + 1: slot 0 is the
         # sentinel bin that route padding lands in, with α = β = 0.
         cls = cluster.link_class.astype(np.int64)
-        self._alpha = np.concatenate(([0.0], self.cost.alpha_by_class()[cls]))
         self._beta = np.concatenate(([0.0], self.cost.beta_by_class()[cls]))
+        # Route α-sum by locality level: α depends only on a link's class
+        # and each route column holds one class, so every message at a
+        # level has the same α row.  Each level's 12-entry row, 0 at its
+        # pads, is reduced as one contiguous row, rounding exactly as the
+        # per-message ``sum(axis=1)`` over the padded table.
+        column_alpha = self.cost.alpha_by_class()[list(COLUMN_CLASSES)]
+        self._level_alpha = np.where(LEVEL_COLUMNS, column_alpha, 0.0).sum(axis=1)
         if link_beta_scale is not None:
             scale = np.asarray(link_beta_scale, dtype=np.float64)
             if scale.shape != (cluster.n_links,):
@@ -349,36 +436,17 @@ class TimingEngine:
     def _route_kernel(self, src: np.ndarray, dst: np.ndarray) -> _Routed:
         """Route a batch of messages once (every pricing path).
 
-        Reads one ``routes_for`` table and turns it into load bins in
-        place; :meth:`_Routed.stage` then cuts any run of the batch into a
-        stage, whose loads and drains fill link-sized buffers the caller
-        owns.  Bit-identical to the masked builder in ``tests/simmpi/
-        test_pricing_kernel.py``, for the reasons docs/performance.md gives.
+        Reads one ``routes_for`` table and its locality levels and turns
+        the table into load bins in place; :meth:`_Routed.stage` then cuts
+        any run of the batch into a stage, whose loads and drains fill
+        link-sized buffers the caller owns.  Bit-identical to the masked
+        builder in ``tests/simmpi/test_pricing_kernel.py``, for the
+        reasons docs/performance.md gives.
         """
-        bins = self.cluster.routes_for(src, dst).T  # contiguous columns
-        alpha_sum = self._alpha_sums(bins)
+        routes, level = self.cluster.routes_for(src, dst)
+        bins = routes.T  # contiguous columns
         bins += 1
-        return _Routed(bins, alpha_sum)
-
-    def _alpha_sums(self, routes: np.ndarray) -> np.ndarray:
-        """Per-message route α-sums, one row reduction per padding pattern.
-
-        α depends only on a link's class and each route column holds one
-        class, so routes with the same padding pattern (which of their
-        ``-1``-padded ``routes`` rows are real) have the same α row.  Each
-        pattern is summed as one contiguous row, rounding exactly as the
-        per-message ``sum(axis=1)`` it replaces.
-        """
-        pattern = np.zeros(routes.shape[1], dtype=np.intp)
-        for col, row in enumerate(routes):
-            pattern |= (row >= 0).astype(np.intp) << col
-        sample = np.full(1 << routes.shape[0], -1, dtype=np.intp)
-        sample[pattern] = np.arange(routes.shape[1])  # one message per pattern
-        keys = np.flatnonzero(sample >= 0)
-        rows = np.ascontiguousarray(self._alpha[routes[:, sample[keys]].T + 1])
-        by_pattern = np.zeros(sample.size)
-        by_pattern[keys] = rows.sum(axis=1)
-        return by_pattern[pattern]
+        return _Routed(bins, level)
 
     # ------------------------------------------------------------------
     def stage_time(self, stage: Stage, mapping: np.ndarray, block_bytes: float) -> StageTiming:
@@ -388,20 +456,21 @@ class TimingEngine:
 
     def _stage_loads(
         self, stage: Stage, mapping: np.ndarray, block_bytes: float
-    ) -> Tuple[_Routed, np.ndarray]:
+    ) -> Tuple[_StageRoutes, np.ndarray]:
         """One stage instance at ``block_bytes``, routed, and its link loads."""
         part = self._route_kernel(mapping[stage.src], mapping[stage.dst]).stage()
         return part, part.load(stage.units * block_bytes, np.zeros(self._beta.size))
 
     def _stage_timing(
-        self, stage: Stage, part: _Routed, load: np.ndarray, beta: np.ndarray
+        self, stage: Stage, part: _StageRoutes, load: np.ndarray, beta: np.ndarray
     ) -> StageTiming:
         """A routed, loaded stage priced against an explicit per-link β table.
 
         The fault-injection path drains one stage's loads under the β
         table of each fault state; the healthy path passes ``self._beta``.
         """
-        per_msg = part.alpha_sum + part.drains(load, beta, np.empty_like(load))
+        drain = part.drains(load, beta, np.empty_like(load))
+        per_msg = self._level_alpha[part.level] + drain
         return StageTiming(
             label=stage.label,
             seconds=float(per_msg.max()) + self.cost.stage_overhead,
@@ -487,7 +556,7 @@ class TimingEngine:
         for stage in schedule.stages:
             state = None
             timing: Optional[StageTiming] = None
-            loaded: Optional[Tuple[_Routed, np.ndarray]] = None
+            loaded: Optional[Tuple[_StageRoutes, np.ndarray]] = None
             for _ in range(stage.repeat):
                 key = tuple(
                     ev.active_at_stage(round_idx) for ev in fault_plan.events
@@ -539,12 +608,11 @@ class TimingEngine:
     def _price_schedule(self, schedule: Schedule, mapping: np.ndarray) -> List[StagePricing]:
         """Price every stage of ``schedule`` over one route table.
 
-        All stage messages are concatenated so the route lookup and the
-        α-sums run once per schedule.  Then, stage by stage, the loads are
-        summed into one link-sized buffer, drained into another, reduced
-        to the stage's envelope and zeroed again.  Loads are for a 1-byte
-        block: the real load is linear in the block size, so one table
-        serves every size.
+        All stage messages are concatenated so the route lookup runs once
+        per schedule.  Then, stage by stage, the loads are summed into one
+        link-sized buffer, drained into another, reduced to the stage's
+        envelope and zeroed again.  Loads are for a 1-byte block: the real
+        load is linear in the block size, so one table serves every size.
         """
         stages = schedule.stages
         if not stages:  # mutated after construction, which rejects it
@@ -561,7 +629,9 @@ class TimingEngine:
             part = routed.stage(bounds[i], bounds[i + 1])
             part.load(np.asarray(stage.units, dtype=np.float64), load)
             drain = part.drains(load, self._beta, bin_drain)
-            env_alpha, env_drain = _pareto_envelope(part.alpha_sum, drain)
+            env_alpha, env_drain = _pareto_envelope(
+                drain, part.level, part.levels, self._level_alpha
+            )
             priced.append(
                 StagePricing(
                     label=stage.label,

@@ -43,13 +43,16 @@ import numpy as np
 from repro.analysis.runtime import maybe_verify_schedule
 from repro.collectives.schedule import Schedule, Stage
 from repro.simmpi.costmodel import CostModel
-from repro.topology.cluster import ClusterTopology
+from repro.topology.cluster import COLUMN_CLASSES, LEVEL_COLUMNS, ClusterTopology
 from repro.util.validation import check_positive
 
 __all__ = ["EventDrivenEngine", "EventTimingResult"]
 
 #: Refuse runs that would melt the Python interpreter.
 MAX_MESSAGE_OPS = 2_000_000
+
+#: The real route columns of each locality level, in column order.
+_LEVEL_COLS = [np.flatnonzero(real).tolist() for real in LEVEL_COLUMNS]
 
 
 @dataclass
@@ -79,8 +82,14 @@ class EventDrivenEngine:
         self.cluster = cluster
         self.cost = cost_model if cost_model is not None else CostModel()
         cls = cluster.link_class.astype(np.int64)
-        self._alpha = self.cost.alpha_by_class()[cls]
         self._beta = self.cost.beta_by_class()[cls]
+        # A route's α-sum depends only on its locality level: each route
+        # column holds one link class.  Summed over the level's columns in
+        # route order, as a per-message sum over its links would add them.
+        alpha = self.cost.alpha_by_class()
+        self._level_alpha = [
+            float(sum(alpha[COLUMN_CLASSES[col]] for col in cols)) for cols in _LEVEL_COLS
+        ]
         if link_beta_scale is not None:
             scale = np.asarray(link_beta_scale, dtype=np.float64)
             if scale.shape != (cluster.n_links,):
@@ -162,7 +171,8 @@ class EventDrivenEngine:
     ) -> np.ndarray:
         src_cores = M[stage.src]
         dst_cores = M[stage.dst]
-        routes = self.cluster.routes_for(src_cores, dst_cores)
+        routes, level = self.cluster.routes_for(src_cores, dst_cores)
+        table, levels = routes.tolist(), level.tolist()
         nbytes = stage.units * block_bytes
 
         # rendezvous start times, then FIFO processing order
@@ -171,7 +181,8 @@ class EventDrivenEngine:
 
         new_done = done.copy()
         for i in order:
-            links = [int(lid) for lid in routes[i] if lid >= 0]
+            row, lvl = table[i], levels[i]
+            links = [row[col] for col in _LEVEL_COLS[lvl]]
             # cut-through: the stream completes once every link has pushed
             # its share through, queueing FIFO behind earlier traffic
             ready = float(starts[i])
@@ -185,9 +196,8 @@ class EventDrivenEngine:
             start_tx = ready
             for link in links:
                 start_tx = max(start_tx, link_free.get(link, 0.0))
-            alpha = float(sum(self._alpha[lid] for lid in links))
-            beta_max = float(max(beta[lid] for lid in links)) if links else 0.0
-            finish = start_tx + alpha + float(nbytes[i]) * beta_max
+            beta_max = float(max(beta[lid] for lid in links))
+            finish = start_tx + self._level_alpha[lvl] + float(nbytes[i]) * beta_max
             for link in links:
                 # each link serialises only its own share, from the moment
                 # *it* could take the stream — reserving from the whole-path
@@ -198,7 +208,13 @@ class EventDrivenEngine:
             s, d = int(stage.src[i]), int(stage.dst[i])
             new_done[s] = max(new_done[s], finish)
             new_done[d] = max(new_done[d], finish)
+            self._on_message(stage, s, d, start_tx, finish, float(nbytes[i]), lvl)
         return new_done
+
+    def _on_message(
+        self, stage: Stage, s: int, d: int, start: float, finish: float, nbytes: float, level: int
+    ) -> None:
+        """Hook called once per priced message (ranks, interval, locality level)."""
 
 
 class _FaultTracker:

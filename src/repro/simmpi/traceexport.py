@@ -14,12 +14,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Optional, Sequence, Union
 
-import numpy as np
-
 from repro.collectives.schedule import Schedule
 from repro.simmpi.costmodel import CostModel
 from repro.simmpi.eventsim import EventDrivenEngine
-from repro.topology.cluster import ClusterTopology
+from repro.topology.cluster import LEVEL_CHANNELS, ClusterTopology
 from repro.util.atomicio import atomic_write_text
 
 __all__ = ["MessageEvent", "record_timeline", "to_chrome_trace", "export_chrome_trace"]
@@ -45,47 +43,18 @@ class _RecordingEngine(EventDrivenEngine):
         super().__init__(cluster, cost_model)
         self.events: List[MessageEvent] = []
 
-    def _run_round(self, stage, M, block_bytes, done, link_free, round_idx=0, faults=None):
-        src_cores = M[stage.src]
-        dst_cores = M[stage.dst]
-        routes = self.cluster.routes_for(src_cores, dst_cores)
-        nbytes = stage.units * block_bytes
-        starts = np.maximum(done[stage.src], done[stage.dst]) + self.cost.stage_overhead
-        order = np.argsort(starts, kind="stable")
-
-        new_done = done.copy()
-        for i in order:
-            links = [int(l) for l in routes[i] if l >= 0]
-            ready = float(starts[i])
-            if faults is None:
-                beta = self._beta
-            else:
-                faults.check_alive(ready, round_idx, int(src_cores[i]), int(dst_cores[i]))
-                beta = faults.beta_at(ready, round_idx)
-            start_tx = ready
-            for link in links:
-                start_tx = max(start_tx, link_free.get(link, 0.0))
-            alpha = float(sum(self._alpha[l] for l in links))
-            beta_max = float(max(beta[l] for l in links)) if links else 0.0
-            finish = start_tx + alpha + float(nbytes[i]) * beta_max
-            for link in links:
-                lf = max(link_free.get(link, 0.0), ready)
-                link_free[link] = lf + float(nbytes[i]) * beta[link]
-            s, d = int(stage.src[i]), int(stage.dst[i])
-            new_done[s] = max(new_done[s], finish)
-            new_done[d] = max(new_done[d], finish)
-            self.events.append(
-                MessageEvent(
-                    src_rank=s,
-                    dst_rank=d,
-                    start=start_tx,
-                    finish=finish,
-                    nbytes=float(nbytes[i]),
-                    label=stage.label or "<stage>",
-                    channel=self.cluster.channel_of(int(src_cores[i]), int(dst_cores[i])),
-                )
+    def _on_message(self, stage, s, d, start, finish, nbytes, level):
+        self.events.append(
+            MessageEvent(
+                src_rank=s,
+                dst_rank=d,
+                start=start,
+                finish=finish,
+                nbytes=nbytes,
+                label=stage.label or "<stage>",
+                channel=LEVEL_CHANNELS[level],
             )
-        return new_done
+        )
 
 
 def record_timeline(

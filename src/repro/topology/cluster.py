@@ -24,7 +24,9 @@ down the destination's).  Two things fall out of the same structure:
   same-socket < cross-socket < same-leaf < same-line < cross-spine;
 * the **route matrix** the timing engine consumes: per-message padded rows
   of directed link ids, one link class per column, so per-stage link loads
-  are summed column by column.
+  are summed column by column.  Which columns are real depends only on a
+  message's locality level (:data:`LEVEL_COLUMNS`), which
+  :meth:`ClusterTopology.routes_for` returns beside the table.
 
 Routes are fully vectorised and computed per call in memory linear in the
 messages: the fat-tree segment of each inter-leaf message is a closed-form
@@ -38,7 +40,7 @@ import hashlib
 import json
 import weakref
 from enum import IntEnum
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -51,6 +53,9 @@ __all__ = [
     "ClusterTopology",
     "MAX_ROUTE_LEN",
     "MEM_BUS_COLUMNS",
+    "COLUMN_CLASSES",
+    "LEVEL_COLUMNS",
+    "LEVEL_CHANNELS",
     "DEFAULT_DISTANCE_WEIGHTS",
 ]
 
@@ -74,6 +79,34 @@ class LinkClass(IntEnum):
     HCA = 3
     LEAF_LINE = 4
     LINE_SPINE = 5
+
+
+#: The link class of each route column, in route order.
+COLUMN_CLASSES = (
+    LinkClass.SMEM, LinkClass.MEM, LinkClass.QPI, LinkClass.HCA,
+    LinkClass.LEAF_LINE, LinkClass.LINE_SPINE, LinkClass.LINE_SPINE, LinkClass.LEAF_LINE,
+    LinkClass.HCA, LinkClass.QPI, LinkClass.MEM, LinkClass.SMEM,
+)
+
+#: A message's locality level, closest first, named by the channel
+#: :meth:`ClusterTopology.channel_of` reports for it: same socket, cross
+#: socket, same leaf, same line switch, via a spine (paper §IV, Fig. 2).
+LEVEL_CHANNELS = ("smem", "qpi", "leaf", "line", "spine")
+
+#: ``LEVEL_COLUMNS[level, col]`` is True iff route column ``col`` holds a
+#: real link for a message at ``level``; its other columns are padding.
+LEVEL_COLUMNS = np.array(
+    [
+        # core, mem, qpi, hca, leaf-line, line-spine x 2, line-leaf, hca, qpi, mem, core
+        [1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1],  # same socket
+        [1, 1, 1, 0, 0, 0, 0, 0, 0, 1, 1, 1],  # cross socket
+        [1, 1, 0, 1, 0, 0, 0, 0, 1, 0, 1, 1],  # same leaf
+        [1, 1, 0, 1, 1, 0, 0, 1, 1, 0, 1, 1],  # same line switch
+        [1, 1, 0, 1, 1, 1, 1, 1, 1, 0, 1, 1],  # via a spine
+    ],
+    dtype=bool,
+)
+LEVEL_COLUMNS.flags.writeable = False
 
 
 #: Per-class contribution to the physical distance metric.  Chosen so the
@@ -251,13 +284,30 @@ class ClusterTopology:
         :meth:`FatTreeNetwork.route_columns` for inter-leaf messages only;
         everything is computed per call, in memory linear in the batch.
 
-        Every column holds links of a single :class:`LinkClass` (or the
-        pad), so a route's padding pattern names its locality level —
-        same socket, cross socket, same leaf, same line, via spine — and
-        fixes its per-class link sequence.  Columns draw from disjoint
-        link-id blocks, except that an intra-socket message crosses its
-        socket's memory bus twice (sender write + receiver read), so the
-        bus id appears in both :data:`MEM_BUS_COLUMNS`.
+        Every column holds links of a single class,
+        :data:`COLUMN_CLASSES`, or the pad, and which columns are real
+        depends only on the message's locality level
+        (:data:`LEVEL_COLUMNS`).  Columns draw from disjoint link-id
+        blocks, except that an intra-socket message crosses its socket's
+        memory bus twice (sender write + receiver read), so the bus id
+        appears in both :data:`MEM_BUS_COLUMNS`.
+        """
+        return self.routes_for(src, dst)[0]
+
+    def routes_for(
+        self, src: Sequence[int], dst: Sequence[int]
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Route table and locality levels of a batch: the timing layer's entry.
+
+        Returns :meth:`route_matrix`'s table and an int8 array holding
+        each message's locality level, an index into :data:`LEVEL_COLUMNS`
+        and :data:`LEVEL_CHANNELS`.  The levels come from the masks that
+        place the padding (cross socket, inter node, inter leaf, and the
+        fat-tree's same-line test), so ``routes[i] >= 0`` is
+        ``LEVEL_COLUMNS[level[i]]``.  Tables are not memoized here: the
+        timing engine's pricing LRU already keeps every table a repeated
+        (schedule, mapping) needs.  So each call returns a fresh table the
+        caller owns; the timing engine turns it into load bins in place.
         """
         s = np.asarray(src, dtype=np.int64)
         d = np.asarray(dst, dtype=np.int64)
@@ -293,18 +343,14 @@ class ClusterTopology:
         np.add(d, self._qpi_dn0, out=cols[9], where=cross_socket)
         np.add(sock_d, self._mem0, out=cols[10])
         np.add(d, self._core_dn0, out=cols[11])
-        return cols.T
-
-    def routes_for(self, src: Sequence[int], dst: Sequence[int]) -> np.ndarray:
-        """Route table of a message batch: the timing layer's entry point.
-
-        Returns :meth:`route_matrix`'s table.  Tables are not memoized
-        here: the timing engine's pricing LRU already keeps every table a
-        repeated (schedule, mapping) needs.  So each call returns a fresh
-        table the caller owns; the timing engine turns it into load bins
-        in place.
-        """
-        return self.route_matrix(src, dst)
+        # The level index counts the masks that placed the padding: 1 for
+        # cross socket, 2 for inter node, +1 for a leaf-line hop (inter
+        # leaf) and +1 for a line-spine hop (route_columns' same-line test).
+        level = np.add(inter_node, inter_node, dtype=np.int8)
+        level += cross_socket
+        level += cols[4] >= 0
+        level += cols[5] >= 0
+        return cols.T, level
 
     def route(self, src: int, dst: int) -> List[int]:
         """Readable single-message route (list of directed link ids)."""

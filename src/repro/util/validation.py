@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -36,9 +37,9 @@ def same_multiset(a: np.ndarray, b: np.ndarray) -> bool:
 
 
 def check_positive(name: str, value: float) -> None:
-    """Raise :class:`ValueError` unless ``value`` > 0."""
-    if not value > 0:
-        raise ValueError(f"{name} must be positive, got {value}")
+    """Raise :class:`ValueError` unless ``value`` is finite and > 0."""
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
 def check_nonnegative(name: str, value: float) -> None:

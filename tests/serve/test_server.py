@@ -215,6 +215,34 @@ class TestErrorPaths:
                 )
         assert exc_info.value.code == "bad-request"
 
+    def test_non_finite_price_inputs_are_bad_request(self, served):
+        # json parses NaN and Infinity; priced, they came back as a NaN
+        # that a strict JSON encoder refuses to write.  An integer past
+        # the float range failed in float() instead of being refused.
+        es, fingerprint = served
+        bad = (
+            {"sizes": [float("nan")]},
+            {"sizes": [1024, float("inf")]},
+            {"sizes": [10**400]},  # valid JSON, but past the float range
+            {"sizes": [1024], "extra_copy_bytes": float("nan")},
+            {"sizes": [1024], "extra_copy_bytes": float("inf")},
+        )
+        with es.client() as c:
+            for fields in bad:
+                request = {
+                    "v": 1,
+                    "id": 1,
+                    "op": "price",
+                    "fingerprint": fingerprint,
+                    "algorithm": "ring",
+                    "layout": "block-bunch",
+                    **fields,
+                }
+                line = json.dumps(request).encode("utf-8") + b"\n"
+                answer = json.loads(c.send_raw(line)[0])
+                assert answer["ok"] is False, fields
+                assert answer["error"]["code"] == "bad-request", fields
+
     def test_engine_option_is_not_client_visible(self, served):
         es, fingerprint = served
         with es.client() as c:

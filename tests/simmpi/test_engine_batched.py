@@ -134,3 +134,13 @@ def test_sizes_validation():
         ENGINE.evaluate_sizes(sched, M, [])
     with pytest.raises(ValueError, match="positive"):
         ENGINE.evaluate_sizes(sched, M, [1024.0, 0.0])
+
+
+@pytest.mark.parametrize("size", [float("nan"), float("inf")])
+def test_non_finite_sizes_refused(size):
+    """A NaN or infinite size is refused, not priced as NaN or inf."""
+    p = 8
+    sched = make_algorithm("ring").schedule(p)
+    M = np.arange(p, dtype=np.int64)
+    with pytest.raises(ValueError, match="finite"):
+        ENGINE.evaluate_sizes(sched, M, [1024.0, size])

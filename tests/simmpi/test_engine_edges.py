@@ -12,6 +12,16 @@ def msg(src, dst, units=1.0):
     return Stage(src=np.array([src]), dst=np.array([dst]), units=np.array([units]))
 
 
+class TestBlockBytes:
+    @pytest.mark.parametrize("block_bytes", [float("nan"), float("inf")])
+    def test_non_finite_block_bytes_refused(self, mid_engine, mid_cluster, block_bytes):
+        """``evaluate`` refuses a non-finite block; inf used to price as NaN."""
+        M = np.arange(mid_cluster.n_cores)
+        sched = Schedule(p=2, stages=[msg(0, 1)])
+        with pytest.raises(ValueError, match="finite"):
+            mid_engine.evaluate(sched, M, block_bytes)
+
+
 class TestExtraCopyBytes:
     def test_extra_copy_added(self, mid_engine, mid_cluster):
         M = np.arange(mid_cluster.n_cores)

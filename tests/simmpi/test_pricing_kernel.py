@@ -1,15 +1,16 @@
 """The mask-free pricing kernel vs. the masked builder it replaced.
 
-``TimingEngine._route_kernel`` reads ``route_matrix``'s ``-1``-padded
+``TimingEngine._route_kernel`` reads ``routes_for``'s ``-1``-padded
 table without a validity mask: link ids are offset by one so padding
-lands in a sentinel bin with α = β = 0, and route α-sums come from a
-table keyed by each route's padding pattern.  :class:`MaskedOracle` is
+lands in a sentinel bin with α = β = 0, route α-sums come from a table
+keyed by each message's locality level, and a stage's loads and drains
+skip the columns real at none of its levels.  :class:`MaskedOracle` is
 the masked per-stage builder the engine used before, and
-:func:`oracle_envelope` a copy of the Pareto envelope it fed, so the
-tables are not checked against the engine's own envelope code; both are
-kept as the reference.  Every table and timing the engine produces must
-match them byte for byte: downstream figure pipelines and ``sweep.json``
-compare latencies with exact equality.
+:func:`oracle_envelope` the one-sort Pareto envelope it fed, which the
+engine's level-wise walk replaced; both are kept as the reference.
+Every table and timing the engine produces must match them byte for
+byte: downstream figure pipelines and ``sweep.json`` compare latencies
+with exact equality.
 """
 
 import tracemalloc
@@ -17,14 +18,23 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from repro.bench import microbench
 from repro.collectives.hierarchical import HierarchicalAllgather
 from repro.collectives.registry import make_algorithm, registered_algorithm_names
+from repro.evaluation.evaluator import AllgatherEvaluator
 from repro.faults.plan import cable_degradation, hca_retrain
 from repro.faults.shrink import shrink_layout
 from repro.mapping.initial import make_layout
-from repro.simmpi.costmodel import CostModel
-from repro.simmpi.engine import TimingEngine
-from repro.topology.cluster import MAX_ROUTE_LEN, MEM_BUS_COLUMNS, LinkClass
+from repro.simmpi.costmodel import DEFAULT_ALPHA, CostModel
+from repro.simmpi.engine import TimingEngine, _pareto_envelope
+from repro.topology.cluster import (
+    COLUMN_CLASSES,
+    LEVEL_CHANNELS,
+    LEVEL_COLUMNS,
+    MAX_ROUTE_LEN,
+    MEM_BUS_COLUMNS,
+    LinkClass,
+)
 from repro.topology.gpc import gpc_cluster, small_cluster
 from repro.util.rng import make_rng
 
@@ -37,7 +47,7 @@ BLOCK_BYTES = (1.0, 3.7, 1000.0)
 
 
 def oracle_envelope(alpha_sum, unit_drain):
-    """The one-sort Pareto envelope, as the masked builder fed it.
+    """The one-sort Pareto envelope the level-wise walk replaced.
 
     Per distinct drain, the largest alpha-sum of any message at it; then
     every line whose alpha-sum is beaten at an equal-or-larger drain goes.
@@ -152,12 +162,21 @@ def _schedules(M):
 
 def _engines():
     cost = CostModel()
+    # QPI and HCA share one α, so cross-socket and same-leaf routes tie on
+    # their α-sum, and line-spine hops cost no α, so same-line and
+    # via-spine routes tie too: the envelope must group levels by α value.
+    # The second tie is between the highest α-sums of most stages, where a
+    # walk grouped by level would drop lines.
+    tied = CostModel(
+        alpha={LinkClass.QPI: DEFAULT_ALPHA[LinkClass.HCA], LinkClass.LINE_SPINE: 0.0}
+    )
     return {
         "plain": (TimingEngine(CLUSTER, cost), MaskedOracle(CLUSTER, cost)),
         "link_beta_scale": (
             TimingEngine(CLUSTER, cost, link_beta_scale=SCALE),
             MaskedOracle(CLUSTER, cost, link_beta_scale=SCALE),
         ),
+        "tied_alpha": (TimingEngine(CLUSTER, tied), MaskedOracle(CLUSTER, tied)),
     }
 
 
@@ -229,14 +248,75 @@ class TestKernelMatchesMaskedOracle:
             assert _bits(res.total_seconds) == _bits(total), sched.name
 
 
+def test_tied_alpha_engine_has_stages_with_tied_levels():
+    """Under ``tied_alpha`` cross-socket and same-leaf routes tie on their
+    α-sum, and so do same-line and via-spine ones; stages holding both
+    levels of a tie occur, so ``test_pricing_tables`` checks that the
+    envelope groups levels by α value."""
+    eng, _ = ENGINES["tied_alpha"]
+    assert eng._level_alpha[1] == eng._level_alpha[2]
+    assert eng._level_alpha[3] == eng._level_alpha[4]
+    assert np.unique(eng._level_alpha).size == len(LEVEL_COLUMNS) - 2
+    M = MAPPINGS["random-permutation"]
+    held = [
+        set(CLUSTER.routes_for(M[stage.src], M[stage.dst])[1].tolist())
+        for sched in _schedules(M)
+        for stage in sched.stages
+    ]
+    assert sum({1, 2} <= levels for levels in held) >= 10
+    assert sum({3, 4} <= levels for levels in held) >= 10
+
+
+#: Tie-heavy stages for the level-wise envelope: the levels present, how
+#: many distinct drains the messages draw from, and pairs of levels given
+#: one α.
+TIE_CASES = {
+    "one-alpha": ([2], 6, ()),
+    "five-alphas": ([0, 1, 2, 3, 4], 40, ()),
+    "drains-repeated-across-alphas": ([0, 1, 2, 3, 4], 3, ()),
+    "equal-alpha-at-two-levels": ([0, 1, 2, 4], 8, ((1, 2),)),
+}
+
+
+def _tie_heavy_stage(case, rng):
+    """(unit_drain, level, levels, level_alpha) with every listed level present."""
+    present, n_drains, ties = TIE_CASES[case]
+    level_alpha = rng.choice(np.arange(1, 40) * 1e-7, len(LEVEL_COLUMNS), replace=False)
+    for a, b in ties:
+        level_alpha[b] = level_alpha[a]
+    pool = rng.uniform(0.0, 1e-9, n_drains)
+    if rng.random() < 0.2:
+        pool[0] = 0.0  # an intra-stage drain of nothing
+    extra = rng.choice(present, rng.integers(0, 48))
+    level = rng.permutation(np.concatenate([present, extra])).astype(np.int8)
+    drain = pool[rng.integers(0, n_drains, level.size)]
+    return drain, level, sorted(set(level.tolist())), level_alpha
+
+
+class TestLevelWiseEnvelope:
+    @pytest.mark.parametrize("case", sorted(TIE_CASES))
+    def test_tie_heavy_random_stages(self, case):
+        """The level-wise walk against the one-sort envelope, byte for byte."""
+        rng = make_rng(11)
+        for draw in range(300):
+            drain, level, levels, level_alpha = _tie_heavy_stage(case, rng)
+            got = _pareto_envelope(drain, level, levels, level_alpha)
+            want = oracle_envelope(level_alpha[level], drain)
+            assert _bits(got[0]) == _bits(want[0]), (case, draw)
+            assert _bits(got[1]) == _bits(want[1]), (case, draw)
+
+
 class TestRouteLayout:
     """What the kernel's α table and per-column load sums rely on."""
 
-    def _all_pairs(self):
+    def _pairs(self):
         cores = np.arange(CLUSTER.n_cores)
         src, dst = np.meshgrid(cores, cores, indexing="ij")
         off = src != dst
-        return CLUSTER.route_matrix(src[off], dst[off])
+        return src[off], dst[off]
+
+    def _all_pairs(self):
+        return CLUSTER.route_matrix(*self._pairs())
 
     def test_every_column_holds_one_link_class(self):
         routes = self._all_pairs()
@@ -244,7 +324,10 @@ class TestRouteLayout:
         for col in range(MAX_ROUTE_LEN):
             ids = routes[:, col]
             classes = np.unique(CLUSTER.link_class[ids[ids >= 0]])
-            assert classes.size == 1, (col, [LinkClass(c).name for c in classes])
+            assert classes.tolist() == [COLUMN_CLASSES[col]], (
+                col,
+                [LinkClass(c).name for c in classes],
+            )
 
     def test_columns_draw_from_disjoint_link_blocks(self):
         """Only the memory-bus columns share link ids, so summing loads
@@ -262,10 +345,18 @@ class TestRouteLayout:
         for (_, hi, col), (lo, _, nxt) in zip(disjoint, disjoint[1:]):
             assert hi < lo, (col, nxt)
 
-    def test_padding_patterns_are_the_locality_levels(self):
-        patterns = {tuple(row) for row in (self._all_pairs() >= 0).tolist()}
-        # same socket, cross socket, same leaf, same line, via spine
-        assert sorted(sum(p) for p in patterns) == [4, 6, 6, 8, 10]
+    def test_padding_is_the_level_layout(self):
+        """Over every ordered core pair, a route's padding pattern is its
+        level's row of ``LEVEL_COLUMNS``, and its level names the channel
+        ``channel_of`` reports."""
+        src, dst = self._pairs()
+        routes, level = CLUSTER.routes_for(src, dst)
+        assert level.dtype == np.int8
+        assert np.array_equal(routes, CLUSTER.route_matrix(src, dst))
+        assert np.array_equal(routes >= 0, LEVEL_COLUMNS[level])
+        channels = [CLUSTER.channel_of(s, d) for s, d in zip(src.tolist(), dst.tolist())]
+        assert [LEVEL_CHANNELS[lvl] for lvl in level.tolist()] == channels
+        assert np.unique(level).tolist() == [0, 1, 2, 3, 4]  # every level occurs
 
 
 def _price_peak(cluster, sched, M):
@@ -335,3 +426,43 @@ class TestFaultPathReuse:
         res = eng.evaluate(sched, M, BLOCK_BYTES[1], fault_plan=FAULT_PLANS["cable_degradation"])
         assert len({t.seconds for t in res.stage_timings}) == 2  # the onset changed the state
         assert len(calls) == len(sched.stages) == 1
+
+
+def _assert_tables_match_oracle(oracle, tables):
+    """Every stage of every (schedule, mapping, tables) triple, byte for byte."""
+    for sched, M, priced_stages in tables:
+        assert len(priced_stages) == len(sched.stages)
+        for stage, priced in zip(sched.stages, priced_stages):
+            alpha_sum, unit_drain, load_max = oracle.price_stage(stage, M)
+            env_alpha, env_drain = oracle_envelope(alpha_sum, unit_drain)
+            where = (sched.name, stage.label)
+            assert _bits(priced.env_alpha) == _bits(env_alpha), where
+            assert _bits(priced.env_drain) == _bits(env_drain), where
+            assert _bits(priced.unit_load_max) == _bits(load_max), where
+
+
+@pytest.mark.slow
+def test_fig34_grid_tables_at_p4096_match_oracle(monkeypatch):
+    """The 32 tables one Fig. 3/4 heuristic grid op prices at p = 4096.
+
+    Both sides are computed here rather than pinned as a digest, so the
+    check holds under any NumPy whose float outputs differ in the last
+    bit.  Level 3 (same line switch) never occurs on 512 nodes: its 18
+    leaves sit on 18 distinct line switches.  Only ``CLUSTER`` covers it.
+    """
+    cluster = gpc_cluster(512)
+    ev = AllgatherEvaluator(cluster, rng=0)
+    tables = []
+    price_schedule = TimingEngine._price_schedule
+
+    def recorded(engine, schedule, mapping):
+        priced = price_schedule(engine, schedule, mapping)
+        tables.append((schedule, mapping, priced))
+        return priced
+
+    monkeypatch.setattr(TimingEngine, "_price_schedule", recorded)
+    p = cluster.n_cores
+    microbench.sweep_nonhierarchical(ev, p, mappers=("heuristic",))
+    microbench.sweep_hierarchical(ev, p, mappers=("heuristic",))
+    assert len(tables) == 32
+    _assert_tables_match_oracle(MaskedOracle(cluster, ev.engine.cost), tables)

@@ -13,6 +13,9 @@ from repro.simmpi.traceexport import (
     record_timeline,
     to_chrome_trace,
 )
+from repro.topology.cluster import LEVEL_CHANNELS
+from repro.topology.gpc import small_cluster
+from repro.util.rng import make_rng
 
 
 class TestRecordTimeline:
@@ -29,6 +32,17 @@ class TestRecordTimeline:
             assert ev.finish > ev.start >= 0
             assert ev.nbytes > 0
             assert ev.channel in ("smem", "qpi", "leaf", "line", "spine")
+
+    def test_channels_are_channel_of_the_cores(self):
+        """Each event's channel, taken from its route's locality level, is
+        ``channel_of`` its two cores, on a cluster where every level occurs."""
+        cluster = small_cluster(n_nodes=16, cores_per_socket=4)
+        p = cluster.n_cores
+        M = make_rng(3).permutation(p)
+        events = record_timeline(cluster, RecursiveDoublingAllgather().schedule(p), M, 1024)
+        for ev in events:
+            assert ev.channel == cluster.channel_of(int(M[ev.src_rank]), int(M[ev.dst_rank]))
+        assert {ev.channel for ev in events} == set(LEVEL_CHANNELS)
 
     def test_recording_matches_plain_engine(self, mid_cluster):
         """Recording must not perturb the timing."""
