@@ -24,13 +24,14 @@ moment it is introduced, not when a cache hit goes wrong:
     content).
 
 ``CCH005``
-    The engine pricing cache fingerprints a schedule via
-    ``_schedule_fingerprint``; every dataclass field of ``Schedule`` /
-    ``Stage`` must either be folded into that hash or be declared
-    pricing-irrelevant (:data:`PRICING_IRRELEVANT_FIELDS`: ``blocks``
-    feeds only the data executor, ``label`` is cosmetic).  Adding a
-    field to the schedule IR without deciding its cache fate is an
-    error.
+    The engine pricing cache keys a schedule on ``Schedule.digest``,
+    which is computed once and kept; every dataclass field of
+    ``Schedule`` / ``Stage`` must either be folded into that hash or be
+    declared pricing-irrelevant (:data:`PRICING_IRRELEVANT_FIELDS`:
+    ``blocks`` feeds only the data executor, ``label`` is cosmetic).
+    Adding a field to the schedule IR without deciding its cache fate is
+    an error.  A kept digest is only sound while the IR cannot change, so
+    either class not being a frozen dataclass is an error too.
 
 Findings are anchored to the inspected function's ``def`` line, so
 ``# noqa: CCH00x`` works there like for any AST pass; every code also
@@ -213,7 +214,7 @@ def check_reorder_key_coverage(
 
 
 # ----------------------------------------------------------------------
-# CCH005 — pricing fingerprint covers the schedule IR
+# CCH005 — the kept pricing digest covers a frozen schedule IR
 # ----------------------------------------------------------------------
 def check_pricing_fingerprint_coverage(
     fingerprint_func: Optional[Callable] = None,
@@ -221,17 +222,26 @@ def check_pricing_fingerprint_coverage(
     stage_cls=None,
     irrelevant: Iterable[str] = PRICING_IRRELEVANT_FIELDS,
 ) -> DiagnosticReport:
-    """CCH005: every Schedule/Stage field is hashed or declared irrelevant."""
-    if fingerprint_func is None:
-        from repro.simmpi.engine import _schedule_fingerprint as fingerprint_func
-    if schedule_cls is None or stage_cls is None:
-        from repro.collectives.schedule import Schedule, Stage
+    """CCH005: both IR classes are frozen, every field hashed or declared irrelevant."""
+    from repro.collectives.schedule import Schedule, Stage
 
-        schedule_cls = schedule_cls or Schedule
-        stage_cls = stage_cls or Stage
+    if fingerprint_func is None:
+        fingerprint_func = Schedule.digest.func
+    schedule_cls = schedule_cls or Schedule
+    stage_cls = stage_cls or Stage
     irrelevant = frozenset(irrelevant)
     report = DiagnosticReport(subject="pricing fingerprint coverage")
     anchor = _anchor(fingerprint_func)
+    for cls in (schedule_cls, stage_cls):
+        params = getattr(cls, "__dataclass_params__", None)
+        if params is None or not params.frozen:
+            report.add(
+                "CCH005",
+                f"{cls.__name__} is not a frozen dataclass; the digest "
+                f"{fingerprint_func.__name__}() keeps would go stale when it "
+                "is mutated",
+                **_anchor(cls) or anchor,
+            )
 
     try:
         source = textwrap.dedent(inspect.getsource(fingerprint_func))
@@ -251,6 +261,8 @@ def check_pricing_fingerprint_coverage(
     # f-string payloads also count: "{schedule.p}|..." appears as Attribute
     # nodes inside the JoinedStr, so the walk above already collects them.
     for cls in (schedule_cls, stage_cls):
+        if getattr(cls, "__dataclass_params__", None) is None:
+            continue  # reported above; it has no fields to check
         for field in dataclass_fields(cls):
             if field.name in hashed or field.name in irrelevant:
                 continue

@@ -103,7 +103,7 @@ _RULE_TABLE = [
     # --- cache-key soundness ----------------------------------------------
     ("CCH001", "result-influencing parameter omitted from the cache-key payload"),
     ("CCH002", "cache-key payload field or kwarg exclusion drifted from the contract"),
-    ("CCH005", "pricing-cache fingerprint misses a schedule/stage field"),
+    ("CCH005", "pricing-cache digest misses a schedule/stage field, or the IR is not frozen"),
     # --- fault-plan verifier ----------------------------------------------
     ("FLT001", "fault onset beyond the schedule's round clock (never activates)"),
     ("FLT002", "fault targets missing hardware or leaves < 2 surviving nodes"),

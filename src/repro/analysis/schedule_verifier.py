@@ -194,8 +194,7 @@ def verify_schedule(
     )
 
     for si, stage in enumerate(schedule.stages):
-        src = np.asarray(stage.src, dtype=np.int64)
-        dst = np.asarray(stage.dst, dtype=np.int64)
+        src, dst = stage.src, stage.dst
 
         # -- SCH002: rank bounds -------------------------------------------
         stage_in_bounds = True

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -112,34 +112,36 @@ def init_comm_stage(reordering: RankReordering) -> Optional[Stage]:
     """The extra pre-collective exchange round, in new-rank space.
 
     For every displaced block ``b``, the process holding it (new rank
-    ``new_of_old[b]``) sends it to the process acting as rank ``b``.  All
-    transfers are concurrent — one extra stage.  Returns ``None`` for the
-    identity reordering.
+    ``new_of_old[b]``) sends it to the process acting as rank ``b``: the
+    message to rank ``b`` carries block ``b``, one unit.  All transfers
+    are concurrent — one extra stage.  Returns ``None`` for the identity
+    reordering.
     """
-    displaced = np.flatnonzero(reordering.old_of_new != np.arange(reordering.p))
+    ranks = np.arange(reordering.p)
+    displaced = ranks[reordering.old_of_new != ranks]
     if displaced.size == 0:
         return None
     return Stage(
         src=reordering.new_of_old[displaced],
         dst=displaced,
         units=np.ones(displaced.size),
-        blocks=[(b,) for b in displaced.tolist()],
         label="initcomm",
     )
 
 
 def end_shuffle_seconds(
-    reordering: RankReordering, block_bytes: float, cost: CostModel
-) -> float:
+    reordering: RankReordering, block_bytes: Union[float, np.ndarray], cost: CostModel
+) -> Union[float, np.ndarray]:
     """Cost of the end-of-collective output shuffle at each process.
 
     Every displaced block is one small memory move: per-move overhead plus
     the bytes themselves.  This per-block overhead is what makes endShfl
     "quite costly" at small/medium sizes in the paper's Fig. 3(c,d).
+    ``block_bytes`` may be one size or an array of them: the displaced
+    ranks are counted once and each size is priced elementwise, in the
+    scalar expression's operation order.
     """
     moved = reordering.n_displaced()
-    if moved == 0:
-        return 0.0
     return moved * cost.copy_alpha + moved * block_bytes * cost.copy_beta
 
 

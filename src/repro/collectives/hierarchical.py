@@ -19,6 +19,7 @@ processes separately").
 
 from __future__ import annotations
 
+import functools
 from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
@@ -66,6 +67,10 @@ class HierarchicalAllgather(CollectiveAlgorithm):
         ``"rd"`` (power-of-two group count) or ``"ring"``.
     intra:
         ``"binomial"`` (the paper's non-linear NL variant) or ``"linear"``.
+
+    The groups (lists or int arrays) are held flat, as one int64 rank
+    array and the group sizes, the form :meth:`from_partition` takes;
+    the lists of :attr:`groups` are built only for the :meth:`stages` view.
     """
 
     name = "hierarchical"  # lint: unregistered-ok (reordered per phase, not via _PATTERNS)
@@ -76,31 +81,54 @@ class HierarchicalAllgather(CollectiveAlgorithm):
         leader_alg: str = "rd",
         intra: str = "binomial",
     ) -> None:
+        arrays = [np.asarray(g, dtype=np.int64) for g in groups]
+        flat = np.concatenate(arrays) if arrays else np.empty(0, dtype=np.int64)
+        self._partition(flat, [a.size for a in arrays], leader_alg, intra)
+
+    @classmethod
+    def from_partition(
+        cls, ranks: np.ndarray, sizes: Sequence[int], leader_alg: str = "rd", intra: str = "binomial"
+    ) -> "HierarchicalAllgather":
+        """The algorithm whose group ``g`` is the next ``sizes[g]`` of ``ranks``."""
+        alg = cls.__new__(cls)
+        alg._partition(ranks, sizes, leader_alg, intra)
+        return alg
+
+    def _partition(self, ranks, sizes, leader_alg: str, intra: str) -> None:
+        """Validate and keep the flat partition (one sort checks it)."""
         if leader_alg not in ("rd", "ring"):
             raise ValueError(f"leader_alg must be 'rd' or 'ring', got {leader_alg!r}")
         if intra not in ("binomial", "linear"):
             raise ValueError(f"intra must be 'binomial' or 'linear', got {intra!r}")
-        self.groups = [list(g) for g in groups]
-        if any(len(g) == 0 for g in self.groups):
+        self._sizes = np.array(sizes, dtype=np.int64)
+        if np.any(self._sizes < 1):
             raise ValueError("empty group")
+        self._ranks = np.array(ranks, dtype=np.int64)
+        self.p = int(self._ranks.size)
+        if not np.array_equal(np.sort(self._ranks), np.arange(self._sizes.sum())):
+            raise ValueError("groups must partition range(p)")
+        if leader_alg == "rd" and not is_power_of_two(self._sizes.size):
+            raise ValueError(
+                f"rd leader exchange requires a power-of-two group count, got {self._sizes.size}"
+            )
+        self._starts = np.cumsum(self._sizes) - self._sizes
         self.leader_alg = leader_alg
         self.intra = intra
         # linear intra phases serialise several transfers on the leader
         self.multi_port_stages = intra == "linear"
-        self.p = sum(len(g) for g in self.groups)
-        flat = sorted(r for g in self.groups for r in g)
-        if flat != list(range(self.p)):
-            raise ValueError("groups must partition range(p)")
-        if leader_alg == "rd" and not is_power_of_two(len(self.groups)):
-            raise ValueError(
-                f"rd leader exchange requires a power-of-two group count, got {len(self.groups)}"
-            )
         self.name = f"hierarchical[{leader_alg},{intra}]"
 
     # ------------------------------------------------------------------
+    @functools.cached_property
+    def groups(self) -> List[List[int]]:
+        """The partition as rank lists (built on first use)."""
+        flat = self._ranks.tolist()
+        ends = np.cumsum(self._sizes).tolist()
+        return [flat[a:b] for a, b in zip(self._starts.tolist(), ends)]
+
     @property
     def leaders(self) -> List[int]:
-        return [g[0] for g in self.groups]
+        return self._ranks[self._starts].tolist()
 
     def _check_p(self, p: int) -> None:
         if p != self.p:
@@ -237,15 +265,11 @@ class HierarchicalAllgather(CollectiveAlgorithm):
         (groups, edges) array of flat positions; a stable sort on the
         group index then interleaves the sizes back into group order.
         """
-        flat = np.fromiter(
-            (r for g in self.groups for r in g), dtype=np.int64, count=self.p
-        )
-        sizes = np.array([len(g) for g in self.groups], dtype=np.int64)
-        offsets = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+        flat, sizes, offsets = self._ranks, self._sizes, self._starts
         # (group indices, tree) per distinct size, sizes ascending
         by_size = [
             (np.flatnonzero(sizes == m), self._tree_edges(m, gather))
-            for m in sorted(set(sizes.tolist()))
+            for m in np.unique(sizes).tolist()
         ]
         n_stages = max(len(tree) for _, tree in by_size)
         phase = "gather" if gather else "bcast"
@@ -275,11 +299,11 @@ class HierarchicalAllgather(CollectiveAlgorithm):
 
     def _leader_schedule(self) -> List[Stage]:
         """Leader-exchange stages; the ring compresses when groups are uniform."""
-        G = len(self.groups)
+        G = self._sizes.size
         if G < 2:
             return []
-        leaders = np.array(self.leaders, dtype=np.int64)
-        sizes = np.array([len(g) for g in self.groups], dtype=np.float64)
+        leaders = self._ranks[self._starts]
+        sizes = self._sizes.astype(np.float64)
         if self.leader_alg == "rd":
             # Leader i owns groups [base, base + 2**s) entering stage s,
             # base = i with its low s bits cleared (rd_blocks_owned).

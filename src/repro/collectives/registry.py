@@ -31,6 +31,7 @@ from repro.util.bits import is_power_of_two
 
 __all__ = [
     "DEFAULT_RD_THRESHOLD_BYTES",
+    "hierarchical_leader_alg",
     "select_allgather",
     "select_hierarchical_allgather",
     "pattern_of",
@@ -113,14 +114,20 @@ def select_allgather(
     return RingAllgather()
 
 
+def hierarchical_leader_alg(
+    n_groups: int, block_bytes: float, rd_threshold: float = DEFAULT_RD_THRESHOLD_BYTES
+) -> str:
+    """The leader exchange: RD for small messages on a power-of-two node
+    count, ring otherwise."""
+    return "rd" if block_bytes < rd_threshold and is_power_of_two(n_groups) else "ring"
+
+
 def select_hierarchical_allgather(
     groups: Sequence[Sequence[int]],
     block_bytes: float,
     intra: str = "binomial",
     rd_threshold: float = DEFAULT_RD_THRESHOLD_BYTES,
 ) -> HierarchicalAllgather:
-    """Pick the hierarchical allgather: RD leaders for small messages on a
-    power-of-two node count, ring leaders otherwise."""
-    n_groups = len(groups)
-    leader_alg = "rd" if block_bytes < rd_threshold and is_power_of_two(n_groups) else "ring"
+    """Pick the hierarchical allgather (:func:`hierarchical_leader_alg`)."""
+    leader_alg = hierarchical_leader_alg(len(groups), block_bytes, rd_threshold)
     return HierarchicalAllgather(groups=groups, leader_alg=leader_alg, intra=intra)

@@ -20,20 +20,28 @@ Ring-like algorithms repeat an identically-shaped stage many times; they
 set ``Stage.repeat`` so the engine prices the stage once and multiplies,
 while :meth:`CollectiveAlgorithm.stages` still yields every stage with its
 exact per-stage blocks for data execution.
+
+Both classes are frozen dataclasses with read-only arrays, validated
+once at construction, so :attr:`Schedule.digest` (the pricing cache's
+key) is computed once per schedule and kept.
 """
 
 from __future__ import annotations
 
+import functools
+import hashlib
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.util.validation import check_nonnegative
+
 __all__ = ["Stage", "Schedule", "CollectiveAlgorithm", "make_stage"]
 
 
-@dataclass
+@dataclass(frozen=True)
 class Stage:
     """One synchronous round of point-to-point messages.
 
@@ -42,7 +50,7 @@ class Stage:
     src, dst:
         int64 arrays of communicator ranks (equal length, no self-messages).
     units:
-        float64 array; message size in units of the base block size.
+        float64 array; message size in units of the base block size (>= 0).
     blocks:
         Optional per-message tuples of block ids (required by the data
         executor, ignored by the timing engine).  When present,
@@ -61,9 +69,10 @@ class Stage:
     label: str = ""
 
     def __post_init__(self) -> None:
-        self.src = np.asarray(self.src, dtype=np.int64)
-        self.dst = np.asarray(self.dst, dtype=np.int64)
-        self.units = np.asarray(self.units, dtype=np.float64)
+        # A view is copied, because its base could still be written.
+        for name, dtype in (("src", np.int64), ("dst", np.int64), ("units", np.float64)):
+            arr = np.asarray(getattr(self, name), dtype=dtype)
+            object.__setattr__(self, name, arr if arr.base is None else arr.copy())
         if not (self.src.shape == self.dst.shape == self.units.shape):
             raise ValueError("src, dst and units must have identical shapes")
         if self.src.ndim != 1:
@@ -72,10 +81,14 @@ class Stage:
             raise ValueError("a stage needs at least one message")
         if np.any(self.src == self.dst):
             raise ValueError("self-message in stage")
+        if not (self.units.min() >= 0 and self.units.max() < np.inf):  # NaN fails both
+            raise ValueError("units must be finite and non-negative")
         if self.blocks is not None and len(self.blocks) != self.src.size:
             raise ValueError("blocks must have one entry per message")
         if self.repeat < 1:
             raise ValueError(f"repeat must be >= 1, got {self.repeat}")
+        for arr in (self.src, self.dst, self.units):
+            arr.flags.writeable = False  # in place: the caller's array, not a copy
 
     @property
     def n_messages(self) -> int:
@@ -102,26 +115,28 @@ def make_stage(
     return Stage(src=src, dst=dst, units=units, blocks=blocks, repeat=repeat, label=label)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Schedule:
     """A full collective: ordered stages plus local-copy accounting.
 
     ``local_copy_units`` is per-process local data movement inherent to the
     algorithm itself (e.g. Bruck's final rotation), in block units; the
     order-restoration copies of endShfl are accounted separately by
-    :mod:`repro.collectives.correctness`.
+    :mod:`repro.collectives.correctness`.  ``stages`` is kept as a tuple.
     """
 
     p: int
-    stages: List[Stage] = field(default_factory=list)
+    stages: Tuple[Stage, ...] = ()
     local_copy_units: float = 0.0
     name: str = ""
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "stages", tuple(self.stages))
         if self.p < 2:
             raise ValueError(f"a schedule needs p >= 2, got p={self.p}")
         if not self.stages:
             raise ValueError("a schedule needs at least one stage")
+        check_nonnegative("local_copy_units", self.local_copy_units)
         for i, s in enumerate(self.stages):
             lo = int(min(s.src.min(), s.dst.min()))
             hi = int(max(s.src.max(), s.dst.max()))
@@ -130,6 +145,21 @@ class Schedule:
                     f"stage {i} references rank {lo if lo < 0 else hi} outside "
                     f"[0, {self.p})"
                 )
+
+    @functools.cached_property
+    def digest(self) -> bytes:
+        """SHA-1 of every field pricing reads (not ``blocks``, ``label``).
+
+        Computed on first use and kept: the IR cannot change after
+        construction.
+        """
+        h = hashlib.sha1(f"{self.p}|{self.name}|{self.local_copy_units}".encode())
+        for s in self.stages:
+            h.update(f"|{s.repeat}|{s.src.size}".encode())
+            h.update(s.src)
+            h.update(s.dst)
+            h.update(s.units)
+        return h.digest()
 
     def n_stages(self) -> int:
         """Number of stage rounds including repeats."""
@@ -144,18 +174,8 @@ class Schedule:
         return sum(s.total_units() for s in self.stages)
 
     def max_rank(self) -> int:
-        """Largest rank referenced (sanity checks).
-
-        Raises :class:`ValueError` on a schedule with no stages instead of
-        returning 0 — an all-empty schedule must never be mistaken for a
-        valid single-rank one (construction already rejects it, but
-        mutated instances can reach this).
-        """
-        if not self.stages:
-            raise ValueError("schedule has no stages; no ranks are referenced")
-        return max(
-            int(max(s.src.max(initial=0), s.dst.max(initial=0))) for s in self.stages
-        )
+        """Largest rank referenced (sanity checks)."""
+        return max(int(max(s.src.max(), s.dst.max())) for s in self.stages)
 
 
 class CollectiveAlgorithm(ABC):

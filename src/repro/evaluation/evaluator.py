@@ -43,9 +43,9 @@ from repro.collectives.correctness import (
 from repro.collectives.hierarchical import HierarchicalAllgather
 from repro.collectives.registry import (
     DEFAULT_RD_THRESHOLD_BYTES,
+    hierarchical_leader_alg,
     pattern_of,
     select_allgather,
-    select_hierarchical_allgather,
 )
 from repro.collectives.schedule import Schedule
 from repro.mapping.base import Mapper
@@ -57,7 +57,6 @@ from repro.mapping.scotch import ScotchLikeMapper
 from repro.simmpi.costmodel import CostModel
 from repro.simmpi.engine import TimingEngine
 from repro.topology.cluster import ClusterTopology
-from repro.util.bits import is_power_of_two
 from repro.util.rng import RngLike, make_rng
 
 __all__ = ["AllgatherEvaluator", "LatencyReport"]
@@ -148,26 +147,33 @@ class AllgatherEvaluator:
         Mirrors what an MPI library's shared-memory communicator split
         produces (lowest world rank on each node becomes the leader).
         """
-        L = np.asarray(layout, dtype=np.int64)
+        ranks, sizes = self._node_partition(np.asarray(layout, dtype=np.int64))
+        flat = ranks.tolist()
+        ends = np.cumsum(sizes).tolist()
+        return [flat[end - m : end] for end, m in zip(ends, sizes.tolist())]
+
+    def _node_partition(self, L: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """:meth:`groups_from_layout` flat: ranks in group order, group sizes."""
         nodes = self.cluster.node_of(L)
-        # stable sort: ranks ascend within each node's slice
         order = np.argsort(nodes, kind="stable")
-        _, starts = np.unique(nodes[order], return_index=True)
-        bounds = np.append(starts, L.size)
-        return [order[a:b].tolist() for a, b in zip(bounds[:-1], bounds[1:])]
+        by_node = nodes[order]
+        cuts = np.flatnonzero(by_node[1:] != by_node[:-1]) + 1
+        return order, np.diff(np.concatenate(([0], cuts, [L.size])))
 
     def _restore(
         self,
         strat: OrderStrategy,
-        algorithm,
+        algorithm_name: str,
         reordering: RankReordering,
         sizes: Sequence[float],
+        inline: bool = False,
     ) -> Tuple[str, np.ndarray]:
-        """Effective strategy name and its per-call cost at each size."""
+        """Effective strategy name and its per-call cost at each size
+        (``inline``: the algorithm places blocks in order itself)."""
         zeros = np.zeros(len(sizes), dtype=np.float64)
         if reordering.is_identity():
             return OrderStrategy.NONE.value, zeros
-        if getattr(algorithm, "supports_inline_placement", False):
+        if inline:
             # Paper §V-B: the ring resolves ordering inside the algorithm.
             return OrderStrategy.INLINE.value, zeros
         if strat is OrderStrategy.INIT_COMM:
@@ -178,27 +184,35 @@ class AllgatherEvaluator:
             batch = self.engine.evaluate_sizes(pre, reordering.mapping, sizes)
             return strat.value, batch.total_seconds
         if strat is OrderStrategy.END_SHUFFLE:
-            costs = np.array(
-                [end_shuffle_seconds(reordering, bb, self.cost) for bb in sizes]
-            )
-            return strat.value, costs
-        raise ValueError(f"strategy {strat} not usable for {algorithm.name}")
+            sz = np.asarray(sizes, dtype=np.float64)
+            return strat.value, end_shuffle_seconds(reordering, sz, self.cost)
+        raise ValueError(f"strategy {strat} not usable for {algorithm_name}")
 
     # ------------------------------------------------------------------
     # the pipeline: every entry point prices a size vector
     # ------------------------------------------------------------------
-    def _schedule_for(self, algorithm, p: int, extra_key: Tuple = ()) -> Schedule:
+    def _schedule_for(self, algorithm, p: int) -> Schedule:
         """Build-once cache of compiled schedules.
 
         Flat algorithms are fully determined by (name, p); hierarchical
-        ones also depend on their group structure, which callers encode in
-        ``extra_key``.
+        ones also depend on their group structure
+        (:meth:`_hierarchical_schedule`).
         """
-        key = (algorithm.name, p) + tuple(extra_key)
+        key = (algorithm.name, p)
         sched = self._schedule_cache.get(key)
         if sched is None:
             sched = algorithm.schedule(p)
             self._schedule_cache[key] = sched
+        return sched
+
+    def _hierarchical_schedule(
+        self, key: Tuple, ranks: np.ndarray, sizes, leader_alg: str, intra: str
+    ) -> Schedule:
+        """:meth:`_schedule_for` of a flat partition: the algorithm is built on a miss only."""
+        sched = self._schedule_cache.get(key)
+        if sched is None:
+            alg = HierarchicalAllgather.from_partition(ranks, sizes, leader_alg, intra)
+            sched = self._schedule_cache[key] = alg.schedule(alg.p)
         return sched
 
     @staticmethod
@@ -233,31 +247,26 @@ class AllgatherEvaluator:
         sizes = list(sizes)
         out: List[Optional[LatencyReport]] = [None] * len(sizes)
         if hierarchical:
-            groups = self.groups_from_layout(L)
-            # The pick depends on the size only through the RD threshold,
-            # so one algorithm is built per side of it.
-            by_side: Dict[bool, HierarchicalAllgather] = {}
-            algs = []
-            for bb in sizes:
-                small = bb < self.rd_threshold
-                if small not in by_side:
-                    by_side[small] = select_hierarchical_allgather(
-                        groups, bb, intra, self.rd_threshold
-                    )
-                algs.append(by_side[small])
-            extra_key = (_layout_key(L), "default")
+            ranks, group_sizes = self._node_partition(L)
+            lk = _layout_key(L)
+            picks = [
+                hierarchical_leader_alg(group_sizes.size, bb, self.rd_threshold) for bb in sizes
+            ]
         else:
             algs = [select_allgather(p, bb, self.rd_threshold) for bb in sizes]
-            extra_key = ()
-        for name, idxs in self._group_sizes([a.name for a in algs]):
-            alg = algs[idxs[0]]
-            sched = self._schedule_for(alg, p, extra_key)
+            picks = [a.name for a in algs]
+        for pick, idxs in self._group_sizes(picks):
+            if hierarchical:
+                key = ("hier-default", pick, intra, lk)
+                sched = self._hierarchical_schedule(key, ranks, group_sizes, pick, intra)
+            else:
+                sched = self._schedule_for(algs[idxs[0]], p)
             batch = self.engine.evaluate_sizes(sched, L, [sizes[i] for i in idxs])
             for j, i in enumerate(idxs):
                 coll = float(batch.total_seconds[j])
                 out[i] = LatencyReport(
                     seconds=coll,
-                    algorithm=name,
+                    algorithm=sched.name,
                     strategy=OrderStrategy.NONE.value,
                     collective_seconds=coll,
                 )
@@ -328,7 +337,8 @@ class AllgatherEvaluator:
             sub = [sizes[i] for i in idxs]
             sched = self._schedule_for(alg, p)
             batch = self.engine.evaluate_sizes(sched, res.mapping, sub)
-            strategy_name, restores = self._restore(strat, alg, res.reordering, sub)
+            inline = getattr(alg, "supports_inline_placement", False)
+            strategy_name, restores = self._restore(strat, name, res.reordering, sub, inline)
             for j, i in enumerate(idxs):
                 coll = float(batch.total_seconds[j])
                 out[i] = LatencyReport(
@@ -351,14 +361,10 @@ class AllgatherEvaluator:
         intra: str,
         rng: RngLike,
     ) -> List[LatencyReport]:
-        groups_old = self.groups_from_layout(L)
-        G = len(groups_old)
+        G = self._node_partition(L)[1].size
         lk = _layout_key(L)
         out: List[Optional[LatencyReport]] = [None] * len(sizes)
-        leader_algs = [
-            "rd" if bb < self.rd_threshold and is_power_of_two(G) else "ring"
-            for bb in sizes
-        ]
+        leader_algs = [hierarchical_leader_alg(G, bb, self.rd_threshold) for bb in sizes]
         plan = []
         for leader_alg, idxs in self._group_sizes(leader_algs):
             leader_pattern = (
@@ -372,24 +378,27 @@ class AllgatherEvaluator:
             # phase is identical: run it once and give each leader reorder
             # its own copy of the generator state it leaves behind.
             gen = make_rng(rng)
-            per_group, intra_s = self._intra_reordering(L, groups_old, kind, intra, gen)
+            per_group, intra_s = self._intra_reordering(
+                L, self.groups_from_layout(L), kind, intra, gen
+            )
             for leader_pattern, key in missing:
                 self._reorder_cache[key] = self._leader_reordering(
                     L, per_group, kind, leader_pattern, copy.deepcopy(gen), intra_s
                 )
         for leader_alg, idxs, _, key in plan:
-            reordering, groups_new, overhead = self._reorder_cache[key]  # type: ignore[misc]
-
-            alg = HierarchicalAllgather(groups_new, leader_alg=leader_alg, intra=intra)
+            reordering, group_sizes, overhead = self._reorder_cache[key]  # type: ignore[misc]
             sub = [sizes[i] for i in idxs]
-            sched = self._schedule_for(alg, L.size, (lk, kind, self.intra_heuristic))
+            # The schedule follows from the reordering's key: the new ranks
+            # enumerate the permuted groups, so the partition is contiguous.
+            ranks = np.arange(L.size)
+            sched = self._hierarchical_schedule(key, ranks, group_sizes, leader_alg, intra)
             batch = self.engine.evaluate_sizes(sched, reordering.mapping, sub)
-            strategy_name, restores = self._restore(strat, alg, reordering, sub)
+            strategy_name, restores = self._restore(strat, sched.name, reordering, sub)
             for j, i in enumerate(idxs):
                 coll = float(batch.total_seconds[j])
                 out[i] = LatencyReport(
                     seconds=coll + float(restores[j]),
-                    algorithm=alg.name,
+                    algorithm=sched.name,
                     strategy=strategy_name,
                     collective_seconds=coll,
                     restore_seconds=float(restores[j]),
@@ -456,7 +465,11 @@ class AllgatherEvaluator:
         per_group_cores, overhead = self._intra_reordering(
             L, self.groups_from_layout(L), kind, intra, rng
         )
-        return self._leader_reordering(L, per_group_cores, kind, leader_pattern, rng, overhead)
+        world, sizes, overhead = self._leader_reordering(
+            L, per_group_cores, kind, leader_pattern, rng, overhead
+        )
+        ends = np.cumsum(sizes).tolist()
+        return world, [list(range(end - m, end)) for end, m in zip(ends, sizes)], overhead
 
     def _intra_reordering(
         self,
@@ -501,35 +514,33 @@ class AllgatherEvaluator:
         leader_pattern: str,
         rng: np.random.Generator,
         overhead: float,
-    ) -> Tuple[RankReordering, List[List[int]], float]:
+    ) -> Tuple[RankReordering, Tuple[int, ...], float]:
         """Reorder the leaders and stitch the world mapping.
 
-        ``overhead`` is the intra phase's mapping seconds; the leader
-        reorder's are added to it.
+        Returns the world reordering, the sizes of the *new-rank* groups
+        (group ``j`` is the next ``sizes[j]`` new ranks) and ``overhead``,
+        the intra phase's mapping seconds, plus the leader reorder's.
         """
         G = len(per_group_cores)
-        # Leader-level reordering over the (possibly new) leader cores.
-        leader_cores = np.array([mg[0] for mg in per_group_cores], dtype=np.int64)
+        sizes = np.array([cores.size for cores in per_group_cores], dtype=np.int64)
+        cores = np.concatenate(per_group_cores)
+        starts = np.cumsum(sizes) - sizes
+        # Leader-level reordering over the (possibly new) leader cores;
+        # node_perm[j] = which original group acts as leader-rank j.
+        leader_cores = cores[starts]
+        node_perm = np.zeros(1, dtype=np.int64)
         if G > 1:
             res = reorder_ranks(leader_pattern, leader_cores, self.distances, kind=kind, rng=rng)
             overhead += res.total_seconds
-            # node_perm[j] = which original group acts as leader-rank j
-            pos = {int(c): g for g, c in enumerate(leader_cores)}
-            node_perm = [pos[int(c)] for c in res.mapping]
-        else:
-            node_perm = [0]
+            by_core = np.argsort(leader_cores)
+            node_perm = by_core[np.searchsorted(leader_cores, res.mapping, sorter=by_core)]
 
-        # Stitch the world mapping: new ranks enumerate permuted groups.
-        sizes = [per_group_cores[g].size for g in node_perm]
-        starts = np.concatenate([[0], np.cumsum(sizes)])
-        M_world = np.empty(L.size, dtype=np.int64)
-        groups_new: List[List[int]] = []
-        for j, g in enumerate(node_perm):
-            s = int(starts[j])
-            m = per_group_cores[g].size
-            M_world[s : s + m] = per_group_cores[g]
-            groups_new.append(list(range(s, s + m)))
-        return RankReordering(layout=L, mapping=M_world), groups_new, overhead
+        # Stitch the world mapping: new ranks enumerate permuted groups, so
+        # new rank r of group j is core r - new_start[j] of group node_perm[j].
+        new_sizes = sizes[node_perm]
+        shift = starts[node_perm] - (np.cumsum(new_sizes) - new_sizes)
+        M_world = cores[np.arange(L.size) + np.repeat(shift, new_sizes)]
+        return RankReordering(layout=L, mapping=M_world), tuple(new_sizes.tolist()), overhead
 
     # ------------------------------------------------------------------
     def improvement_pct(

@@ -200,8 +200,9 @@ class VirtualComm:
         coll = ev.engine.evaluate_sizes(
             alg.schedule(p), self.reordering.mapping, [block_bytes]
         ).total_seconds
+        inline = getattr(alg, "supports_inline_placement", False)
         _, restore = ev._restore(
-            OrderStrategy.parse(strategy), alg, self.reordering, [block_bytes]
+            OrderStrategy.parse(strategy), alg.name, self.reordering, [block_bytes], inline
         )
         return float(coll[0] + restore[0])
 

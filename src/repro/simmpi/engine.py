@@ -42,7 +42,7 @@ from repro.topology.cluster import (
     MEM_BUS_COLUMNS,
     ClusterTopology,
 )
-from repro.util.validation import check_positive
+from repro.util.validation import check_nonnegative, check_positive
 
 __all__ = [
     "TimingEngine",
@@ -242,6 +242,7 @@ class SchedulePricing:
         matches.
         """
         sz = self._check_sizes(sizes)
+        check_nonnegative("extra_copy_bytes", extra_copy_bytes)
         vals = self._fused_alpha[None, :] + sz[:, None] * self._fused_drain[None, :]
         stage_max = np.maximum.reduceat(vals, self._fused_starts, axis=1)
         overhead = self.cost.stage_overhead
@@ -273,20 +274,6 @@ class SchedulePricing:
             local_copy_seconds=copy_seconds,
             pricing=self,
         )
-
-
-def _schedule_fingerprint(schedule: Schedule) -> bytes:
-    """Content hash of a schedule (stage arrays, repeats, copy units)."""
-    h = hashlib.sha1()
-    h.update(
-        f"{schedule.p}|{schedule.name}|{schedule.local_copy_units}".encode()
-    )
-    for s in schedule.stages:
-        h.update(f"|{s.repeat}|{s.src.size}".encode())
-        h.update(np.ascontiguousarray(s.src).tobytes())
-        h.update(np.ascontiguousarray(s.dst).tobytes())
-        h.update(np.ascontiguousarray(s.units).tobytes())
-    return h.digest()
 
 
 #: A stage's layout: its levels, its real route columns, their runs.
@@ -508,6 +495,7 @@ class TimingEngine:
             semantics — catch it and shrink via ``repro.faults``).
         """
         check_positive("block_bytes", block_bytes)
+        check_nonnegative("extra_copy_bytes", extra_copy_bytes)
         maybe_verify_schedule(schedule)  # opt-in static guard (REPRO_VERIFY=1)
         M = self._check_mapping(schedule, mapping)
         if fault_plan is not None:
@@ -615,8 +603,6 @@ class TimingEngine:
         load is linear in the block size, so one table serves every size.
         """
         stages = schedule.stages
-        if not stages:  # mutated after construction, which rejects it
-            raise ValueError("a schedule needs at least one stage")
         bounds = np.cumsum([0] + [s.src.size for s in stages]).tolist()
         src = mapping[np.concatenate([s.src for s in stages])]
         dst = mapping[np.concatenate([s.dst for s in stages])]
@@ -627,7 +613,7 @@ class TimingEngine:
         priced: List[StagePricing] = []
         for i, stage in enumerate(stages):
             part = routed.stage(bounds[i], bounds[i + 1])
-            part.load(np.asarray(stage.units, dtype=np.float64), load)
+            part.load(stage.units, load)
             drain = part.drains(load, self._beta, bin_drain)
             env_alpha, env_drain = _pareto_envelope(
                 drain, part.level, part.levels, self._level_alpha
@@ -648,14 +634,15 @@ class TimingEngine:
     def pricing(self, schedule: Schedule, mapping: Sequence[int]) -> SchedulePricing:
         """Cached :class:`SchedulePricing` for a (schedule, mapping) pair.
 
-        Keyed on content fingerprints, so equal schedules rebuilt by
-        different callers (or the same schedule priced under the same
-        mapping again) share one table.  The cache is bounded LRU.
+        Keyed on the schedule's kept :attr:`~Schedule.digest` and a hash of
+        the mapping, so equal schedules rebuilt by different callers (or
+        the same schedule priced under the same mapping again) share one
+        table.  The cache is bounded LRU.
         """
         maybe_verify_schedule(schedule)  # opt-in static guard (REPRO_VERIFY=1)
         M = self._check_mapping(schedule, mapping)
         m_used = np.ascontiguousarray(M[: schedule.p])
-        key = (_schedule_fingerprint(schedule), hashlib.sha1(m_used.tobytes()).digest())
+        key = (schedule.digest, hashlib.sha1(m_used).digest())
         hit = self._pricing_cache.get(key)
         if hit is not None:
             self._pricing_cache.move_to_end(key)

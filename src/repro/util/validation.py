@@ -43,9 +43,9 @@ def check_positive(name: str, value: float) -> None:
 
 
 def check_nonnegative(name: str, value: float) -> None:
-    """Raise :class:`ValueError` unless ``value`` >= 0."""
-    if value < 0:
-        raise ValueError(f"{name} must be non-negative, got {value}")
+    """Raise :class:`ValueError` unless ``value`` is finite and >= 0."""
+    if not 0 <= value < math.inf:
+        raise ValueError(f"{name} must be non-negative and finite, got {value}")
 
 
 def check_in_range(name: str, value: int, lo: int, hi: int) -> None:

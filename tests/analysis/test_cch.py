@@ -5,7 +5,11 @@ The seeded-omission cases are the point of this family: a doctored
 payload does not cover, and the checker must catch it.
 """
 
+import dataclasses
 import hashlib
+from typing import Optional
+
+import numpy as np
 
 from repro.analysis.cch import (
     DOCUMENTED_KWARG_EXCLUSIONS,
@@ -112,6 +116,23 @@ class TestCch005PricingFingerprint:
             assert field in messages
         for declared_irrelevant in ("blocks", "label"):
             assert f".{declared_irrelevant} " not in messages
+
+    def test_non_frozen_stand_in_is_caught(self):
+        # Same fields as Stage, all hashed by the real digest, but mutable:
+        # a kept digest would go stale on the first assignment.
+        @dataclasses.dataclass
+        class MutableStage:
+            src: np.ndarray
+            dst: np.ndarray
+            units: np.ndarray
+            blocks: Optional[list] = None
+            repeat: int = 1
+            label: str = ""
+
+        report = check_pricing_fingerprint_coverage(stage_cls=MutableStage)
+        assert report.codes() == ["CCH005"]
+        assert len(report.diagnostics) == 1
+        assert "MutableStage is not a frozen dataclass" in report.diagnostics[0].message
 
 
 class TestSuppression:

@@ -14,7 +14,7 @@ from repro.collectives.schedule import Schedule, make_stage
 def broken_schedule():
     """Valid at construction, corrupted afterwards (rank 8 with p=2)."""
     sched = Schedule(p=9, stages=[make_stage([(0, 8, (0,))])], name="bad")
-    sched.p = 2
+    object.__setattr__(sched, "p", 2)  # the frozen dataclass's only way in
     return sched
 
 

@@ -71,9 +71,11 @@ class TestInitCommStage:
         ro = reordering_from_perm([1, 0, 2, 3])  # ranks 0 and 1 swapped
         stage = init_comm_stage(ro)
         assert stage.n_messages == 2
-        # block b flows from its holder (new rank new_of_old[b]) to rank b
-        msgs = {(int(s), int(d), blk) for s, d, blk in zip(stage.src, stage.dst, stage.blocks)}
-        assert msgs == {(1, 0, (0,)), (0, 1, (1,))}
+        # block b flows from its holder (new rank new_of_old[b]) to rank b,
+        # one unit each: the message to rank d carries block d
+        msgs = {(int(s), int(d), float(u)) for s, d, u in zip(stage.src, stage.dst, stage.units)}
+        assert msgs == {(1, 0, 1.0), (0, 1, 1.0)}
+        assert np.array_equal(stage.src, ro.new_of_old[stage.dst])
 
     def test_all_messages_single_block(self):
         ro = reordering_from_perm([3, 2, 1, 0])

@@ -110,11 +110,15 @@ class TestTimingView:
 
 
 def _group_sets(shape, G):
-    """Group partitions of one shape: uniform sizes 1-8, or random ragged
-    sizes 1-8 with contiguous ("ragged") or shuffled ("permuted") ranks."""
+    """Group partitions of one shape: uniform sizes 1-8, random ragged
+    sizes 1-8 with contiguous ("ragged") or shuffled ("permuted") ranks, or
+    sizes 1, 3 and 8 in turn ("mixed", each rotation) over shuffled ranks
+    given as int64 arrays instead of lists."""
     rng = make_rng([G, len(shape)])
     if shape == "uniform":
         size_lists = [[m] * G for m in range(1, 9)]
+    elif shape == "mixed":
+        size_lists = [[(1, 3, 8)[(g + k) % 3] for g in range(G)] for k in range(3)]
     else:
         size_lists = [rng.integers(1, 9, size=G).tolist() for _ in range(4)]
     out = []
@@ -122,16 +126,17 @@ def _group_sets(shape, G):
         p = sum(sizes)
         if p < 2:
             continue
-        ranks = rng.permutation(p) if shape == "permuted" else np.arange(p)
+        ranks = np.arange(p) if shape in ("uniform", "ragged") else rng.permutation(p)
         bounds = np.cumsum([0] + sizes)
-        out.append([ranks[a:b].tolist() for a, b in zip(bounds[:-1], bounds[1:])])
+        groups = [ranks[a:b].astype(np.int64) for a, b in zip(bounds[:-1], bounds[1:])]
+        out.append(groups if shape == "mixed" else [g.tolist() for g in groups])
     return out
 
 
 _SCHEDULE_CASES = [
     (G, shape, leader_alg, intra)
     for G in (1, 2, 3, 4, 8, 64)
-    for shape in ("uniform", "ragged", "permuted")
+    for shape in ("uniform", "ragged", "permuted", "mixed")
     for leader_alg in ("rd", "ring")
     for intra in ("binomial", "linear")
     if leader_alg == "ring" or is_power_of_two(G)
@@ -166,6 +171,49 @@ class TestScheduleMatchesStages:
                 else:
                     assert st.label == ref.label
                 assert st.blocks is None
+
+
+class TestPartitionForms:
+    """Rank lists, int64 arrays and the flat form build the same algorithm."""
+
+    LISTS = [[5, 2, 7], [0], [4, 1, 3, 6, 8, 9, 10, 11]]
+
+    def _forms(self, groups, leader_alg="ring", intra="binomial"):
+        arrays = [np.asarray(g, dtype=np.int64) for g in groups]
+        flat = np.concatenate(arrays) if arrays else np.empty(0, dtype=np.int64)
+        return [
+            lambda: HierarchicalAllgather(groups, leader_alg, intra),
+            lambda: HierarchicalAllgather(arrays, leader_alg, intra),
+            lambda: HierarchicalAllgather.from_partition(
+                flat, [a.size for a in arrays], leader_alg, intra
+            ),
+        ]
+
+    def test_groups_and_leaders_agree(self):
+        for build in self._forms(self.LISTS):
+            alg = build()
+            assert alg.groups == self.LISTS
+            assert all(type(r) is int for g in alg.groups for r in g)
+            assert alg.leaders == [5, 0, 4]
+            assert alg.p == 12
+
+    @pytest.mark.parametrize(
+        "groups,leader_alg,match",
+        [
+            ([[0, 1], [1, 2]], "ring", "partition"),
+            ([[0, 2], [3]], "ring", "partition"),
+            ([[0, 1], []], "ring", "empty group"),
+            ([[0], [1], [2]], "rd", "power-of-two group count"),
+        ],
+    )
+    def test_partition_errors_agree(self, groups, leader_alg, match):
+        for build in self._forms(groups, leader_alg):
+            with pytest.raises(ValueError, match=match):
+                build()
+
+    def test_flat_sizes_must_cover_the_ranks(self):
+        with pytest.raises(ValueError, match="partition"):
+            HierarchicalAllgather.from_partition(np.arange(4), [2, 1], "ring")
 
 
 class TestContiguousGroups:

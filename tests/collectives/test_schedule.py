@@ -1,5 +1,7 @@
 """Schedule IR tests."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -33,6 +35,24 @@ class TestStage:
         assert s.total_units() == 20.0
         assert s.n_messages == 2
 
+    @pytest.mark.parametrize("units", [float("nan"), float("inf"), -3.0])
+    def test_bad_units_rejected(self, units):
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            Stage(src=np.array([0, 1]), dst=np.array([1, 0]), units=np.array([1.0, units]))
+
+    def test_arrays_made_read_only_in_place(self):
+        src, dst, units = np.array([0, 1]), np.array([1, 0]), np.array([1.0, 2.0])
+        s = Stage(src=src, dst=dst, units=units)
+        assert s.src is src and s.dst is dst and s.units is units
+        assert not (src.flags.writeable or dst.flags.writeable or units.flags.writeable)
+
+    def test_views_are_copied(self):
+        ranks = np.arange(4)
+        s = Stage(src=ranks[:2], dst=ranks[2:], units=np.ones(2))
+        ranks[0] = 3  # the caller's base stays writable; the stage does not see it
+        assert s.src.tolist() == [0, 1]
+        assert ranks.flags.writeable
+
 
 class TestMakeStage:
     def test_units_from_blocks(self):
@@ -62,13 +82,27 @@ class TestSchedule:
         with pytest.raises(ValueError, match="p >= 2"):
             Schedule(p=1)
 
+    @pytest.mark.parametrize("copy_units", [float("nan"), float("inf"), -1.0])
+    def test_bad_local_copy_units_rejected(self, copy_units):
+        with pytest.raises(ValueError, match="local_copy_units"):
+            Schedule(p=2, stages=[make_stage([(0, 1, (0,))])], local_copy_units=copy_units)
+
+    def test_stages_kept_as_tuple(self):
+        st = make_stage([(0, 1, (0,))])
+        sched = Schedule(p=2, stages=[st])
+        assert sched.stages == (st,)
+
     def test_rank_out_of_bounds_rejected(self):
         st = make_stage([(0, 3, (0,))])
         with pytest.raises(ValueError, match="outside"):
             Schedule(p=3, stages=[st])
 
-    def test_max_rank_raises_on_mutated_empty_schedule(self):
+    def test_built_schedule_is_immutable(self):
         sched = Schedule(p=3, stages=[make_stage([(0, 1, (0,))])])
-        sched.stages = []  # simulate post-construction corruption
-        with pytest.raises(ValueError, match="no stages"):
-            sched.max_rank()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            sched.stages = []
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            sched.stages[0].units = np.array([2.0])
+        with pytest.raises(ValueError, match="read-only"):
+            sched.stages[0].dst[0] = 2
+        assert sched.max_rank() == 1

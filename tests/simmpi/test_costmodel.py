@@ -47,6 +47,16 @@ class TestOverrides:
         with pytest.raises(ValueError):
             CostModel(copy_beta=-1.0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @pytest.mark.parametrize(
+        "field", ["alpha", "beta", "copy_alpha", "copy_beta", "stage_overhead"]
+    )
+    def test_non_finite_values_rejected(self, field, bad):
+        """NaN slipped past the non-negative checks (``NaN < 0`` is False)."""
+        value = {LinkClass.HCA: bad} if field in ("alpha", "beta") else bad
+        with pytest.raises(ValueError, match="finite"):
+            CostModel(**{field: value})
+
 
 class TestCopyCost:
     def test_zero_bytes_free(self):

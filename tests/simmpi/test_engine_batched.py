@@ -5,10 +5,13 @@ registered algorithm, communicator size, mapping and block size — the
 batched pipeline is an optimisation, never a semantic change.
 """
 
+import functools
+
 import numpy as np
 import pytest
 
 from repro.collectives.registry import make_algorithm, registered_algorithm_names
+from repro.collectives.schedule import Schedule
 from repro.simmpi.costmodel import CostModel
 from repro.simmpi.engine import TimingEngine
 from repro.topology.gpc import gpc_cluster
@@ -124,6 +127,34 @@ def test_pricing_cache_shares_tables():
     first = eng.pricing(alg.schedule(p), M)
     again = eng.pricing(alg.schedule(p), np.array(M))  # rebuilt schedule + copy
     assert again is first
+
+
+def test_schedule_digest_computed_once(monkeypatch):
+    """Three mappings of one Schedule hash it once; an equal rebuilt
+    schedule hashes once more and hits the first table."""
+    computed = []
+    digest = Schedule.__dict__["digest"].func
+
+    def counted(schedule):
+        computed.append(schedule)
+        return digest(schedule)
+
+    kept = functools.cached_property(counted)
+    kept.__set_name__(Schedule, "digest")
+    monkeypatch.setattr(Schedule, "digest", kept)
+
+    p = 16
+    eng = TimingEngine(CLUSTER, CostModel())
+    sched = make_algorithm("ring").schedule(p)
+    rng = make_rng(5)
+    mappings = [np.arange(p), rng.permutation(p), rng.permutation(CLUSTER.n_cores)[:p]]
+    tables = [eng.pricing(sched, M) for M in mappings]
+    assert computed == [sched]
+    assert len({id(t) for t in tables}) == 3
+    again = make_algorithm("ring").schedule(p)
+    assert eng.pricing(again, mappings[0]) is tables[0]
+    assert computed == [sched, again]
+    assert (eng.pricing_misses, eng.pricing_hits) == (3, 1)
 
 
 def test_sizes_validation():

@@ -39,6 +39,25 @@ class TestExtraCopyBytes:
         b = mid_engine.evaluate(sched, M, 1024, extra_copy_bytes=0.0).total_seconds
         assert a == b
 
+    @pytest.mark.parametrize("extra", [float("nan"), float("inf"), -1.0, -1e9])
+    def test_bad_extra_copy_refused_by_evaluate(self, mid_engine, mid_cluster, extra):
+        """``evaluate`` used to return a NaN total for a NaN copy."""
+        M = np.arange(mid_cluster.n_cores)
+        sched = Schedule(p=2, stages=[msg(0, 1)])
+        with pytest.raises(ValueError, match="extra_copy_bytes"):
+            mid_engine.evaluate(sched, M, 1024, extra_copy_bytes=extra)
+
+    @pytest.mark.parametrize("extra", [float("nan"), float("inf"), -1.0, -1e9])
+    def test_bad_extra_copy_refused_by_evaluate_sizes(self, mid_engine, mid_cluster, extra):
+        """``evaluate_sizes`` used to price NaN and negative copies as free."""
+        M = np.arange(mid_cluster.n_cores)
+        sched = Schedule(p=2, stages=[msg(0, 1)])
+        pricing = mid_engine.pricing(sched, M)
+        with pytest.raises(ValueError, match="extra_copy_bytes"):
+            pricing.evaluate_sizes([1024.0], extra_copy_bytes=extra)
+        with pytest.raises(ValueError, match="extra_copy_bytes"):
+            mid_engine.evaluate_sizes(sched, M, [1024.0], extra_copy_bytes=extra)
+
 
 class TestStageOverhead:
     def test_overhead_is_per_stage(self, mid_cluster):

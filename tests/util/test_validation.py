@@ -27,6 +27,9 @@ class TestScalarChecks:
         check_nonnegative("x", 0)
         with pytest.raises(ValueError):
             check_nonnegative("x", -1e-9)
+        for bad in (float("nan"), float("inf")):  # NaN < 0 is False
+            with pytest.raises(ValueError, match="finite"):
+                check_nonnegative("x", bad)
 
     def test_in_range(self):
         check_in_range("x", 0, 0, 4)
