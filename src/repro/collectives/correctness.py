@@ -24,6 +24,7 @@ output on real data.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
@@ -32,7 +33,7 @@ import numpy as np
 from repro.collectives.schedule import CollectiveAlgorithm, Stage
 from repro.simmpi.costmodel import CostModel
 from repro.simmpi.data import DataExecutor
-from repro.util.validation import same_multiset
+from repro.util.validation import same_value_set
 
 __all__ = [
     "OrderStrategy",
@@ -61,51 +62,66 @@ class OrderStrategy(enum.Enum):
         raise ValueError(f"unknown order strategy {value!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class RankReordering:
     """Binding between an initial layout and a reordered mapping.
 
     ``layout[o]`` is the core hosting original rank ``o``;
     ``mapping[r]`` is the core that plays *new* rank ``r``.  Both must be
-    drawn from the same core set (processes do not migrate — only their
-    rank labels change, paper §IV).
+    drawn from the same set of distinct cores (processes do not migrate —
+    only their rank labels change, paper §IV).
+
+    A frozen value: both arrays are read-only int64, checked once at
+    construction; the inverse permutation is built on first use and kept.
     """
 
     layout: np.ndarray
     mapping: np.ndarray
 
     def __post_init__(self) -> None:
-        self.layout = np.asarray(self.layout, dtype=np.int64)
-        self.mapping = np.asarray(self.mapping, dtype=np.int64)
+        # A view is copied, because its base could still be written.
+        for name in ("layout", "mapping"):
+            arr = np.asarray(getattr(self, name), dtype=np.int64)
+            object.__setattr__(self, name, arr if arr.base is None else arr.copy())
         if self.layout.shape != self.mapping.shape:
             raise ValueError("layout and mapping must have the same length")
-        if not same_multiset(self.layout, self.mapping):
-            raise ValueError("mapping must reuse exactly the layout's cores")
-        # core -> old rank lookup
-        order = np.argsort(self.layout)
-        # old_of_new[r]: original rank of the process acting as new rank r
-        pos = np.searchsorted(self.layout[order], self.mapping)
-        self.old_of_new = order[pos]
-        self.new_of_old = np.empty_like(self.old_of_new)
-        self.new_of_old[self.old_of_new] = np.arange(self.p, dtype=np.int64)
+        if not same_value_set(self.layout, self.mapping):
+            raise ValueError("mapping must reuse exactly the layout's cores, each once")
+        for arr in (self.layout, self.mapping):
+            arr.flags.writeable = False  # in place: the caller's array, not a copy
 
     @property
     def p(self) -> int:
         return int(self.layout.size)
 
+    @functools.cached_property
+    def old_of_new(self) -> np.ndarray:
+        """``old_of_new[r]``: original rank of the process acting as new rank ``r``."""
+        order = np.argsort(self.layout)  # core -> old rank lookup
+        old = order[np.searchsorted(self.layout[order], self.mapping)]
+        old.flags.writeable = False
+        return old
+
+    @functools.cached_property
+    def new_of_old(self) -> np.ndarray:
+        """``new_of_old[o]``: new rank of the process that was rank ``o``."""
+        new = np.empty_like(self.old_of_new)
+        new[self.old_of_new] = np.arange(self.p, dtype=np.int64)
+        new.flags.writeable = False
+        return new
+
     @classmethod
     def identity(cls, layout) -> "RankReordering":
         """No reordering: mapping == layout."""
-        arr = np.asarray(layout, dtype=np.int64)
-        return cls(layout=arr, mapping=arr.copy())
+        return cls(layout=layout, mapping=layout)
 
     def is_identity(self) -> bool:
         """True iff no rank actually changed."""
-        return bool(np.array_equal(self.old_of_new, np.arange(self.p)))
+        return bool(np.array_equal(self.mapping, self.layout))
 
     def n_displaced(self) -> int:
-        """Number of ranks whose label changed."""
-        return int(np.count_nonzero(self.old_of_new != np.arange(self.p)))
+        """Number of ranks whose label changed (those not on ``layout[r]``)."""
+        return int(np.count_nonzero(self.mapping != self.layout))
 
 
 def init_comm_stage(reordering: RankReordering) -> Optional[Stage]:

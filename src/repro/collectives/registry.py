@@ -10,11 +10,19 @@ communicator sizes.
 
 Every algorithm also declares which mapping-heuristic *pattern* matches
 it, which is how :func:`repro.mapping.reorder.reorder_ranks` dispatches.
+
+A compiled schedule depends only on a registered name and ``p``, or on
+a node partition, so one bounded memo per process serves every caller.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+import hashlib
+import threading
+from collections import OrderedDict
+from typing import Any, Callable, Dict, Hashable, Sequence
+
+import numpy as np
 
 from repro.collectives.allgather_bruck import BruckAllgather
 from repro.collectives.allgather_rd import RecursiveDoublingAllgather
@@ -26,11 +34,15 @@ from repro.collectives.gather_binomial import BinomialGather
 from repro.collectives.hierarchical import HierarchicalAllgather
 from repro.collectives.reduce import BinomialReduce
 from repro.collectives.scatter_allgather import BinomialScatter
-from repro.collectives.schedule import CollectiveAlgorithm
+from repro.collectives.schedule import CollectiveAlgorithm, Schedule
 from repro.util.bits import is_power_of_two
 
 __all__ = [
     "DEFAULT_RD_THRESHOLD_BYTES",
+    "SCHEDULE_MEMO_SIZE",
+    "compiled_schedule",
+    "hierarchical_schedule",
+    "schedule_memo_stats",
     "hierarchical_leader_alg",
     "select_allgather",
     "select_hierarchical_allgather",
@@ -88,6 +100,82 @@ def make_algorithm(name: str) -> CollectiveAlgorithm:
         known = ", ".join(registered_algorithm_names())
         raise KeyError(f"unknown algorithm {name!r}; registered: {known}")
     return factory()
+
+
+#: Compiled schedules the process keeps (least recently used evicted).
+SCHEDULE_MEMO_SIZE = 64
+
+
+class _ScheduleMemo:
+    """Bounded LRU of compiled schedules with hit/miss/eviction counters."""
+
+    def __init__(self, capacity: int) -> None:
+        self.capacity = capacity
+        self._memo: "OrderedDict[Hashable, Schedule]" = OrderedDict()
+        self._lock = threading.Lock()  # the serve lane and callers' threads share it
+        self.hits = self.misses = self.evictions = 0
+
+    def get(self, key: Hashable, build: Callable[[], Schedule]) -> Schedule:
+        with self._lock:
+            sched = self._memo.get(key)
+            if sched is not None:
+                self._memo.move_to_end(key)
+                self.hits += 1
+                return sched
+        sched = build()  # outside the lock: a build may take a while
+        with self._lock:
+            self.misses += 1
+            self._memo[key] = sched
+            while len(self._memo) > self.capacity:
+                self._memo.popitem(last=False)
+                self.evictions += 1
+        return sched
+
+    def stats(self) -> Dict[str, Any]:
+        with self._lock:
+            return {
+                "entries": len(self._memo),
+                "capacity": self.capacity,
+                "hits": self.hits,
+                "misses": self.misses,
+                "evictions": self.evictions,
+            }
+
+
+_MEMO = _ScheduleMemo(SCHEDULE_MEMO_SIZE)
+
+
+def compiled_schedule(name: str, p: int) -> Schedule:
+    """``make_algorithm(name).schedule(p)``, built once per process.
+
+    Keyed on ``(name, p)``, so never built from a caller's instance: a
+    name does not encode constructor arguments.
+    """
+    p = int(p)
+    return _MEMO.get((name, p), lambda: make_algorithm(name).schedule(p))
+
+
+def hierarchical_schedule(
+    ranks: np.ndarray, sizes: Sequence[int], leader_alg: str, intra: str
+) -> Schedule:
+    """``HierarchicalAllgather.from_partition(...)``'s schedule, built once per process.
+
+    Keyed on the partition's content: the rank array's SHA-1, the group
+    sizes, ``leader_alg`` and ``intra``.
+    """
+    ranks = np.ascontiguousarray(ranks, dtype=np.int64)
+    sizes = tuple(np.asarray(sizes, dtype=np.int64).tolist())
+
+    def build() -> Schedule:
+        alg = HierarchicalAllgather.from_partition(ranks, sizes, leader_alg, intra)
+        return alg.schedule(alg.p)
+
+    return _MEMO.get((hashlib.sha1(ranks).digest(), sizes, leader_alg, intra), build)
+
+
+def schedule_memo_stats() -> Dict[str, Any]:
+    """Counter snapshot of the process-wide schedule memo."""
+    return _MEMO.stats()
 
 
 def pattern_of(algorithm: CollectiveAlgorithm) -> str:

@@ -95,7 +95,6 @@ class BcastEvaluator:
         # Implicit distances: per-row on demand + cache-keying fingerprint.
         self.distances = cluster.implicit_distances()
         self._D = None
-        self._cache = {}
 
     @property
     def D(self):
@@ -142,14 +141,11 @@ class BcastEvaluator:
         p = L.size
         alg = select_bcast(p, message_bytes, self.tree_threshold, self.rd_threshold)
         pattern = self._pattern_for(alg)
-        key = (pattern, L.tobytes(), kind)
-        res = self._cache.get(key)
-        if res is None:
-            # order-independent deterministic seed (see AllgatherEvaluator)
-            blob = pattern.encode() + L.tobytes() + kind.encode()
-            rng = int.from_bytes(hashlib.sha1(blob).digest()[:4], "big")
-            res = reorder_ranks(pattern, L, self.distances, kind=kind, rng=rng)
-            self._cache[key] = res
+        # Order-independent deterministic seed (see AllgatherEvaluator): a
+        # repeat is a hit in the process-wide mapping cache.
+        blob = pattern.encode() + L.tobytes() + kind.encode()
+        rng = int.from_bytes(hashlib.sha1(blob).digest()[:4], "big")
+        res = reorder_ranks(pattern, L, self.distances, kind=kind, rng=rng)
         return BcastReport(
             seconds=self._evaluate(alg, res.mapping, p, message_bytes),
             algorithm=alg.name,

@@ -40,10 +40,11 @@ from repro.collectives.correctness import (
     end_shuffle_seconds,
     init_comm_stage,
 )
-from repro.collectives.hierarchical import HierarchicalAllgather
 from repro.collectives.registry import (
     DEFAULT_RD_THRESHOLD_BYTES,
+    compiled_schedule,
     hierarchical_leader_alg,
+    hierarchical_schedule,
     pattern_of,
     select_allgather,
 )
@@ -129,7 +130,6 @@ class AllgatherEvaluator:
         self.distances = cluster.implicit_distances()
         self._D: Optional[np.ndarray] = None
         self._reorder_cache: Dict[Tuple, object] = {}
-        self._schedule_cache: Dict[Tuple, Schedule] = {}
 
     @property
     def D(self) -> np.ndarray:
@@ -191,30 +191,6 @@ class AllgatherEvaluator:
     # ------------------------------------------------------------------
     # the pipeline: every entry point prices a size vector
     # ------------------------------------------------------------------
-    def _schedule_for(self, algorithm, p: int) -> Schedule:
-        """Build-once cache of compiled schedules.
-
-        Flat algorithms are fully determined by (name, p); hierarchical
-        ones also depend on their group structure
-        (:meth:`_hierarchical_schedule`).
-        """
-        key = (algorithm.name, p)
-        sched = self._schedule_cache.get(key)
-        if sched is None:
-            sched = algorithm.schedule(p)
-            self._schedule_cache[key] = sched
-        return sched
-
-    def _hierarchical_schedule(
-        self, key: Tuple, ranks: np.ndarray, sizes, leader_alg: str, intra: str
-    ) -> Schedule:
-        """:meth:`_schedule_for` of a flat partition: the algorithm is built on a miss only."""
-        sched = self._schedule_cache.get(key)
-        if sched is None:
-            alg = HierarchicalAllgather.from_partition(ranks, sizes, leader_alg, intra)
-            sched = self._schedule_cache[key] = alg.schedule(alg.p)
-        return sched
-
     @staticmethod
     def _group_sizes(keys: Sequence) -> List[Tuple[object, List[int]]]:
         """Group size indices by selection key, preserving first-seen order."""
@@ -239,7 +215,7 @@ class AllgatherEvaluator:
         One report per entry of ``sizes``.  Sizes are partitioned by the
         algorithm MVAPICH-style selection picks for them; each partition
         is priced with a single :meth:`TimingEngine.evaluate_sizes` call
-        over a build-once schedule, so routes and unit loads are computed
+        over the memo's schedule, so routes and unit loads are computed
         once per algorithm instead of once per size.
         """
         L = np.asarray(layout, dtype=np.int64)
@@ -248,19 +224,16 @@ class AllgatherEvaluator:
         out: List[Optional[LatencyReport]] = [None] * len(sizes)
         if hierarchical:
             ranks, group_sizes = self._node_partition(L)
-            lk = _layout_key(L)
             picks = [
                 hierarchical_leader_alg(group_sizes.size, bb, self.rd_threshold) for bb in sizes
             ]
         else:
-            algs = [select_allgather(p, bb, self.rd_threshold) for bb in sizes]
-            picks = [a.name for a in algs]
+            picks = [select_allgather(p, bb, self.rd_threshold).name for bb in sizes]
         for pick, idxs in self._group_sizes(picks):
             if hierarchical:
-                key = ("hier-default", pick, intra, lk)
-                sched = self._hierarchical_schedule(key, ranks, group_sizes, pick, intra)
+                sched = hierarchical_schedule(ranks, group_sizes, pick, intra)
             else:
-                sched = self._schedule_for(algs[idxs[0]], p)
+                sched = compiled_schedule(pick, p)
             batch = self.engine.evaluate_sizes(sched, L, [sizes[i] for i in idxs])
             for j, i in enumerate(idxs):
                 coll = float(batch.total_seconds[j])
@@ -285,8 +258,7 @@ class AllgatherEvaluator:
 
         Reorderings are cached per (pattern, layout, mapper) under a seed
         derived from that key, so results do not depend on call order;
-        schedules and route/unit-load pricing tables are built once per
-        algorithm partition rather than once per size.
+        schedules come from the memo and pricing tables are built once per partition.
         """
         L = np.asarray(layout, dtype=np.int64)
         strat = OrderStrategy.parse(strategy)
@@ -335,7 +307,7 @@ class AllgatherEvaluator:
                 res = reorder_ranks(pattern, L, self.distances, kind=kind, rng=rng)
                 self._reorder_cache[key] = res
             sub = [sizes[i] for i in idxs]
-            sched = self._schedule_for(alg, p)
+            sched = compiled_schedule(name, p)
             batch = self.engine.evaluate_sizes(sched, res.mapping, sub)
             inline = getattr(alg, "supports_inline_placement", False)
             strategy_name, restores = self._restore(strat, name, res.reordering, sub, inline)
@@ -388,10 +360,9 @@ class AllgatherEvaluator:
         for leader_alg, idxs, _, key in plan:
             reordering, group_sizes, overhead = self._reorder_cache[key]  # type: ignore[misc]
             sub = [sizes[i] for i in idxs]
-            # The schedule follows from the reordering's key: the new ranks
-            # enumerate the permuted groups, so the partition is contiguous.
-            ranks = np.arange(L.size)
-            sched = self._hierarchical_schedule(key, ranks, group_sizes, leader_alg, intra)
+            # The new ranks enumerate the permuted groups, so the partition
+            # is contiguous.
+            sched = hierarchical_schedule(np.arange(L.size), group_sizes, leader_alg, intra)
             batch = self.engine.evaluate_sizes(sched, reordering.mapping, sub)
             strategy_name, restores = self._restore(strat, sched.name, reordering, sub)
             for j, i in enumerate(idxs):

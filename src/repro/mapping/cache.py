@@ -12,16 +12,17 @@ a pure function of
 * the **integer rng seed**,
 
 so a sha256 over those fields addresses the result exactly.  The cache
-stores entries under that key in a bounded in-memory LRU, which lives as
+keeps each :class:`~repro.mapping.reorder.ReorderResult` under that key
+in a bounded in-memory LRU, which lives as
 long as the process that reorders — the paper reorders once at run-time,
 in the job that uses the result.  Generator rng objects are left out of
 the key: only plain integer seeds are reproducible content, so
 :func:`repro.mapping.reorder.reorder_ranks` bypasses the cache entirely
 for live generators.
 
-Each entry keeps its layout and mapping as one read-only int64 array
-pair, validated on the way in (the mapping must be a permutation of the
-layout it was computed for).
+Entries are frozen values whose :class:`~repro.collectives.correctness.
+RankReordering` was validated once, when it was built, so a hit returns
+the kept object with no validation, sort or copy.
 """
 
 from __future__ import annotations
@@ -30,11 +31,12 @@ import hashlib
 import json
 import threading
 from collections import OrderedDict
-from typing import Any, Dict, Mapping, Optional
+from typing import TYPE_CHECKING, Any, Dict, Mapping, Optional
 
 import numpy as np
 
-from repro.util.validation import same_multiset
+if TYPE_CHECKING:  # the reorder module imports this one
+    from repro.mapping.reorder import ReorderResult
 
 __all__ = [
     "MappingCache",
@@ -80,7 +82,7 @@ def mapping_cache_key(
 
 
 class MappingCache:
-    """Bounded in-memory LRU over mapping entries.
+    """Bounded in-memory LRU of reordering results.
 
     Parameters
     ----------
@@ -93,7 +95,7 @@ class MappingCache:
         if max_memory_entries < 1:
             raise ValueError(f"max_memory_entries must be >= 1, got {max_memory_entries}")
         self.max_memory_entries = max_memory_entries
-        self._memory: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
+        self._memory: "OrderedDict[str, ReorderResult]" = OrderedDict()
         # Guards _memory: the serve daemon answers warm hits from its event
         # loop thread while the pipeline lane admits entries.
         self._lock = threading.RLock()
@@ -102,23 +104,8 @@ class MappingCache:
         self.evictions = 0
 
     # ------------------------------------------------------------------
-    @staticmethod
-    def _valid(entry: Any) -> bool:
-        """True iff ``entry`` holds integer arrays, the mapping a permutation of the layout."""
-        if not isinstance(entry, dict):
-            return False
-        layout, mapping = entry.get("layout"), entry.get("mapping")
-        for arr in (layout, mapping):
-            if not isinstance(arr, np.ndarray) or not np.issubdtype(arr.dtype, np.integer):
-                return False
-        return layout.ndim == 1 and mapping.shape == layout.shape and same_multiset(mapping, layout)
-
-    def get(self, key: str) -> Optional[Dict[str, Any]]:
-        """Entry for ``key``, or None.
-
-        Its ``layout`` and ``mapping`` are the cache's own read-only int64
-        arrays: copy before mutating.  A warm hit does no per-element work.
-        """
+    def get(self, key: str) -> "Optional[ReorderResult]":
+        """The stored result for ``key`` (the object itself), or None."""
         with self._lock:
             entry = self._memory.get(key)
             if entry is None:
@@ -128,22 +115,10 @@ class MappingCache:
             self.hits += 1
             return entry
 
-    def put(self, key: str, entry: Dict[str, Any]) -> None:
-        """Store ``entry`` (evicting the least recently used past the bound).
-
-        ``entry["layout"]`` and ``entry["mapping"]`` are integer arrays;
-        the cache keeps read-only int64 copies of them, so the caller may
-        go on mutating its own.
-        """
-        if not self._valid(entry):
-            raise ValueError("refusing to cache an invalid mapping entry")
-        stored = dict(entry)
-        for field in ("layout", "mapping"):
-            arr = np.array(entry[field], dtype=np.int64)
-            arr.flags.writeable = False
-            stored[field] = arr
+    def put(self, key: str, entry: "ReorderResult") -> None:
+        """Store ``entry`` (evicting the least recently used past the bound)."""
         with self._lock:
-            self._memory[key] = stored
+            self._memory[key] = entry
             self._memory.move_to_end(key)
             while len(self._memory) > self.max_memory_entries:
                 self._memory.popitem(last=False)

@@ -15,9 +15,9 @@ every subsequent collective call, which is what
 
 from __future__ import annotations
 
+import dataclasses
 import inspect
 import time
-from dataclasses import dataclass
 from typing import Dict, Mapping, Sequence, Type
 
 import numpy as np
@@ -55,9 +55,9 @@ HEURISTICS: Dict[str, Type[Mapper]] = {
 MAPPER_KINDS = ("heuristic", "scotch", "greedy")
 
 
-@dataclass
+@dataclasses.dataclass(frozen=True)
 class ReorderResult:
-    """Outcome of one reordering: the permutation plus its overheads."""
+    """Outcome of one reordering, the permutation plus its overheads (frozen)."""
 
     reordering: RankReordering
     pattern: str
@@ -97,36 +97,12 @@ def _fingerprint(D) -> "str | None":
     return fp if isinstance(fp, str) else None
 
 
-def _cached(cache_obj: MappingCache, key: str, L: np.ndarray, pattern: str):
-    """The cached :class:`ReorderResult` for ``key``, or None."""
+def _cached(cache_obj: MappingCache, key: str, L: np.ndarray) -> "ReorderResult | None":
+    """The cached :class:`ReorderResult` for ``key`` if computed for layout ``L``, or None."""
     entry = cache_obj.get(key)
-    if entry is None or not np.array_equal(entry["layout"], L):
+    if entry is None or not np.array_equal(entry.reordering.layout, L):
         return None
-    return ReorderResult(
-        # Copy: the cache's arrays are read-only and shared.
-        reordering=RankReordering(layout=L, mapping=entry["mapping"].copy()),
-        pattern=pattern,
-        mapper_name=entry.get("mapper_name", "mapper"),
-        map_seconds=float(entry.get("map_seconds", 0.0)),
-        graph_seconds=float(entry.get("graph_seconds", 0.0)),
-        cached=True,
-    )
-
-
-def _remember(cache_obj: MappingCache, key: str, res: ReorderResult, kind: str) -> None:
-    """Admit a freshly computed result under ``key``."""
-    cache_obj.put(
-        key,
-        {
-            "mapping": res.mapping,
-            "layout": res.reordering.layout,
-            "pattern": res.pattern,
-            "kind": kind,
-            "mapper_name": res.mapper_name,
-            "map_seconds": res.map_seconds,
-            "graph_seconds": res.graph_seconds,
-        },
-    )
+    return dataclasses.replace(entry, cached=True)
 
 
 def _heuristic(pattern: str, mapper_kwargs: Mapping) -> Mapper:
@@ -197,7 +173,7 @@ def reorder_ranks(
     fp = _fingerprint(D) if cache_obj is not None else None
     if fp is not None and isinstance(rng, (int, np.integer)):
         key = mapping_cache_key(fp, pattern, kind, L, int(rng), mapper_kwargs)
-        hit = _cached(cache_obj, key, L, pattern)
+        hit = _cached(cache_obj, key, L)
         if hit is not None:
             return hit
 
@@ -222,7 +198,7 @@ def reorder_ranks(
         graph_seconds=graph_seconds,
     )
     if key is not None:
-        _remember(cache_obj, key, res, kind)
+        cache_obj.put(key, res)
     return res
 
 
@@ -294,7 +270,7 @@ def reorder_all(
             if not isinstance(rng_of[pt], (int, np.integer)):
                 continue  # live Generators bypass the cache
             keys[pt] = mapping_cache_key(fp, pt, "heuristic", L, int(rng_of[pt]), mapper_kwargs)
-            hit = _cached(cache_obj, keys[pt], L, pt)
+            hit = _cached(cache_obj, keys[pt], L)
             if hit is not None:
                 results[pt] = hit
 
@@ -314,6 +290,6 @@ def reorder_all(
                 map_seconds=secs,
             )
             if pt in keys:
-                _remember(cache_obj, keys[pt], results[pt], "heuristic")
+                cache_obj.put(keys[pt], results[pt])
 
     return {pt: results[pt] for pt in patterns}

@@ -11,10 +11,10 @@ request needs:
   distance ladder is the cold-start cost the daemon amortises),
 * a :class:`~repro.simmpi.engine.TimingEngine` whose bounded LRU keeps
   :class:`~repro.simmpi.engine.SchedulePricing` tables resident per
-  (fingerprint, schedule, mapping) triple,
-* a bounded cache of built :class:`~repro.collectives.schedule.Schedule`
-  objects per (algorithm, p).
+  (fingerprint, schedule, mapping) triple.
 
+Built schedules depend on no topology: every entry takes them from the
+process-wide memo of :func:`repro.collectives.registry.compiled_schedule`.
 All entries share one :class:`~repro.mapping.cache.MappingCache` (cache
 keys already embed the fingerprint, so tenants never collide) — many
 clusters, one reordering service, as in the Cloud Collectives setting.
@@ -31,7 +31,7 @@ from typing import Any, Dict, List, Mapping, Optional
 
 import numpy as np
 
-from repro.collectives.registry import make_algorithm, registered_algorithm_names
+from repro.collectives.registry import compiled_schedule, make_algorithm
 from repro.collectives.schedule import Schedule
 from repro.mapping.cache import MappingCache
 from repro.serve.protocol import (
@@ -45,7 +45,6 @@ from repro.topology.gpc import gpc_cluster, single_node_cluster, small_cluster
 
 __all__ = [
     "DEFAULT_TOPOLOGY_CAP",
-    "SCHEDULE_CACHE_SIZE",
     "TOPOLOGY_KINDS",
     "TopologyEntry",
     "TopologyRegistry",
@@ -55,9 +54,6 @@ __all__ = [
 
 #: Resident-topology bound when the server is not configured otherwise.
 DEFAULT_TOPOLOGY_CAP = 8
-
-#: Built Schedule objects kept per topology entry (LRU).
-SCHEDULE_CACHE_SIZE = 64
 
 #: Spec kinds ``register_topology`` accepts, with their builder params.
 TOPOLOGY_KINDS = {
@@ -120,35 +116,17 @@ class TopologyEntry:
         # later reorder request would otherwise pay.
         self.distances = cluster.implicit_distances()
         self.engine = TimingEngine(cluster)
-        self._schedules: "OrderedDict[tuple, Schedule]" = OrderedDict()
-        self.schedule_hits = 0
-        self.schedule_misses = 0
 
     def schedule_for(self, algorithm: str, p: int) -> Schedule:
-        """Cached schedule of ``algorithm`` at communicator size ``p``."""
-        key = (algorithm, int(p))
-        hit = self._schedules.get(key)
-        if hit is not None:
-            self._schedules.move_to_end(key)
-            self.schedule_hits += 1
-            return hit
-        if algorithm not in registered_algorithm_names():
-            raise ProtocolError(
-                ERROR_BAD_REQUEST,
-                f"unknown algorithm {algorithm!r} "
-                f"(registered: {', '.join(registered_algorithm_names())})",
-            )
-        alg = make_algorithm(algorithm)
+        """The memo's schedule of registered ``algorithm`` at communicator size ``p``.
+
+        An unknown name and a ``p`` the algorithm refuses are bad requests.
+        """
         try:
-            alg.validate_p(p)
-        except ValueError as exc:
-            raise ProtocolError(ERROR_BAD_REQUEST, str(exc))
-        schedule = alg.schedule(p)
-        self.schedule_misses += 1
-        self._schedules[key] = schedule
-        while len(self._schedules) > SCHEDULE_CACHE_SIZE:
-            self._schedules.popitem(last=False)
-        return schedule
+            make_algorithm(algorithm).validate_p(p)
+        except (KeyError, ValueError) as exc:
+            raise ProtocolError(ERROR_BAD_REQUEST, exc.args[0])
+        return compiled_schedule(algorithm, p)
 
     def describe(self) -> Dict[str, Any]:
         """Stats-op view of this entry."""
@@ -158,11 +136,6 @@ class TopologyEntry:
             "n_nodes": self.cluster.n_nodes,
             "n_cores": self.cluster.n_cores,
             "pricing": self.engine.pricing_cache_stats(),
-            "schedules": {
-                "entries": len(self._schedules),
-                "hits": self.schedule_hits,
-                "misses": self.schedule_misses,
-            },
         }
 
 

@@ -5,7 +5,8 @@ TopologyRegistry` and turns decoded request payloads into JSON-ready
 result dicts.  It is deliberately synchronous and single-threaded by
 contract: the asyncio server funnels every pipeline-touching op through
 one executor lane, so none of the caches underneath (mapping cache,
-pricing LRU, schedule cache, route tables) need locks.
+pricing LRU, route tables) need locks; the process-wide schedule memo
+keeps its own.
 
 The service is also the daemon's measurement point: it counts requests,
 warm inline answers, solo reorders and cache traffic, which the
@@ -20,11 +21,13 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
+from repro.collectives.registry import schedule_memo_stats
 from repro.mapping.cache import mapping_cache_key
 from repro.mapping.initial import INITIAL_LAYOUTS, make_layout
 from repro.mapping.reorder import (
     HEURISTICS,
     MAPPER_KINDS,
+    ReorderResult,
     reorder_ranks,
 )
 from repro.serve.protocol import ERROR_BAD_REQUEST, PROTOCOL_VERSION, ProtocolError
@@ -53,6 +56,18 @@ def _mapper_options(payload: Mapping[str, Any]) -> Dict[str, Any]:
     if not isinstance(options, Mapping):
         raise ProtocolError(ERROR_BAD_REQUEST, "'options' must be a JSON object")
     return dict(options)
+
+
+def _reorder_answer(res: ReorderResult, cached: bool) -> Dict[str, Any]:
+    """The ``reorder`` op's result for one :class:`ReorderResult`."""
+    return {
+        "pattern": res.pattern,
+        "mapper_name": res.mapper_name,
+        "mapping": res.mapping.tolist(),
+        "cached": cached,
+        "map_seconds": float(res.map_seconds),
+        "graph_seconds": float(res.graph_seconds),
+    }
 
 
 class ReorderService:
@@ -154,14 +169,7 @@ class ReorderService:
             self.patterns_cached += 1
         else:
             self.patterns_computed += 1
-        return {
-            "pattern": res.pattern,
-            "mapper_name": res.mapper_name,
-            "mapping": res.mapping.tolist(),
-            "cached": bool(res.cached),
-            "map_seconds": float(res.map_seconds),
-            "graph_seconds": float(res.graph_seconds),
-        }
+        return _reorder_answer(res, bool(res.cached))
 
     def reorder_warm(self, payload: Mapping[str, Any]) -> Optional[Dict[str, Any]]:
         """Answer a reorder straight from the mapping cache, or None.
@@ -198,20 +206,11 @@ class ReorderService:
         # peek first: get counts a miss, and the lane's reorder_ranks
         # counts the same cold key's miss again.
         cached = cache.get(key) if cache.peek(key) else None
-        if cached is None:
-            # Rare: evicted between peek and get.
-            return None
-        if not np.array_equal(cached["layout"], L):
+        # None is rare: evicted between peek and get.
+        if cached is None or not np.array_equal(cached.reordering.layout, L):
             return None
         self.warm_inline += 1
-        return {
-            "pattern": pattern,
-            "mapper_name": cached.get("mapper_name", "mapper"),
-            "mapping": cached["mapping"].tolist(),
-            "cached": True,
-            "map_seconds": float(cached.get("map_seconds", 0.0)),
-            "graph_seconds": float(cached.get("graph_seconds", 0.0)),
-        }
+        return _reorder_answer(cached, True)
 
     def reorder_batch(
         self, payloads: Sequence[Mapping[str, Any]]
@@ -302,6 +301,7 @@ class ReorderService:
             "warm_inline": self.warm_inline,
             "registry": self.registry.describe(),
             "mapping_cache": cache.stats(),
+            "schedules": schedule_memo_stats(),
         }
         if extra:
             out.update(extra)

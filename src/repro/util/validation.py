@@ -10,6 +10,7 @@ import numpy as np
 __all__ = [
     "PY_SCAN_MAX",
     "same_multiset",
+    "same_value_set",
     "check_permutation",
     "check_positive",
     "check_nonnegative",
@@ -34,6 +35,15 @@ def same_multiset(a: np.ndarray, b: np.ndarray) -> bool:
     if a.size <= PY_SCAN_MAX:
         return sorted(a.tolist()) == sorted(b.tolist())
     return bool(np.array_equal(np.sort(a), np.sort(b)))
+
+
+def same_value_set(a: np.ndarray, b: np.ndarray) -> bool:
+    """:func:`same_multiset`, and no value twice (the same size gate)."""
+    if a.size <= PY_SCAN_MAX:
+        values = sorted(a.tolist())
+        return values == sorted(b.tolist()) and len(set(values)) == a.size
+    values = np.sort(a)
+    return bool(np.array_equal(values, np.sort(b)) and np.all(values[1:] != values[:-1]))
 
 
 def check_positive(name: str, value: float) -> None:

@@ -1,5 +1,7 @@
 """Order-restoration tests (paper §V-B) — the heart of reordering safety."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +19,7 @@ from repro.collectives.correctness import (
 from repro.collectives.hierarchical import HierarchicalAllgather, contiguous_groups
 from repro.simmpi.costmodel import CostModel
 from repro.util.rng import make_rng
+from repro.util.validation import PY_SCAN_MAX
 
 
 def reordering_from_perm(perm):
@@ -61,6 +64,61 @@ class TestRankReordering:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             RankReordering(layout=np.array([0, 1, 2]), mapping=np.array([0, 1]))
+
+    def test_foreign_cores_rejected(self):
+        with pytest.raises(ValueError, match="cores"):
+            RankReordering(layout=[5, 6], mapping=[0, 1])
+
+    def test_non_permutation_rejected(self):
+        for mapping, layout in (([5, 5], [5, 6]), ([5, 6, 7], [5, 6])):
+            with pytest.raises(ValueError):
+                RankReordering(layout=np.array(layout), mapping=np.array(mapping))
+
+    @pytest.mark.parametrize("p", [4, PY_SCAN_MAX, PY_SCAN_MAX + 1, 1024])
+    def test_repeated_core_rejected(self, p):
+        # Both sides of the list-sort / np.sort gate: a layout that
+        # repeats a core has no consistent inverse, whatever the mapping.
+        layout = np.arange(p)
+        layout[1] = layout[0]
+        with pytest.raises(ValueError, match="each once"):
+            RankReordering(layout=layout, mapping=layout[::-1])
+        with pytest.raises(ValueError, match="each once"):
+            RankReordering(layout=layout, mapping=layout.copy())
+
+    def test_repeated_core_reported_cases(self):
+        for layout, mapping in (([0, 0, 1], [0, 1, 0]), ([3, 3, 5, 5], [3, 3, 5, 5])):
+            with pytest.raises(ValueError, match="each once"):
+                RankReordering(layout=np.array(layout), mapping=np.array(mapping))
+
+    def test_identity_refuses_repeated_core(self):
+        with pytest.raises(ValueError, match="each once"):
+            RankReordering.identity(np.array([3, 3, 5, 5]))
+
+    def test_arrays_read_only(self):
+        layout = np.array([3, 1, 2])
+        ro = RankReordering(layout=layout, mapping=[2, 1, 3])
+        assert ro.layout.dtype == np.int64 and ro.mapping.dtype == np.int64
+        assert ro.layout is layout  # frozen in place, not copied
+        for arr in (ro.layout, ro.mapping, ro.old_of_new, ro.new_of_old):
+            with pytest.raises(ValueError):
+                arr[0] = 7
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ro.mapping = np.array([1, 2, 3])
+
+    def test_view_is_copied(self):
+        base = np.arange(8)
+        ro = RankReordering(layout=base[:4], mapping=[3, 2, 1, 0])
+        base[0] = 99  # the view's base stays writable and the caller's
+        assert ro.layout.tolist() == [0, 1, 2, 3]
+
+    def test_inverse_built_on_first_use_and_kept(self):
+        ro = reordering_from_perm([2, 0, 1, 3])
+        # Counting displaced ranks needs no inverse.
+        assert ro.n_displaced() == 3 and not ro.is_identity()
+        assert {"old_of_new", "new_of_old"}.isdisjoint(vars(ro))
+        assert ro.old_of_new is ro.old_of_new and ro.new_of_old is ro.new_of_old
+        assert {"old_of_new", "new_of_old"} <= set(vars(ro))
+        assert ro.n_displaced() == int(np.count_nonzero(ro.old_of_new != np.arange(4)))
 
 
 class TestInitCommStage:

@@ -1,10 +1,16 @@
-"""Algorithm-selection registry tests (MVAPICH-like policy)."""
+"""Algorithm-selection registry tests (MVAPICH-like policy) and the schedule memo."""
 
+import numpy as np
 import pytest
 
 from repro.collectives.registry import (
     DEFAULT_RD_THRESHOLD_BYTES,
+    compiled_schedule,
+    hierarchical_schedule,
+    make_algorithm,
     pattern_of,
+    registered_algorithm_names,
+    schedule_memo_stats,
     select_allgather,
     select_hierarchical_allgather,
 )
@@ -12,7 +18,8 @@ from repro.collectives.allgather_bruck import BruckAllgather
 from repro.collectives.allgather_rd import RecursiveDoublingAllgather
 from repro.collectives.allgather_ring import RingAllgather
 from repro.collectives.bcast_binomial import BinomialBroadcast
-from repro.collectives.hierarchical import contiguous_groups
+from repro.collectives.hierarchical import HierarchicalAllgather, contiguous_groups
+from repro.util.rng import make_rng
 
 
 class TestSelectAllgather:
@@ -76,3 +83,96 @@ class TestPatternOf:
 
         with pytest.raises(KeyError):
             pattern_of(Weird())
+
+
+def _same_schedule(a, b):
+    """Field-by-field equality of two schedules, arrays included."""
+    assert (a.p, a.name, a.local_copy_units, len(a.stages)) == (
+        b.p, b.name, b.local_copy_units, len(b.stages)
+    )
+    for x, y in zip(a.stages, b.stages):
+        assert (x.repeat, x.label) == (y.repeat, y.label)
+        for field in ("src", "dst", "units"):
+            assert np.array_equal(getattr(x, field), getattr(y, field)), field
+    return a.digest == b.digest
+
+
+class TestCompiledSchedule:
+    @pytest.mark.parametrize("name", registered_algorithm_names())
+    def test_registered_names_build_bare_and_name_themselves(self, name):
+        assert make_algorithm(name).name == name
+
+    @pytest.mark.parametrize("name", registered_algorithm_names())
+    def test_matches_a_fresh_build(self, name):
+        p = 16
+        sched = compiled_schedule(name, p)
+        assert _same_schedule(sched, make_algorithm(name).schedule(p))
+
+    @pytest.mark.parametrize("name", ["ring", "bruck", "binomial-gather"])
+    def test_repeat_returns_the_same_object_and_digest(self, name):
+        first = compiled_schedule(name, 24)
+        digest = first.digest
+        again = compiled_schedule(name, 24)
+        assert again is first
+        assert again.digest is digest  # hashed once, then kept
+
+    def test_counters(self):
+        before = schedule_memo_stats()
+        assert set(before) == {"entries", "capacity", "hits", "misses", "evictions"}
+        assert before["capacity"] == 64
+        compiled_schedule("ring", 26)
+        compiled_schedule("ring", 26)
+        after = schedule_memo_stats()
+        assert after["hits"] - before["hits"] >= 1
+        assert after["entries"] <= after["capacity"]
+
+    def test_unknown_name_and_bad_p_store_nothing(self):
+        before = schedule_memo_stats()
+        with pytest.raises(KeyError):
+            compiled_schedule("no-such-algorithm", 8)
+        with pytest.raises(ValueError):
+            compiled_schedule("recursive-doubling", 12)
+        assert schedule_memo_stats() == before
+
+
+class TestHierarchicalSchedule:
+    RANKS = np.array([3, 0, 1, 2, 7, 4, 5, 6], dtype=np.int64)
+    SIZES = (4, 4)
+
+    def test_equal_partition_from_fresh_arrays_is_one_object(self):
+        a = hierarchical_schedule(self.RANKS.copy(), list(self.SIZES), "rd", "binomial")
+        b = hierarchical_schedule(
+            self.RANKS.astype(np.int32), np.array(self.SIZES), "rd", "binomial"
+        )
+        assert a is b
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"ranks": np.array([0, 3, 1, 2, 7, 4, 5, 6])},
+            {"sizes": (2, 6)},
+            {"leader_alg": "ring"},
+            {"intra": "linear"},
+        ],
+    )
+    def test_every_part_of_the_key_matters(self, change):
+        base = dict(ranks=self.RANKS, sizes=self.SIZES, leader_alg="rd", intra="binomial")
+        a = hierarchical_schedule(**base)
+        base.update(change)
+        b = hierarchical_schedule(**base)
+        assert b is not a and b.digest != a.digest
+        alg = HierarchicalAllgather.from_partition(
+            base["ranks"], base["sizes"], base["leader_alg"], base["intra"]
+        )
+        assert _same_schedule(b, alg.schedule(alg.p))
+
+    @pytest.mark.parametrize("leader_alg", ["rd", "ring"])
+    @pytest.mark.parametrize("intra", ["binomial", "linear"])
+    def test_mixed_group_sizes_match_from_partition(self, leader_alg, intra):
+        sizes = (1, 3, 8, 3) if leader_alg == "rd" else (1, 3, 8)
+        p = sum(sizes)
+        ranks = make_rng(7).permutation(p)
+        sched = hierarchical_schedule(ranks, sizes, leader_alg, intra)
+        alg = HierarchicalAllgather.from_partition(ranks, sizes, leader_alg, intra)
+        assert _same_schedule(sched, alg.schedule(p))
+

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.collectives.correctness import RankReordering
 from repro.mapping.cache import (
     MappingCache,
     global_mapping_cache,
@@ -10,19 +11,18 @@ from repro.mapping.cache import (
 )
 from repro.mapping.initial import make_layout
 from repro.mapping.patterns import PATTERN_BUILDERS
-from repro.mapping.reorder import reorder_all, reorder_ranks
+from repro.mapping.reorder import ReorderResult, reorder_all, reorder_ranks
 from repro.util.rng import make_rng
 
 
 def _entry(layout):
     layout = np.asarray(layout, dtype=np.int64)
-    return {
-        "mapping": layout[::-1].copy(),
-        "layout": layout,
-        "mapper_name": "test",
-        "map_seconds": 0.01,
-        "graph_seconds": 0.0,
-    }
+    return ReorderResult(
+        reordering=RankReordering(layout=layout, mapping=layout[::-1]),
+        pattern="ring",
+        mapper_name="test",
+        map_seconds=0.01,
+    )
 
 
 class TestCacheKey:
@@ -68,8 +68,10 @@ class TestMappingCache:
     def test_memory_roundtrip_and_stats(self):
         cache = MappingCache()
         assert cache.get("k") is None
-        cache.put("k", _entry([3, 1, 2]))
-        assert np.array_equal(cache.get("k")["mapping"], [2, 1, 3])
+        entry = _entry([3, 1, 2])
+        cache.put("k", entry)
+        assert cache.get("k") is entry  # the stored value itself, no copy
+        assert np.array_equal(entry.mapping, [2, 1, 3])
         assert cache.hits == 1 and cache.misses == 1
 
     def test_lru_bound(self):
@@ -79,28 +81,15 @@ class TestMappingCache:
         assert len(cache) == 2
         assert cache.get("k0") is None  # evicted oldest
 
-    def test_invalid_entry_rejected(self):
+    def test_every_hit_returns_the_stored_object(self):
         cache = MappingCache()
-        with pytest.raises(ValueError, match="invalid"):
-            cache.put("k", {"mapping": [0, 1], "layout": [5, 6]})
-
-    def test_non_permutation_arrays_rejected(self):
-        cache = MappingCache()
-        for mapping, layout in (([5, 5], [5, 6]), ([5, 6, 7], [5, 6]), ([5.0, 6.0], [5, 6])):
-            with pytest.raises(ValueError, match="invalid"):
-                cache.put("k", {"mapping": np.array(mapping), "layout": np.array(layout)})
-        assert len(cache) == 0
-
-    def test_entry_holds_one_read_only_copy(self):
-        cache = MappingCache()
-        entry = _entry([3, 1, 2])
-        cache.put("k", entry)
-        entry["mapping"][0] = 99  # the caller's arrays stay the caller's
-        got = cache.get("k")
-        assert got["mapping"].dtype == np.int64 and got["layout"].dtype == np.int64
-        assert np.array_equal(got["mapping"], [2, 1, 3])
-        with pytest.raises(ValueError):
-            got["mapping"][0] = 7
+        entries = {f"k{i}": _entry([i, i + 1, i + 2]) for i in range(3)}
+        for key, entry in entries.items():
+            cache.put(key, entry)
+        for _ in range(2):
+            for key, entry in entries.items():
+                assert cache.get(key) is entry
+        assert (cache.hits, cache.misses) == (6, 0)
 
 
 class TestGlobalCache:
@@ -118,8 +107,18 @@ class TestReorderRanksCaching:
         first = reorder_ranks("ring", L, impl, rng=4, cache=cache)
         again = reorder_ranks("ring", L, impl, rng=4, cache=cache)
         assert not first.cached and again.cached
-        assert np.array_equal(first.mapping, again.mapping)
+        assert again.reordering is first.reordering  # kept, not rebuilt
         assert again.mapper_name == first.mapper_name
+
+    def test_other_layout_under_the_key_is_not_served(self, mid_cluster):
+        cache = MappingCache()
+        L = make_layout("cyclic-bunch", mid_cluster, 16)
+        impl = mid_cluster.implicit_distances()
+        key = mapping_cache_key(impl.fingerprint, "ring", "heuristic", L, 4)
+        cache.put(key, _entry(L[::-1]))
+        res = reorder_ranks("ring", L, impl, rng=4, cache=cache)
+        assert not res.cached and np.array_equal(res.reordering.layout, L)
+        assert cache.get(key) is not None and cache.get(key).reordering is res.reordering
 
     def test_engine_kwarg_is_rejected(self, mid_cluster):
         # The distance backend picks the placement executor; no kwarg does.

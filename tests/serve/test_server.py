@@ -126,8 +126,33 @@ class TestOpsRoundTrip:
         # perf/workloads.py reads these three keys; the daemon keeps them at 0.
         assert st["coalesced"] == st["batched"] == st["reorder_batches"] == 0
         assert {"hits", "misses", "evictions"} <= set(st["mapping_cache"])
+        # One process-wide schedule memo, reported once at the top level.
+        assert set(st["schedules"]) == {"entries", "capacity", "hits", "misses", "evictions"}
+        assert st["schedules"]["capacity"] == 64
         for topo in st["registry"]["topologies"]:
             assert {"hits", "misses", "evictions"} <= set(topo["pricing"])
+            assert "schedules" not in topo
+
+    def test_two_topologies_share_one_schedule(self, monkeypatch):
+        import repro.collectives.registry as algorithms
+
+        # A fresh memo, so earlier builds in this process do not count.
+        monkeypatch.setattr(
+            algorithms, "_MEMO", algorithms._ScheduleMemo(algorithms.SCHEDULE_MEMO_SIZE)
+        )
+        with EmbeddedServer() as es:
+            with es.client() as c:
+                prints = [
+                    c.register_topology(spec)["fingerprint"]
+                    for spec in ({"kind": "small", "n_nodes": 16}, {"kind": "gpc", "n_nodes": 8})
+                ]
+                seen = []
+                for fingerprint in prints:
+                    priced = c.price(fingerprint, "ring", [1024], layout="block-bunch")
+                    assert priced["p"] == 64
+                    memo = c.stats()["schedules"]
+                    seen.append((memo["misses"], memo["hits"]))
+        assert seen == [(1, 0), (1, 1)]
 
 
 class TestWarmPath:

@@ -183,6 +183,14 @@ class TestReordering:
         with pytest.raises(CorruptPersistFileError, match="inconsistent"):
             load_reordering(bad)
 
+    def test_repeated_core_rejected(self, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text(
+            '{"pattern": "ring", "mapper": "rmh", "layout": [4, 4, 5, 6], "mapping": [4, 5, 4, 6]}'
+        )
+        with pytest.raises(CorruptPersistFileError, match="inconsistent"):
+            load_reordering(bad)
+
     def test_truncated_json_rejected(self, tmp_path, mid_cluster, mid_D):
         L = cyclic_bunch(mid_cluster, 32)
         res = reorder_ranks("ring", L, mid_D, rng=0)

@@ -11,6 +11,7 @@ from repro.util.validation import (
     check_permutation,
     check_positive,
     same_multiset,
+    same_value_set,
 )
 
 
@@ -89,3 +90,28 @@ class TestSameMultiset:
         assert same_multiset(a, b)
         b[0] = b[1]  # one core twice, one missing
         assert not same_multiset(a, b)
+
+
+class TestSameValueSet:
+    """A repeated value is refused on both sides of the gate."""
+
+    @given(
+        st.lists(st.integers(-200, 200), min_size=1, max_size=2 * PY_SCAN_MAX + 8, unique=True),
+        st.randoms(use_true_random=False),
+    )
+    def test_matches_same_multiset_on_distinct_values(self, values, rnd):
+        a = np.array(values, dtype=np.int64)
+        shuffled = values[:]
+        rnd.shuffle(shuffled)
+        b = np.array(shuffled, dtype=np.int64)
+        assert same_value_set(a, b) and same_multiset(a, b)
+        assert not same_value_set(a, b[1:])
+
+    @pytest.mark.parametrize("n", [2, PY_SCAN_MAX, PY_SCAN_MAX + 1, 4096])
+    def test_repeat_refused(self, n):
+        a = np.arange(n, dtype=np.int64)
+        a[-1] = a[0]  # the same repeat on both sides
+        b = a[::-1].copy()
+        assert same_multiset(a, b)
+        assert not same_value_set(a, b)
+        assert same_value_set(np.arange(n), np.arange(n)[::-1])
