@@ -49,6 +49,7 @@ from repro.evaluation.evaluator import AllgatherEvaluator, LatencyReport
 from repro.mapping.initial import make_layout
 from repro.topology.gpc import gpc_cluster
 from repro.util.atomicio import atomic_write_json
+from repro.util.lru import LRU
 
 __all__ = ["SweepSpec", "CheckpointedSweep", "SweepRunResult", "compute_cell"]
 
@@ -113,18 +114,13 @@ def _cell_filename(cell: str) -> str:
 # fingerprint, so one process (a serial run or one fabric worker)
 # prices many cells against the same route tables.
 # ----------------------------------------------------------------------
-_RUNNER_EVALUATOR: Optional[Tuple[str, AllgatherEvaluator]] = None
+_RUNNER_EVALUATOR: "LRU[AllgatherEvaluator]" = LRU(1)
 
 
 def _evaluator_for(spec: SweepSpec) -> AllgatherEvaluator:
-    # intentional per-process cache: the tuple swap is atomic, the value
-    # is derived only from the spec fingerprint, and each process (fabric
-    # worker or in-process caller) owns its private copy
-    global _RUNNER_EVALUATOR  # noqa: PAR001
-    fp = spec.fingerprint()
-    if _RUNNER_EVALUATOR is None or _RUNNER_EVALUATOR[0] != fp:
-        _RUNNER_EVALUATOR = (fp, AllgatherEvaluator(gpc_cluster(spec.n_nodes), rng=0))
-    return _RUNNER_EVALUATOR[1]
+    return _RUNNER_EVALUATOR.get_or_build(
+        spec.fingerprint(), lambda: AllgatherEvaluator(gpc_cluster(spec.n_nodes), rng=0)
+    )
 
 
 def compute_cell(spec: SweepSpec, cell: str) -> Dict:

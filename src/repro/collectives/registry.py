@@ -18,9 +18,7 @@ a node partition, so one bounded memo per process serves every caller.
 from __future__ import annotations
 
 import hashlib
-import threading
-from collections import OrderedDict
-from typing import Any, Callable, Dict, Hashable, Sequence
+from typing import Any, Dict, Sequence
 
 import numpy as np
 
@@ -36,6 +34,7 @@ from repro.collectives.reduce import BinomialReduce
 from repro.collectives.scatter_allgather import BinomialScatter
 from repro.collectives.schedule import CollectiveAlgorithm, Schedule
 from repro.util.bits import is_power_of_two
+from repro.util.lru import LRU
 
 __all__ = [
     "DEFAULT_RD_THRESHOLD_BYTES",
@@ -105,44 +104,7 @@ def make_algorithm(name: str) -> CollectiveAlgorithm:
 #: Compiled schedules the process keeps (least recently used evicted).
 SCHEDULE_MEMO_SIZE = 64
 
-
-class _ScheduleMemo:
-    """Bounded LRU of compiled schedules with hit/miss/eviction counters."""
-
-    def __init__(self, capacity: int) -> None:
-        self.capacity = capacity
-        self._memo: "OrderedDict[Hashable, Schedule]" = OrderedDict()
-        self._lock = threading.Lock()  # the serve lane and callers' threads share it
-        self.hits = self.misses = self.evictions = 0
-
-    def get(self, key: Hashable, build: Callable[[], Schedule]) -> Schedule:
-        with self._lock:
-            sched = self._memo.get(key)
-            if sched is not None:
-                self._memo.move_to_end(key)
-                self.hits += 1
-                return sched
-        sched = build()  # outside the lock: a build may take a while
-        with self._lock:
-            self.misses += 1
-            self._memo[key] = sched
-            while len(self._memo) > self.capacity:
-                self._memo.popitem(last=False)
-                self.evictions += 1
-        return sched
-
-    def stats(self) -> Dict[str, Any]:
-        with self._lock:
-            return {
-                "entries": len(self._memo),
-                "capacity": self.capacity,
-                "hits": self.hits,
-                "misses": self.misses,
-                "evictions": self.evictions,
-            }
-
-
-_MEMO = _ScheduleMemo(SCHEDULE_MEMO_SIZE)
+_MEMO: "LRU[Schedule]" = LRU(SCHEDULE_MEMO_SIZE)
 
 
 def compiled_schedule(name: str, p: int) -> Schedule:
@@ -152,7 +114,7 @@ def compiled_schedule(name: str, p: int) -> Schedule:
     name does not encode constructor arguments.
     """
     p = int(p)
-    return _MEMO.get((name, p), lambda: make_algorithm(name).schedule(p))
+    return _MEMO.get_or_build((name, p), lambda: make_algorithm(name).schedule(p))
 
 
 def hierarchical_schedule(
@@ -170,7 +132,7 @@ def hierarchical_schedule(
         alg = HierarchicalAllgather.from_partition(ranks, sizes, leader_alg, intra)
         return alg.schedule(alg.p)
 
-    return _MEMO.get((hashlib.sha1(ranks).digest(), sizes, leader_alg, intra), build)
+    return _MEMO.get_or_build((hashlib.sha1(ranks).digest(), sizes, leader_alg, intra), build)
 
 
 def schedule_memo_stats() -> Dict[str, Any]:

@@ -263,14 +263,16 @@ class AllgatherEvaluator:
         L = np.asarray(layout, dtype=np.int64)
         strat = OrderStrategy.parse(strategy)
         sizes = list(sizes)
-        rng = _seed_for("reorder", _layout_key(L), kind, hierarchical, intra)
+        lk = _layout_key(L)
+        rng = _seed_for("reorder", lk, kind, hierarchical, intra)
         if hierarchical:
-            return self._hierarchical_reordered_batch(L, sizes, kind, strat, intra, rng)
-        return self._flat_reordered_batch(L, sizes, kind, strat, rng)
+            return self._hierarchical_reordered_batch(L, lk, sizes, kind, strat, intra, rng)
+        return self._flat_reordered_batch(L, lk, sizes, kind, strat, rng)
 
     def _flat_reordered_batch(
         self,
         L: np.ndarray,
+        lk: str,
         sizes: List[float],
         kind: str,
         strat: OrderStrategy,
@@ -279,7 +281,6 @@ class AllgatherEvaluator:
         p = L.size
         out: List[Optional[LatencyReport]] = [None] * len(sizes)
         algs = [select_allgather(p, bb, self.rd_threshold) for bb in sizes]
-        lk = _layout_key(L)
         groups = list(self._group_sizes([a.name for a in algs]))
         if kind == "heuristic":
             # All heuristic reorderings this size vector needs, computed
@@ -327,6 +328,7 @@ class AllgatherEvaluator:
     def _hierarchical_reordered_batch(
         self,
         L: np.ndarray,
+        lk: str,
         sizes: List[float],
         kind: str,
         strat: OrderStrategy,
@@ -334,7 +336,6 @@ class AllgatherEvaluator:
         rng: RngLike,
     ) -> List[LatencyReport]:
         G = self._node_partition(L)[1].size
-        lk = _layout_key(L)
         out: List[Optional[LatencyReport]] = [None] * len(sizes)
         leader_algs = [hierarchical_leader_alg(G, bb, self.rd_threshold) for bb in sizes]
         plan = []

@@ -17,7 +17,7 @@ from repro.mapping.base import (
     map_batch,
 )
 from repro.mapping.cache import (
-    MappingCache,
+    MAPPING_CACHE_SIZE,
     global_mapping_cache,
     mapping_cache_key,
 )
@@ -65,7 +65,7 @@ __all__ = [
     "Mapper",
     "GreedyPlacementMapper",
     "as_distance_lookup",
-    "MappingCache",
+    "MAPPING_CACHE_SIZE",
     "global_mapping_cache",
     "mapping_cache_key",
     "RDMH",

@@ -31,11 +31,11 @@ from __future__ import annotations
 import time
 import weakref
 from abc import ABC, abstractmethod
-from collections import OrderedDict
 from typing import Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
+from repro.util.lru import LRU
 from repro.util.rng import RngLike, make_rng
 from repro.util.validation import PY_SCAN_MAX, same_multiset
 
@@ -482,18 +482,10 @@ class HierarchicalFreePool:
         arr = np.ascontiguousarray(np.asarray(cores, dtype=np.int64))
         per_backend = cls._structure_caches.get(backend)
         if per_backend is None:
-            per_backend = OrderedDict()
-            cls._structure_caches[backend] = per_backend
-        key = arr.tobytes()
-        st = per_backend.get(key)
-        if st is not None:
-            per_backend.move_to_end(key)
-            return st
-        st = _PoolStructure(backend, arr)
-        per_backend[key] = st
-        if len(per_backend) > cls._STRUCTURE_CACHE_SIZE:
-            per_backend.popitem(last=False)
-        return st
+            per_backend = cls._structure_caches.setdefault(
+                backend, LRU(cls._STRUCTURE_CACHE_SIZE)
+            )
+        return per_backend.get_or_build(arr.tobytes(), lambda: _PoolStructure(backend, arr))
 
     def _coords_of(self, core: int) -> Tuple[int, int, int, int]:
         """Local (sock, node, leaf, line) ids of any core — integer-only.
@@ -889,12 +881,12 @@ def map_batch(mappers, layout: Sequence[int], D, rngs, seconds_out=None) -> list
     """Run several mappers over one (layout, backend) pair in a single pass.
 
     The per-topology setup every :meth:`GreedyPlacementMapper.map` call
-    repeats — layout validation and the shared :class:`_PoolStructure`
-    (group membership, free-count templates) — is warmed exactly once
-    here and shared by all mappers; only the per-run free state is
-    rebuilt per mapper.  Each mapper still draws from its *own* rng
-    (``rngs[i]``), so every result is bit-identical to the corresponding
-    standalone ``map`` call — this is the executor under
+    needs — the shared :class:`_PoolStructure` (group membership,
+    free-count templates) — is built by the first mapper's ``map`` and
+    found in the per-backend LRU by every later one; only the per-run
+    free state is rebuilt per mapper.  Each mapper still draws from its
+    *own* rng (``rngs[i]``), so every result is bit-identical to the
+    corresponding standalone ``map`` call — this is the executor under
     :func:`repro.mapping.reorder.reorder_all`.
 
     Parameters
@@ -911,7 +903,7 @@ def map_batch(mappers, layout: Sequence[int], D, rngs, seconds_out=None) -> list
     seconds_out:
         Optional list; when given, the wall-clock seconds of each
         individual ``map`` call are appended to it (one entry per
-        mapper; the first also includes the shared warm-up), so callers
+        mapper; the first also pays the shared structure build), so callers
         can report per-heuristic timings without paying a second pass.
 
     Returns
@@ -926,14 +918,7 @@ def map_batch(mappers, layout: Sequence[int], D, rngs, seconds_out=None) -> list
     if not mappers:
         return []
     L = np.ascontiguousarray(np.asarray(layout, dtype=np.int64))
-    # The first mapper's clock covers the warm-up below: a standalone
-    # ``map`` call pays that setup itself, so its reported cost must too.
     t0 = time.perf_counter()
-    if getattr(D, "supports_vectorized_placement", False):
-        # Warm the shared immutable structure once; every pool the loop
-        # below opens over (D, L) then hits the LRU instead of rebuilding
-        # group membership.
-        HierarchicalFreePool._structure_for(D, L)
     results = []
     for m, rng in zip(mappers, rngs):
         results.append(m.map(L, D, rng=rng))

@@ -13,7 +13,7 @@ a pure function of
 
 so a sha256 over those fields addresses the result exactly.  The cache
 keeps each :class:`~repro.mapping.reorder.ReorderResult` under that key
-in a bounded in-memory LRU, which lives as
+in one :class:`~repro.util.lru.LRU` per process, which lives as
 long as the process that reorders — the paper reorders once at run-time,
 in the job that uses the result.  Generator rng objects are left out of
 the key: only plain integer seeds are reproducible content, so
@@ -29,17 +29,17 @@ from __future__ import annotations
 
 import hashlib
 import json
-import threading
-from collections import OrderedDict
-from typing import TYPE_CHECKING, Any, Dict, Mapping, Optional
+from typing import TYPE_CHECKING, Any, Mapping, Optional
 
 import numpy as np
+
+from repro.util.lru import LRU
 
 if TYPE_CHECKING:  # the reorder module imports this one
     from repro.mapping.reorder import ReorderResult
 
 __all__ = [
-    "MappingCache",
+    "MAPPING_CACHE_SIZE",
     "global_mapping_cache",
     "mapping_cache_key",
 ]
@@ -81,81 +81,12 @@ def mapping_cache_key(
     return h.hexdigest()
 
 
-class MappingCache:
-    """Bounded in-memory LRU of reordering results.
+#: Reorderings the process keeps (least recently used evicted).
+MAPPING_CACHE_SIZE = 256
 
-    Parameters
-    ----------
-    max_memory_entries:
-        LRU bound: admitting one more entry evicts the least recently
-        used one.
-    """
-
-    def __init__(self, max_memory_entries: int = 256) -> None:
-        if max_memory_entries < 1:
-            raise ValueError(f"max_memory_entries must be >= 1, got {max_memory_entries}")
-        self.max_memory_entries = max_memory_entries
-        self._memory: "OrderedDict[str, ReorderResult]" = OrderedDict()
-        # Guards _memory: the serve daemon answers warm hits from its event
-        # loop thread while the pipeline lane admits entries.
-        self._lock = threading.RLock()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    # ------------------------------------------------------------------
-    def get(self, key: str) -> "Optional[ReorderResult]":
-        """The stored result for ``key`` (the object itself), or None."""
-        with self._lock:
-            entry = self._memory.get(key)
-            if entry is None:
-                self.misses += 1
-                return None
-            self._memory.move_to_end(key)
-            self.hits += 1
-            return entry
-
-    def put(self, key: str, entry: "ReorderResult") -> None:
-        """Store ``entry`` (evicting the least recently used past the bound)."""
-        with self._lock:
-            self._memory[key] = entry
-            self._memory.move_to_end(key)
-            while len(self._memory) > self.max_memory_entries:
-                self._memory.popitem(last=False)
-                self.evictions += 1
-
-    def peek(self, key: str) -> bool:
-        """True iff ``key`` is resident.
-
-        No counter updates, no LRU movement — this is the
-        serve daemon's warm-test (safe to call from a thread other than
-        the one mutating the cache, since it is one dict lookup).
-        """
-        return key in self._memory
-
-    def stats(self) -> Dict[str, Any]:
-        """Counter snapshot (what the daemon's ``stats`` op reports)."""
-        return {
-            "entries": len(self._memory),
-            "max_memory_entries": self.max_memory_entries,
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-        }
-
-    def __len__(self) -> int:
-        return len(self._memory)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"MappingCache(entries={len(self._memory)}, "
-            f"hits={self.hits}, misses={self.misses}, evictions={self.evictions})"
-        )
+_GLOBAL_CACHE: "LRU[ReorderResult]" = LRU(MAPPING_CACHE_SIZE)
 
 
-_GLOBAL_CACHE = MappingCache()
-
-
-def global_mapping_cache() -> MappingCache:
+def global_mapping_cache() -> "LRU[ReorderResult]":
     """The process-wide cache (one instance for the life of the process)."""
     return _GLOBAL_CACHE

@@ -27,12 +27,13 @@ from repro.mapping.base import Mapper, map_batch
 from repro.mapping.bbmh import BBMH
 from repro.mapping.bgmh import BGMH
 from repro.mapping.bruckmh import BruckMH
-from repro.mapping.cache import MappingCache, global_mapping_cache, mapping_cache_key
+from repro.mapping.cache import global_mapping_cache, mapping_cache_key
 from repro.mapping.greedy import GreedyGraphMapper
 from repro.mapping.patterns import pattern_builder
 from repro.mapping.rdmh import RDMH
 from repro.mapping.rmh import RMH
 from repro.mapping.scotch import ScotchLikeMapper
+from repro.util.lru import LRU
 from repro.util.rng import RngLike
 
 __all__ = [
@@ -78,15 +79,15 @@ class ReorderResult:
         return self.reordering.mapping
 
 
-def _cache_for(cache) -> "MappingCache | None":
+def _cache_for(cache) -> "LRU[ReorderResult] | None":
     """Resolve the ``cache`` argument of :func:`reorder_ranks`."""
     if cache == "auto":
         return global_mapping_cache()
     if cache == "off" or cache is None:
         return None
-    if isinstance(cache, MappingCache):
+    if isinstance(cache, LRU):
         return cache
-    raise ValueError(f"cache must be 'auto', 'off', or a MappingCache, got {cache!r}")
+    raise ValueError(f"cache must be 'auto', 'off', or an LRU, got {cache!r}")
 
 
 def _fingerprint(D) -> "str | None":
@@ -97,7 +98,7 @@ def _fingerprint(D) -> "str | None":
     return fp if isinstance(fp, str) else None
 
 
-def _cached(cache_obj: MappingCache, key: str, L: np.ndarray) -> "ReorderResult | None":
+def _cached(cache_obj: "LRU[ReorderResult]", key: str, L: np.ndarray) -> "ReorderResult | None":
     """The cached :class:`ReorderResult` for ``key`` if computed for layout ``L``, or None."""
     entry = cache_obj.get(key)
     if entry is None or not np.array_equal(entry.reordering.layout, L):
@@ -144,8 +145,8 @@ def reorder_ranks(
         :func:`~repro.mapping.cache.global_mapping_cache` whenever the
         result is content-addressable: ``D`` carries a topology
         fingerprint and ``rng`` is a plain integer seed.  ``"off"``
-        disables caching; a :class:`~repro.mapping.cache.MappingCache`
-        instance uses that cache.
+        disables caching; an :class:`~repro.util.lru.LRU` instance is
+        used as the cache.
     mapper_kwargs:
         Forwarded to the mapper constructor (e.g. ``tie_break="first"``,
         ``traversal=...``, ``update_after=...``).

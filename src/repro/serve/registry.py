@@ -15,25 +15,24 @@ request needs:
 
 Built schedules depend on no topology: every entry takes them from the
 process-wide memo of :func:`repro.collectives.registry.compiled_schedule`.
-All entries share one :class:`~repro.mapping.cache.MappingCache` (cache
-keys already embed the fingerprint, so tenants never collide) — many
-clusters, one reordering service, as in the Cloud Collectives setting.
+All entries share one mapping cache (cache keys already embed the
+fingerprint, so tenants never collide) — many clusters, one reordering
+service, as in the Cloud Collectives setting.
 
-The registry is bounded: at most ``cap`` topologies stay resident,
-evicted least-recently-used.  Eviction drops the warm state only — a
+The registry is bounded: at most ``cap`` topologies stay resident in an
+:class:`~repro.util.lru.LRU`.  Eviction drops the warm state only — a
 re-register rebuilds it — and is counted for the ``stats`` op.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Any, Dict, List, Mapping, Optional
 
 import numpy as np
 
 from repro.collectives.registry import compiled_schedule, make_algorithm
 from repro.collectives.schedule import Schedule
-from repro.mapping.cache import MappingCache
+from repro.mapping.cache import MAPPING_CACHE_SIZE
 from repro.serve.protocol import (
     ERROR_BAD_REQUEST,
     ERROR_UNKNOWN_FINGERPRINT,
@@ -42,6 +41,7 @@ from repro.serve.protocol import (
 from repro.simmpi.engine import TimingEngine
 from repro.topology.cluster import ClusterTopology
 from repro.topology.gpc import gpc_cluster, single_node_cluster, small_cluster
+from repro.util.lru import LRU
 
 __all__ = [
     "DEFAULT_TOPOLOGY_CAP",
@@ -135,27 +135,16 @@ class TopologyEntry:
             "spec": dict(self.spec),
             "n_nodes": self.cluster.n_nodes,
             "n_cores": self.cluster.n_cores,
-            "pricing": self.engine.pricing_cache_stats(),
+            "pricing": self.engine.pricing_cache.stats(),
         }
 
 
 class TopologyRegistry:
     """Bounded LRU of :class:`TopologyEntry`, plus the shared mapping cache."""
 
-    def __init__(
-        self,
-        cap: int = DEFAULT_TOPOLOGY_CAP,
-        mapping_cache: Optional[MappingCache] = None,
-    ) -> None:
-        if cap < 1:
-            raise ValueError(f"topology cap must be >= 1, got {cap}")
-        self.cap = int(cap)
-        self.mapping_cache = (
-            mapping_cache if mapping_cache is not None else MappingCache()
-        )
-        self._entries: "OrderedDict[str, TopologyEntry]" = OrderedDict()
-        self.evictions = 0
-        self.registered = 0
+    def __init__(self, cap: int = DEFAULT_TOPOLOGY_CAP) -> None:
+        self.mapping_cache = LRU(MAPPING_CACHE_SIZE)
+        self._entries: "LRU[TopologyEntry]" = LRU(cap)
 
     def register(self, spec: Mapping[str, Any]) -> "tuple[TopologyEntry, List[str]]":
         """Register (or refresh) a topology; returns (entry, evicted fingerprints).
@@ -166,17 +155,10 @@ class TopologyRegistry:
         cluster = build_cluster(spec)
         fingerprint = cluster.fingerprint()
         entry = self._entries.get(fingerprint)
-        if entry is None:
-            entry = TopologyEntry(cluster, dict(spec))
-            self._entries[fingerprint] = entry
-            self.registered += 1
-        self._entries.move_to_end(fingerprint)
-        evicted: List[str] = []
-        while len(self._entries) > self.cap:
-            gone, _ = self._entries.popitem(last=False)
-            self.evictions += 1
-            evicted.append(gone)
-        return entry, evicted
+        if entry is not None:
+            return entry, []
+        entry = TopologyEntry(cluster, dict(spec))
+        return entry, self._entries.put(fingerprint, entry)
 
     def get(self, fingerprint: Any) -> TopologyEntry:
         """Resident entry for ``fingerprint`` (touches its LRU position)."""
@@ -191,19 +173,17 @@ class TopologyRegistry:
                 f"no resident topology with fingerprint {fingerprint!r} "
                 "(evicted or never registered; re-issue register_topology)",
             )
-        self._entries.move_to_end(fingerprint)
         return entry
 
     def peek(self, fingerprint: Any) -> Optional[TopologyEntry]:
-        """Entry for ``fingerprint`` without LRU movement (or None).
+        """Entry for ``fingerprint`` without counting or LRU movement (or None).
 
         The server's warm-test runs on the event loop thread while the
-        pipeline lane may be mutating the LRU; a plain dict lookup is
-        the only safe read from there.
+        pipeline lane may be storing entries.
         """
         if not isinstance(fingerprint, str):
             return None
-        return self._entries.get(fingerprint)
+        return self._entries.peek(fingerprint)
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -211,10 +191,7 @@ class TopologyRegistry:
     def describe(self) -> Dict[str, Any]:
         """Stats-op view of the registry."""
         return {
-            "resident": len(self._entries),
-            "cap": self.cap,
-            "registered": self.registered,
-            "evictions": self.evictions,
+            **self._entries.stats(),
             "topologies": [e.describe() for e in self._entries.values()],
         }
 

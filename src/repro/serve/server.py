@@ -14,8 +14,8 @@ TCP port.  Every request takes one of three routes:
 
 The lane serialises all cache mutation (no locks in the service layer)
 while the event loop stays responsive for ``health``, warm hits and
-reading new requests; ``stats`` rides the lane because its registry
-snapshot walks the same LRU dicts the lane mutates.  Identical
+reading new requests; ``stats`` rides the lane so its snapshot of the
+caches falls between two lane operations, never inside one.  Identical
 concurrent requests compute once without any coalescing: the lane runs
 them in turn, so every one after the first is a mapping-cache or
 pricing-LRU hit.  SIGTERM/SIGINT trigger a graceful drain: listeners
@@ -83,6 +83,8 @@ class ServerConfig:
     def __post_init__(self) -> None:
         if self.socket_path is None and self.port is None:
             raise ValueError("server needs a unix socket path and/or a TCP port")
+        if self.topology_cap < 1:
+            raise ValueError(f"topology cap must be >= 1, got {self.topology_cap}")
 
 
 class OversizedLineError(Exception):

@@ -4,9 +4,9 @@
 TopologyRegistry` and turns decoded request payloads into JSON-ready
 result dicts.  It is deliberately synchronous and single-threaded by
 contract: the asyncio server funnels every pipeline-touching op through
-one executor lane, so none of the caches underneath (mapping cache,
-pricing LRU, route tables) need locks; the process-wide schedule memo
-keeps its own.
+one executor lane.  The caches underneath are :class:`~repro.util.lru.
+LRU` instances, each with its own lock, so the event loop's warm path
+may read them while the lane stores entries.
 
 The service is also the daemon's measurement point: it counts requests,
 warm inline answers, solo reorders and cache traffic, which the
@@ -73,12 +73,8 @@ def _reorder_answer(res: ReorderResult, cached: bool) -> Dict[str, Any]:
 class ReorderService:
     """Executes decoded requests against the warm topology registry."""
 
-    def __init__(
-        self,
-        topology_cap: int = DEFAULT_TOPOLOGY_CAP,
-        mapping_cache=None,
-    ) -> None:
-        self.registry = TopologyRegistry(cap=topology_cap, mapping_cache=mapping_cache)
+    def __init__(self, topology_cap: int = DEFAULT_TOPOLOGY_CAP) -> None:
+        self.registry = TopologyRegistry(cap=topology_cap)
         self.started_monotonic = time.monotonic()
         # Traffic counters (surfaced through the stats op).
         self.requests: Dict[str, int] = {}
@@ -205,7 +201,7 @@ class ReorderService:
         cache = self.registry.mapping_cache
         # peek first: get counts a miss, and the lane's reorder_ranks
         # counts the same cold key's miss again.
-        cached = cache.get(key) if cache.peek(key) else None
+        cached = cache.get(key) if cache.peek(key) is not None else None
         # None is rare: evicted between peek and get.
         if cached is None or not np.array_equal(cached.reordering.layout, L):
             return None

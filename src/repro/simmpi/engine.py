@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import functools
 import hashlib
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
@@ -42,6 +41,7 @@ from repro.topology.cluster import (
     MEM_BUS_COLUMNS,
     ClusterTopology,
 )
+from repro.util.lru import LRU
 from repro.util.validation import check_nonnegative, check_positive
 
 __all__ = [
@@ -410,10 +410,12 @@ class TimingEngine:
                 raise ValueError("link_beta_scale entries must be positive")
             # a scale of k divides the link's bandwidth by k (degradation)
             self._beta = self._scaled_beta(scale)
-        self._pricing_cache: "OrderedDict[tuple, SchedulePricing]" = OrderedDict()
-        self.pricing_hits = 0
-        self.pricing_misses = 0
-        self.pricing_evictions = 0
+        self.pricing_cache: "LRU[SchedulePricing]" = LRU(PRICING_CACHE_SIZE)
+
+    @property
+    def pricing_hits(self) -> int:
+        """Pricing-LRU hits so far (read by the outside-in benchmark spans)."""
+        return self.pricing_cache.hits
 
     # ------------------------------------------------------------------
     def _scaled_beta(self, scale: np.ndarray) -> np.ndarray:
@@ -637,34 +639,13 @@ class TimingEngine:
         Keyed on the schedule's kept :attr:`~Schedule.digest` and a hash of
         the mapping, so equal schedules rebuilt by different callers (or
         the same schedule priced under the same mapping again) share one
-        table.  The cache is bounded LRU.
+        table, kept in :attr:`pricing_cache`.
         """
         maybe_verify_schedule(schedule)  # opt-in static guard (REPRO_VERIFY=1)
         M = self._check_mapping(schedule, mapping)
         m_used = np.ascontiguousarray(M[: schedule.p])
         key = (schedule.digest, hashlib.sha1(m_used).digest())
-        hit = self._pricing_cache.get(key)
-        if hit is not None:
-            self._pricing_cache.move_to_end(key)
-            self.pricing_hits += 1
-            return hit
-        self.pricing_misses += 1
-        pricing = SchedulePricing(self, schedule, M)
-        self._pricing_cache[key] = pricing
-        if len(self._pricing_cache) > PRICING_CACHE_SIZE:
-            self._pricing_cache.popitem(last=False)
-            self.pricing_evictions += 1
-        return pricing
-
-    def pricing_cache_stats(self) -> dict:
-        """Pricing-LRU counter snapshot (the daemon's ``stats`` op)."""
-        return {
-            "entries": len(self._pricing_cache),
-            "capacity": PRICING_CACHE_SIZE,
-            "hits": self.pricing_hits,
-            "misses": self.pricing_misses,
-            "evictions": self.pricing_evictions,
-        }
+        return self.pricing_cache.get_or_build(key, lambda: SchedulePricing(self, schedule, M))
 
     def evaluate_sizes(
         self,

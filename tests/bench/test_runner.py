@@ -18,6 +18,7 @@ from repro.bench.microbench import sweep_nonhierarchical
 from repro.bench.runner import CheckpointedSweep, SweepSpec, compute_cell
 from repro.evaluation.evaluator import AllgatherEvaluator
 from repro.topology.gpc import gpc_cluster
+from repro.util.lru import LRU
 
 SPEC = SweepSpec(
     n_nodes=2,
@@ -283,7 +284,7 @@ class TestMappingCacheStaysPut:
         from repro.mapping.reorder import reorder_ranks
 
         monkeypatch.delenv("REPRO_MAPPING_CACHE", raising=False)
-        monkeypatch.setattr(runner_mod, "_RUNNER_EVALUATOR", None)
+        monkeypatch.setattr(runner_mod, "_RUNNER_EVALUATOR", LRU(1))
         cluster = gpc_cluster(2)
         L = make_layout("cyclic-scatter", cluster, cluster.n_cores)
         impl = cluster.implicit_distances()
@@ -299,7 +300,7 @@ class TestMappingCacheStaysPut:
         assert not (out / "mapcache").exists()
 
     def test_workers_write_no_mapcache(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(runner_mod, "_RUNNER_EVALUATOR", None)
+        monkeypatch.setattr(runner_mod, "_RUNNER_EVALUATOR", LRU(1))
         out = tmp_path / "w"
         run_workers(out, self.SMALL, workers=1)
         assert (out / "sweep.json").is_file()

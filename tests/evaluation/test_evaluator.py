@@ -93,7 +93,7 @@ class TestPerSizeSharesBatchedCaches:
         ev = AllgatherEvaluator(mid_cluster, rng=0)
         L = block_bunch(mid_cluster, 64)
         assert ev.default_latency(L, 256) == ev.default_latency(L, 256)
-        assert ev.engine.pricing_misses == 1
+        assert ev.engine.pricing_cache.misses == 1
         assert ev.engine.pricing_hits == 1
 
     def test_reordered_latency_reuses_the_batched_cell(self, mid_cluster):
@@ -101,10 +101,10 @@ class TestPerSizeSharesBatchedCaches:
         L = cyclic_scatter(mid_cluster, 64)
         sizes = [256, 1 << 16]
         batched = ev.reordered_latencies(L, sizes, "heuristic", "initcomm")
-        misses, hits = ev.engine.pricing_misses, ev.engine.pricing_hits
+        misses, hits = ev.engine.pricing_cache.misses, ev.engine.pricing_hits
         for bb, rep in zip(sizes, batched):
             assert ev.reordered_latency(L, bb, "heuristic", "initcomm") == rep
-        assert ev.engine.pricing_misses == misses
+        assert ev.engine.pricing_cache.misses == misses
         assert ev.engine.pricing_hits > hits
 
 

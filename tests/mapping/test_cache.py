@@ -5,13 +5,14 @@ import pytest
 
 from repro.collectives.correctness import RankReordering
 from repro.mapping.cache import (
-    MappingCache,
+    MAPPING_CACHE_SIZE,
     global_mapping_cache,
     mapping_cache_key,
 )
 from repro.mapping.initial import make_layout
 from repro.mapping.patterns import PATTERN_BUILDERS
 from repro.mapping.reorder import ReorderResult, reorder_all, reorder_ranks
+from repro.util.lru import LRU
 from repro.util.rng import make_rng
 
 
@@ -66,7 +67,7 @@ class TestCacheKey:
 
 class TestMappingCache:
     def test_memory_roundtrip_and_stats(self):
-        cache = MappingCache()
+        cache = LRU(MAPPING_CACHE_SIZE)
         assert cache.get("k") is None
         entry = _entry([3, 1, 2])
         cache.put("k", entry)
@@ -75,14 +76,14 @@ class TestMappingCache:
         assert cache.hits == 1 and cache.misses == 1
 
     def test_lru_bound(self):
-        cache = MappingCache(max_memory_entries=2)
+        cache = LRU(2)
         for i in range(3):
             cache.put(f"k{i}", _entry([i, i + 1]))
         assert len(cache) == 2
         assert cache.get("k0") is None  # evicted oldest
 
     def test_every_hit_returns_the_stored_object(self):
-        cache = MappingCache()
+        cache = LRU(MAPPING_CACHE_SIZE)
         entries = {f"k{i}": _entry([i, i + 1, i + 2]) for i in range(3)}
         for key, entry in entries.items():
             cache.put(key, entry)
@@ -95,13 +96,13 @@ class TestMappingCache:
 class TestGlobalCache:
     def test_one_instance_per_process(self):
         cache = global_mapping_cache()
-        assert isinstance(cache, MappingCache)
+        assert isinstance(cache, LRU) and cache.capacity == MAPPING_CACHE_SIZE
         assert global_mapping_cache() is cache
 
 
 class TestReorderRanksCaching:
     def test_hit_reproduces_mapping(self, mid_cluster):
-        cache = MappingCache()
+        cache = LRU(MAPPING_CACHE_SIZE)
         L = make_layout("cyclic-bunch", mid_cluster, 16)
         impl = mid_cluster.implicit_distances()
         first = reorder_ranks("ring", L, impl, rng=4, cache=cache)
@@ -111,7 +112,7 @@ class TestReorderRanksCaching:
         assert again.mapper_name == first.mapper_name
 
     def test_other_layout_under_the_key_is_not_served(self, mid_cluster):
-        cache = MappingCache()
+        cache = LRU(MAPPING_CACHE_SIZE)
         L = make_layout("cyclic-bunch", mid_cluster, 16)
         impl = mid_cluster.implicit_distances()
         key = mapping_cache_key(impl.fingerprint, "ring", "heuristic", L, 4)
@@ -122,7 +123,7 @@ class TestReorderRanksCaching:
 
     def test_engine_kwarg_is_rejected(self, mid_cluster):
         # The distance backend picks the placement executor; no kwarg does.
-        cache = MappingCache()
+        cache = LRU(MAPPING_CACHE_SIZE)
         L = make_layout("block-bunch", mid_cluster, 16)
         impl = mid_cluster.implicit_distances()
         with pytest.raises(TypeError, match="engine"):
@@ -131,20 +132,20 @@ class TestReorderRanksCaching:
 
     def test_dense_matrix_bypasses_cache(self, mid_cluster, mid_D):
         # No fingerprint on a plain ndarray -> nothing content-addressable.
-        cache = MappingCache()
+        cache = LRU(MAPPING_CACHE_SIZE)
         L = make_layout("block-bunch", mid_cluster, 16)
         res = reorder_ranks("ring", L, mid_D, rng=0, cache=cache)
         assert not res.cached and len(cache) == 0
 
     def test_generator_rng_bypasses_cache(self, mid_cluster):
-        cache = MappingCache()
+        cache = LRU(MAPPING_CACHE_SIZE)
         L = make_layout("block-bunch", mid_cluster, 16)
         impl = mid_cluster.implicit_distances()
         res = reorder_ranks("ring", L, impl, rng=make_rng(0), cache=cache)
         assert not res.cached and len(cache) == 0
 
     def test_refused_calls_count_no_miss(self, mid_cluster):
-        cache = MappingCache()
+        cache = LRU(MAPPING_CACHE_SIZE)
         L = make_layout("block-bunch", mid_cluster, 16)
         impl = mid_cluster.implicit_distances()
         with pytest.raises(TypeError, match="bogus"):
@@ -161,7 +162,7 @@ class TestReorderRanksCaching:
 
     @pytest.mark.parametrize("kind", ["scotch", "greedy"])
     def test_hit_builds_no_pattern_graph(self, mid_cluster, monkeypatch, kind):
-        cache = MappingCache()
+        cache = LRU(MAPPING_CACHE_SIZE)
         L = make_layout("cyclic-bunch", mid_cluster, 16)
         impl = mid_cluster.implicit_distances()
         first = reorder_ranks("ring", L, impl, kind=kind, rng=2, cache=cache)

@@ -13,9 +13,11 @@ import numpy as np
 import pytest
 
 from repro.mapping.base import HierarchicalFreePool
-from repro.mapping.cache import MappingCache
+from repro.mapping.cache import MAPPING_CACHE_SIZE
 from repro.mapping.initial import make_layout
 from repro.mapping.reorder import HEURISTICS, reorder_all, reorder_ranks
+from repro.topology.gpc import gpc_cluster
+from repro.util.lru import LRU
 from repro.util.rng import make_rng
 
 
@@ -74,7 +76,7 @@ class TestReorderAllCache:
         """Entries stored by the batch are exactly what solo calls look up."""
         impl = mid_cluster.implicit_distances()
         L = make_layout("cyclic-bunch", mid_cluster, 64)
-        cache = MappingCache()
+        cache = LRU(MAPPING_CACHE_SIZE)
         batch = reorder_all(L, impl, rng=0, cache=cache)
         assert all(not r.cached for r in batch.values())
         assert cache.misses == len(HEURISTICS)
@@ -86,7 +88,7 @@ class TestReorderAllCache:
     def test_sequential_entries_hit_from_batch_path(self, mid_cluster):
         impl = mid_cluster.implicit_distances()
         L = make_layout("block-bunch", mid_cluster, 64)
-        cache = MappingCache()
+        cache = LRU(MAPPING_CACHE_SIZE)
         solos = {
             pt: reorder_ranks(pt, L, impl, rng=4, cache=cache) for pt in HEURISTICS
         }
@@ -101,7 +103,7 @@ class TestReorderAllCache:
         """A batch with a partial cache maps only the missing patterns."""
         impl = mid_cluster.implicit_distances()
         L = make_layout("cyclic-scatter", mid_cluster, 64)
-        cache = MappingCache()
+        cache = LRU(MAPPING_CACHE_SIZE)
         reorder_ranks("ring", L, impl, rng=2, cache=cache)
         batch = reorder_all(L, impl, patterns=["ring", "bruck"], rng=2, cache=cache)
         assert batch["ring"].cached
@@ -112,14 +114,23 @@ class TestReorderAllCache:
     def test_generator_rng_bypasses_cache(self, mid_cluster):
         impl = mid_cluster.implicit_distances()
         L = make_layout("block-bunch", mid_cluster, 32)
-        cache = MappingCache()
+        cache = LRU(MAPPING_CACHE_SIZE)
         reorder_all(L, impl, patterns=["ring"], rng=make_rng(0), cache=cache)
         assert cache.hits == 0 and cache.misses == 0
 
 
 class TestReorderAllTiming:
+    def test_pool_structure_built_once_per_batch(self):
+        """The first mapper's map builds the structure; the rest hit it."""
+        cluster = gpc_cluster(n_nodes=8)
+        impl = cluster.implicit_distances()
+        L = make_layout("block-bunch", cluster, 64)
+        reorder_all(L, impl, rng=0, cache="off")
+        st = HierarchicalFreePool._structure_caches[impl].stats()
+        assert (st["misses"], st["hits"]) == (1, len(HEURISTICS) - 1)
+
     def test_pool_warm_up_charged_to_first_pattern(self, mid_cluster, monkeypatch):
-        """The pool structure is warmed once before the mappers run; a
+        """The first mapper's map builds the shared pool structure; a
         standalone map would pay that setup itself, so the first
         result's map_seconds must include it."""
         impl = mid_cluster.implicit_distances()

@@ -32,6 +32,7 @@ from repro.serve import (
     ServerConfig,
 )
 from repro.topology.gpc import small_cluster
+from repro.util.lru import LRU
 
 SPEC = {"kind": "small", "n_nodes": 4}
 
@@ -125,21 +126,23 @@ class TestOpsRoundTrip:
             assert key in st
         # perf/workloads.py reads these three keys; the daemon keeps them at 0.
         assert st["coalesced"] == st["batched"] == st["reorder_batches"] == 0
-        assert {"hits", "misses", "evictions"} <= set(st["mapping_cache"])
+        # Every cache block has one shape; the registry adds its topologies.
+        counters = {"entries", "capacity", "hits", "misses", "evictions"}
+        assert set(st["mapping_cache"]) == counters
         # One process-wide schedule memo, reported once at the top level.
-        assert set(st["schedules"]) == {"entries", "capacity", "hits", "misses", "evictions"}
+        assert set(st["schedules"]) == counters
         assert st["schedules"]["capacity"] == 64
+        assert set(st["registry"]) == counters | {"topologies"}
+        assert st["registry"]["topologies"]
         for topo in st["registry"]["topologies"]:
-            assert {"hits", "misses", "evictions"} <= set(topo["pricing"])
+            assert set(topo["pricing"]) == counters
             assert "schedules" not in topo
 
     def test_two_topologies_share_one_schedule(self, monkeypatch):
         import repro.collectives.registry as algorithms
 
         # A fresh memo, so earlier builds in this process do not count.
-        monkeypatch.setattr(
-            algorithms, "_MEMO", algorithms._ScheduleMemo(algorithms.SCHEDULE_MEMO_SIZE)
-        )
+        monkeypatch.setattr(algorithms, "_MEMO", LRU(algorithms.SCHEDULE_MEMO_SIZE))
         with EmbeddedServer() as es:
             with es.client() as c:
                 prints = [
@@ -420,7 +423,7 @@ class TestRegistryEviction:
                 assert third["evicted"] == [fp1]
                 st = c.stats()
                 assert st["registry"]["evictions"] == 1
-                assert st["registry"]["resident"] == 2
+                assert st["registry"]["entries"] == 2
                 # evicted topology now answers unknown-fingerprint
                 with pytest.raises(ServeError) as exc_info:
                     c.reorder(fp1, "ring", "block-bunch")
@@ -428,6 +431,23 @@ class TestRegistryEviction:
                 # survivors still serve
                 res = c.reorder(fp2, "ring", "block-bunch", seed=0)
                 assert sorted(res["mapping"]) == list(range(16))
+
+
+class TestTopologyCapRefused:
+    def test_config_refuses_cap_below_one(self):
+        with pytest.raises(ValueError, match="topology cap"):
+            ServerConfig(port=0, topology_cap=0)
+
+    def test_cli_exits_2_and_starts_no_server(self, monkeypatch, capsys):
+        import repro.serve.server as server_mod
+        from repro.cli import main
+
+        def no_server(config):
+            raise AssertionError("a server was started")
+
+        monkeypatch.setattr(server_mod, "ReproServer", no_server)
+        assert main(["serve", "--port", "0", "--topology-cap", "0"]) == 2
+        assert "error: topology cap must be >= 1" in capsys.readouterr().out
 
 
 class TestUnixSocket:

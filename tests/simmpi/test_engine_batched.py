@@ -154,7 +154,7 @@ def test_schedule_digest_computed_once(monkeypatch):
     again = make_algorithm("ring").schedule(p)
     assert eng.pricing(again, mappings[0]) is tables[0]
     assert computed == [sched, again]
-    assert (eng.pricing_misses, eng.pricing_hits) == (3, 1)
+    assert (eng.pricing_cache.misses, eng.pricing_hits) == (3, 1)
 
 
 def test_sizes_validation():
