@@ -5,9 +5,10 @@ Algorithm 1): fix rank 0 on its current core, then repeatedly pick the
 next process by a pattern-specific priority and place it on the *free core
 closest to a reference core*.  Two layers fall out of that observation:
 
-* each heuristic's *placement program* — the ``(new_rank, ref_rank)``
-  sequence, which depends only on ``p`` and the heuristic's parameters,
-  never on distances or the rng (:meth:`GreedyPlacementMapper.placements`);
+* each heuristic's *placement program* — two int lists, the new ranks in
+  placement order and each one's reference rank, which depend only on
+  ``p`` and the heuristic's parameters, never on distances or the rng
+  (:meth:`GreedyPlacementMapper.program`);
 * one shared *executor* that walks the program against a free-core pool.
 
 Two pool implementations serve the ``find_closest_to`` step, both
@@ -31,13 +32,13 @@ from __future__ import annotations
 import time
 import weakref
 from abc import ABC, abstractmethod
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.util.lru import LRU
 from repro.util.rng import RngLike, make_rng
-from repro.util.validation import PY_SCAN_MAX, same_multiset
+from repro.util.validation import PY_SCAN_MAX, check_layout, same_multiset
 
 __all__ = [
     "PoolExhaustedError",
@@ -582,26 +583,36 @@ class HierarchicalFreePool:
         """Take the free core nearest ``ref_core``: a one-step program.
 
         Picks what :meth:`CorePool.place_closest` picks, with the same
-        rng draws.
+        rng draws.  A free pool core is taken itself (distance 0; CorePool
+        draws ``integers(1)``, which consumes no rng state); a taken pool
+        core or one outside the pool is the reference of a one-step walk.
 
         Raises
         ------
         PoolExhaustedError
             Every pool core is already assigned.
         """
-        M = [int(ref_core), -1]
-        self.execute_program(((1, 0),), M)
-        return M[1]
+        core = int(ref_core)
+        pos = self._pos.get(core)
+        if pos is not None and self._free_l[pos]:
+            self.take(core)
+            return core
+        if pos is None:
+            # a core outside the pool: its groups from its coordinates
+            keys, pos = [self._coords_of(core)], 0
+        else:
+            keys = self._st.keys_l
+        P = [pos, -1]
+        self._walk([1], [0], P, keys)
+        return self._st.cores_l[P[1]]
 
-    def execute_program(self, program: Iterator[Tuple[int, int]], M: list) -> None:
-        """Run a placement program: ``M[new] = closest free core to M[ref]``.
+    def execute_program(self, program: Tuple[List[int], List[int]], P: list) -> None:
+        """Run a placement program over pool positions.
 
-        One tight loop with every hot attribute hoisted into a local.  Per
-        step: the reference itself if free, else the deepest level with a
-        free core (free count ``k``, which equals the number of candidates
-        :class:`CorePool` enumerates), a tie-break ``r`` drawn as
-        ``integers(k)`` would draw it, and the ``r``-th free member of that
-        level in ascending pool position.
+        ``program`` is the pair of lists ``(new, ref)``; step ``i`` stores
+        in ``P[new[i]]`` the free pool position closest to the already
+        placed position ``P[ref[i]]``.  The caller gathers the cores once
+        at the end (position ``j`` holds ``cores[j]``).
 
         Raises
         ------
@@ -610,8 +621,22 @@ class HierarchicalFreePool:
             it stay made, and the rng has drawn what :class:`CorePool`
             would have drawn by then.
         """
+        new, ref = program
+        self._walk(new, ref, P, self._st.keys_l)
+
+    def _walk(self, new_l: List[int], ref_l: List[int], P: list, keys: list) -> None:
+        """The pick loop: ``P[new] = free position closest to P[ref]``.
+
+        ``keys[P[ref]]`` holds the reference's (sock, node, leaf, line)
+        local group ids.  One tight loop with every hot attribute hoisted
+        into a local.  Per step: the deepest level with a free core (free
+        count ``k``, which equals the number of candidates
+        :class:`CorePool` enumerates), a tie-break ``r`` drawn as
+        ``integers(k)`` would draw it, and the ``r``-th free member of
+        that level in ascending pool position.  A placed reference is
+        taken, so it is never its own pick.
+        """
         st = self._st
-        pos_d = self._pos
         free_l = self._free_l
         keys_l = st.keys_l
         by_sock, by_node = st.by_sock, st.by_node
@@ -620,7 +645,6 @@ class HierarchicalFreePool:
         free_leaf, free_line = self._free_leaf, self._free_line
         all_positions = st.all_positions
         free_snap = self._free_snap
-        cores_l = st.cores_l
         first = self.tie_break == "first"
         dirty = self._dirty
         threshold = self._SCAN_THRESHOLD
@@ -631,77 +655,66 @@ class HierarchicalFreePool:
         # Large pools serve their tie-breaks from bulk-drawn words (the
         # fast accept of the rule is inlined below; see _TieBreakDraws).
         draws = None
-        if not first and len(cores_l) > threshold:
-            draws = _TieBreakDraws(self.rng, len(M))
+        if not first and len(keys_l) > threshold:
+            draws = _TieBreakDraws(self.rng, len(P))
         words: list = []
         wi = 0
         try:
-            for new_rank, ref_rank in program:
+            for new_rank, ref_rank in zip(new_l, ref_l):
                 if total_free == 0:
                     raise PoolExhaustedError(
                         f"no free cores left in the pool ({self.cores.size} cores, all "
-                        f"taken); cannot place another process near core {M[ref_rank]}"
+                        f"taken); cannot place rank {new_rank} near rank {ref_rank}"
                     )
-                ref_core = M[ref_rank]
-                pos = pos_d.get(ref_core)
-                if pos is not None and free_l[pos]:
-                    # The reference itself is free: distance 0 beats every
-                    # level.  CorePool draws integers(1) here, which
-                    # consumes no rng state, so no draw is made.
-                    pick = pos
+                gs, nd, lf, ln = keys[P[ref_rank]]
+                if (k := free_sock[gs]) > 0:
+                    members = by_sock[gs]
+                elif (k := free_node[nd]) > 0:
+                    members = by_node[nd]
+                elif (k := free_leaf[lf]) > 0:
+                    members = by_leaf[lf]
+                elif (k := free_line[ln]) > 0:
+                    members = by_line[ln]
                 else:
-                    if pos is not None:
-                        gs, nd, lf, ln = keys_l[pos]
+                    members = all_positions
+                    k = total_free
+                # integers(1) consumes no rng state: k == 1 skips it.
+                if first or k == 1:
+                    r = 0
+                elif draws is None:
+                    r = randint(k)
+                else:
+                    try:
+                        m = words[wi] * k
+                    except IndexError:
+                        words = draws.more()
+                        m = words[wi] * k
+                    wi += 1
+                    if (m & 0xFFFFFFFF) < k:
+                        # below the rejection threshold's upper bound:
+                        # run the full rule from this word
+                        r, wi = draws.below(k, wi - 1)
                     else:
-                        gs, nd, lf, ln = self._coords_of(int(ref_core))
-                    if (k := free_sock[gs]) > 0:
-                        members = by_sock[gs]
-                    elif (k := free_node[nd]) > 0:
-                        members = by_node[nd]
-                    elif (k := free_leaf[lf]) > 0:
-                        members = by_leaf[lf]
-                    elif (k := free_line[ln]) > 0:
-                        members = by_line[ln]
-                    else:
-                        members = all_positions
-                        k = total_free
-                    # integers(1) consumes no rng state: k == 1 skips it.
-                    if first or k == 1:
-                        r = 0
-                    elif draws is None:
-                        r = randint(k)
-                    else:
-                        try:
-                            m = words[wi] * k
-                        except IndexError:
-                            words = draws.more()
-                            m = words[wi] * k
-                        wi += 1
-                        if (m & 0xFFFFFFFF) < k:
-                            # below the rejection threshold's upper bound:
-                            # run the full rule from this word
-                            r, wi = draws.below(k, wi - 1)
-                        else:
-                            r = m >> 32
-                    if len(members) <= threshold:
-                        # the r-th free member (a loop beats a list
-                        # comprehension's call at socket size)
-                        for pick in members:
-                            if free_l[pick]:
-                                if not r:
-                                    break
-                                r -= 1
-                    elif members is all_positions:
-                        pick = self._pool_wide_pick(r, total_free)
-                        ranks = self._ranks
-                    else:
-                        key = id(members)
-                        snap = free_snap.get(key)
-                        if snap is None:
-                            snap = self._member_array(members)
-                        snap = free_snap[key] = snap[self.free[snap]]
-                        # snap holds exactly the k free members, ascending.
-                        pick = int(snap[r])
+                        r = m >> 32
+                if len(members) <= threshold:
+                    # the r-th free member (a loop beats a list
+                    # comprehension's call at socket size)
+                    for pick in members:
+                        if free_l[pick]:
+                            if not r:
+                                break
+                            r -= 1
+                elif members is all_positions:
+                    pick = self._pool_wide_pick(r, total_free)
+                    ranks = self._ranks
+                else:
+                    key = id(members)
+                    snap = free_snap.get(key)
+                    if snap is None:
+                        snap = self._member_array(members)
+                    snap = free_snap[key] = snap[self.free[snap]]
+                    # snap holds exactly the k free members, ascending.
+                    pick = int(snap[r])
                 free_l[pick] = False
                 dirty.append(pick)
                 gs, nd, lf, ln = keys_l[pick]
@@ -712,7 +725,7 @@ class HierarchicalFreePool:
                 total_free -= 1
                 if ranks is not None:
                     ranks_stale.append(pick)
-                M[new_rank] = cores_l[pick]
+                P[new_rank] = pick
         finally:
             self._total_free = total_free
             if draws is not None:
@@ -765,8 +778,8 @@ class GreedyPlacementMapper(Mapper):
     """Shared executor for the paper's Algorithm-1 greedy heuristics.
 
     Subclasses supply only their *placement program* — the structural
-    ``(new_rank, ref_rank)`` sequence (:meth:`placements`), which never
-    depends on distances or randomness — and this base walks it against the
+    lists of new ranks and their references (:meth:`program`), which never
+    depend on distances or randomness — and this base walks it against the
     free-core pool the distance backend calls for (:meth:`_open_pool`).
     Both pools consume the rng stream identically, so the produced
     permutations do not depend on which one ran.
@@ -778,12 +791,15 @@ class GreedyPlacementMapper(Mapper):
         self.tie_break = tie_break
 
     @abstractmethod
-    def placements(self, p: int) -> Iterator[Tuple[int, int]]:
-        """Yield ``(new_rank, ref_rank)`` pairs in placement order.
+    def program(self, p: int) -> Tuple[List[int], List[int]]:
+        """The placement program for ``p`` processes: ``(new, ref)``.
 
-        Purely structural: the sequence depends only on ``p`` and the
-        heuristic's parameters, never on the distance backend or rng.
-        Rank 0 is pre-placed by the executor and must not be yielded.
+        Two plain int lists of equal length ``p - 1``: step ``i`` places
+        rank ``new[i]`` on the free core closest to the core of the
+        already placed rank ``ref[i]``.  Purely structural: the lists
+        depend only on ``p`` and the heuristic's parameters, never on the
+        distance backend or rng.  Rank 0 is pre-placed by the executor and
+        is not in ``new``.
         """
 
     def _validate_p(self, p: int) -> None:
@@ -795,25 +811,36 @@ class GreedyPlacementMapper(Mapper):
             return HierarchicalFreePool(D, L, rng=rng, tie_break=self.tie_break)
         return CorePool(D, L, rng=rng, tie_break=self.tie_break)
 
+    @staticmethod
+    def _gather(cores: np.ndarray, P: list) -> np.ndarray:
+        """``cores[P]``, refusing a rank the program left unplaced (``-1``)."""
+        pos = np.asarray(P, dtype=np.int64)
+        if pos.min() < 0:
+            missing = np.flatnonzero(pos < 0)[:4].tolist()
+            raise RuntimeError(f"mapper left ranks unmapped: {missing}")
+        return cores[pos]
+
     def map(self, layout: Sequence[int], D, rng: RngLike = 0) -> np.ndarray:
         """Execute the placement program against the backend's pool."""
-        L = np.asarray(layout, dtype=np.int64)
-        if L.size < 1:
-            raise ValueError("empty layout")
-        self._validate_p(L.size)
+        L = check_layout(layout)
+        p = L.size
+        self._validate_p(p)
+        new, ref = self.program(p)
         pool = self._open_pool(D, L, rng)
-        # Plain-int mapping list during the walk (one pool query + update
-        # per placement; numpy scalar boxing would dominate at large p).
-        M = [-1] * L.size
+        pool.take(int(L[0]))
+        if isinstance(pool, HierarchicalFreePool):
+            # Pool positions index the layout: P[rank] = position.
+            P = [-1] * p
+            P[0] = 0
+            pool.execute_program((new, ref), P)
+            return self._finish(self._gather(L, P), L)
+        # Plain-int mapping list during the walk (numpy scalar boxing
+        # would dominate at large p).
+        M = [-1] * p
         M[0] = int(L[0])
-        pool.take(M[0])
-        run = getattr(pool, "execute_program", None)
-        if run is not None:
-            run(self.placements(L.size), M)
-        else:
-            place = pool.place_closest
-            for new_rank, ref_rank in self.placements(L.size):
-                M[new_rank] = place(M[ref_rank])
+        place = pool.place_closest
+        for new_rank, ref_rank in zip(new, ref):
+            M[new_rank] = place(M[ref_rank])
         return self._finish(np.asarray(M, dtype=np.int64), L)
 
     def map_groups(self, groups: Sequence[Sequence[int]], D, rng: RngLike = 0) -> List[np.ndarray]:
@@ -836,9 +863,9 @@ class GreedyPlacementMapper(Mapper):
         loop; a group size the heuristic rejects raises before any draw.
         """
         gen = make_rng(rng)
-        Ls = [np.asarray(g, dtype=np.int64) for g in groups]
+        Ls = [check_layout(g) for g in groups]
         sizes = [L.size for L in Ls]
-        if not getattr(D, "supports_vectorized_placement", False) or not Ls or min(sizes) < 1:
+        if not getattr(D, "supports_vectorized_placement", False) or not Ls:
             return super().map_groups(Ls, D, gen)
         cat = np.concatenate(Ls)
         starts = np.cumsum([0] + sizes[:-1])
@@ -848,26 +875,26 @@ class GreedyPlacementMapper(Mapper):
             np.repeat(leads, sizes), nodes
         ):
             return super().map_groups(Ls, D, gen)
-        programs: Dict[int, list] = {}
+        programs: Dict[int, Tuple[List[int], List[int]]] = {}
         for m in sizes:
             if m not in programs:
                 self._validate_p(m)
-                programs[m] = list(self.placements(m))
+                programs[m] = self.program(m)
         pool = HierarchicalFreePool(D, cat, rng=gen, tie_break=self.tie_break)
-        cat_l = cat.tolist()
-        M = [-1] * len(cat_l)
+        # Pool positions index the concatenated cores: each group's rank 0
+        # is its start position.
         starts_l = starts.tolist()
-        for s in starts_l:
-            M[s] = cat_l[s]
-            pool.take(M[s])
-        pool.execute_program(
-            [(new + s, ref + s) for m, s in zip(sizes, starts_l) for new, ref in programs[m]],
-            M,
-        )
-        out = np.asarray(M, dtype=np.int64)
-        if np.any(out < 0):
-            missing = np.flatnonzero(out < 0)[:4].tolist()
-            raise RuntimeError(f"mapper left ranks unmapped: {missing}")
+        P = [-1] * cat.size
+        new: List[int] = []
+        ref: List[int] = []
+        for m, s in zip(sizes, starts_l):
+            P[s] = s
+            pool.take(int(cat[s]))
+            group_new, group_ref = programs[m]
+            new += [n + s for n in group_new]
+            ref += [r + s for r in group_ref]
+        pool.execute_program((new, ref), P)
+        out = self._gather(cat, P)
         # Per group: rank 0 stays put and the cores are the group's own
         # (group-offset keys make one sort check every group at once).
         key = np.repeat(np.arange(len(sizes), dtype=np.int64) * _n_rows(D), sizes)
@@ -917,7 +944,7 @@ def map_batch(mappers, layout: Sequence[int], D, rngs, seconds_out=None) -> list
         raise ValueError(f"got {len(mappers)} mappers but {len(rngs)} rngs")
     if not mappers:
         return []
-    L = np.ascontiguousarray(np.asarray(layout, dtype=np.int64))
+    L = np.ascontiguousarray(check_layout(layout))
     t0 = time.perf_counter()
     results = []
     for m, rng in zip(mappers, rngs):

@@ -19,7 +19,7 @@ discussed in §V-A3, for the ablation bench:
 
 from __future__ import annotations
 
-from typing import Iterator, Tuple
+from typing import List, Tuple
 
 from repro.collectives import binomial
 from repro.mapping.base import GreedyPlacementMapper
@@ -41,36 +41,34 @@ class BBMH(GreedyPlacementMapper):
         super().__init__(tie_break=tie_break)
         self.traversal = traversal
 
-    def placements(self, p: int) -> Iterator[Tuple[int, int]]:
-        """Tree edges in the configured traversal order (child, parent).
+    def program(self, p: int) -> Tuple[List[int], List[int]]:
+        """Tree edges in the configured traversal order: (children, parents).
 
-        Returns a materialised sequence rather than a nested generator: a
-        ``yield from`` recursion would route every edge through a
-        ceil(log2 p)-deep generator chain, which is measurable at p=4096.
+        The paper's depth-first walk that visits smaller subtrees first is
+        rank order, each rank next to its parent ``r & (r - 1)``.
         """
+        if self.traversal == "small-first":
+            new = list(range(1, p))
+            return new, [r & (r - 1) for r in new]
+        children: List[int] = []
+        parents: List[int] = []
         if self.traversal == "bft":
             # Stage order: every child close to its parent, earliest
             # broadcast stages first.
-            return iter(
-                [
-                    (child, par)
-                    for edges in binomial.bcast_edges_by_stage(p)
-                    for par, child in edges
-                ]
-            )
+            for edges in binomial.bcast_edges_by_stage(p):
+                for par, child in edges:
+                    children.append(child)
+                    parents.append(par)
+            return children, parents
 
-        # Depth-first recursion of Algorithm 4.  The tree height is
-        # ceil(log2 p), so plain recursion is safe at any realistic p.
-        reverse = self.traversal == "large-first"
-        out: list = []
-
+        # Depth-first recursion of Algorithm 4, larger subtrees first.  The
+        # tree height is ceil(log2 p), so plain recursion is safe at any
+        # realistic p.
         def rec(ref_rank: int) -> None:
-            kids = binomial.children(ref_rank, p)  # small subtrees first
-            if reverse:
-                kids = list(reversed(kids))
-            for _bit, child in kids:
-                out.append((child, ref_rank))
+            for _bit, child in reversed(binomial.children(ref_rank, p)):
+                children.append(child)
+                parents.append(ref_rank)
                 rec(child)
 
         rec(0)
-        return iter(out)
+        return children, parents

@@ -17,7 +17,9 @@ binomial-tree edges.
 
 from __future__ import annotations
 
-from typing import Iterator, Tuple
+from typing import List, Tuple
+
+import numpy as np
 
 from repro.mapping.base import GreedyPlacementMapper
 from repro.util.bits import ceil_log2
@@ -31,17 +33,21 @@ class BGMH(GreedyPlacementMapper):
     pattern = "binomial-gather"
     name = "bgmh"
 
-    def placements(self, p: int) -> Iterator[Tuple[int, int]]:
-        """Binomial-tree edges by decreasing weight (``i``), refs snapshotted."""
+    def program(self, p: int) -> Tuple[List[int], List[int]]:
+        """Binomial-tree edges by decreasing weight (``i``), refs snapshotted.
+
+        Each ``i`` places the snapshot's references plus ``i`` that fall
+        below ``p``, in snapshot order: a few array operations per level.
+        """
         if p == 1:
-            return
-        refs = [0]  # the set V of potential reference cores
+            return [], []
+        refs = np.zeros(1, dtype=np.int64)  # the set V of potential reference ranks
+        new_levels, ref_levels = [], []
         i = 1 << (ceil_log2(p) - 1)
         while i > 0:
-            for ref in list(refs):  # snapshot: new placements join at the next i
-                new_rank = ref + i
-                if new_rank >= p:
-                    continue
-                yield new_rank, ref
-                refs.append(new_rank)
+            kept = refs[refs < p - i]
+            ref_levels.append(kept)
+            new_levels.append(kept + i)
+            refs = np.concatenate((refs, new_levels[-1]))  # new ranks join at the next i
             i //= 2
+        return np.concatenate(new_levels).tolist(), np.concatenate(ref_levels).tolist()

@@ -10,7 +10,8 @@ of the *latest* stages and promotes the reference after two placements.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Tuple
+from itertools import chain
+from typing import List, Optional, Tuple
 
 from repro.mapping.base import GreedyPlacementMapper
 from repro.util.bits import ceil_log2
@@ -30,7 +31,7 @@ class BruckMH(GreedyPlacementMapper):
         super().__init__(tie_break=tie_break)
         self.update_after = update_after
 
-    def placements(self, p: int) -> Iterator[Tuple[int, int]]:
+    def program(self, p: int) -> Tuple[List[int], List[int]]:
         """Latest-stage partners first, reference promoted every two placements.
 
         Partner scans resume from a per-reference cursor: ``mapped`` only
@@ -38,22 +39,27 @@ class BruckMH(GreedyPlacementMapper):
         mapped and never needs re-checking — the total scan work is
         linear in the scan sequence length instead of quadratic.
         """
+        news: List[int] = []
+        refs: List[int] = []
         if p == 1:
-            return
-        nst = ceil_log2(p)
-        seq_len = 2 * nst
+            return news, refs
+        # Candidate offsets in decreasing-stage order (+2^s then -2^s),
+        # mod p; none is 0, since 2^s < p.
+        offsets: List[int] = []
+        for s in range(ceil_log2(p) - 1, -1, -1):
+            offsets += [(1 << s) % p, -(1 << s) % p]
+        n_offsets = len(offsets)
         mapped = [False] * p
         mapped[0] = True
-        mapped_order = [0]
-        cursors: dict = {}
+        cursors = [0] * p
 
         def first_unmapped(ref: int) -> Optional[int]:
-            # Decreasing-stage candidate order (+dist then -dist), resumable.
-            i = cursors.get(ref, 0)
-            while i < seq_len:
-                dist = 1 << (nst - 1 - (i >> 1))
-                cand = (ref + dist) % p if (i & 1) == 0 else (ref - dist) % p
-                if not mapped[cand] and cand != ref:
+            i = cursors[ref]
+            while i < n_offsets:
+                cand = ref + offsets[i]
+                if cand >= p:
+                    cand -= p
+                if not mapped[cand]:
                     cursors[ref] = i
                     return cand
                 i += 1
@@ -62,11 +68,11 @@ class BruckMH(GreedyPlacementMapper):
 
         ref = 0
         placed_for_ref = 0
-        n_mapped = 1
-        while n_mapped < p:
+        for _ in range(p - 1):
             new_rank = first_unmapped(ref)
             if new_rank is None:
-                for r in reversed(mapped_order):
+                # the newest placement that still has an unmapped partner
+                for r in chain(reversed(news), (0,)):
                     new_rank = first_unmapped(r)
                     if new_rank is not None:
                         ref = r
@@ -76,11 +82,11 @@ class BruckMH(GreedyPlacementMapper):
                     # graph is connected), but keep a hard failure just in case.
                     raise RuntimeError("no rank with unmapped partners, yet ranks remain")
                 placed_for_ref = 0
-            yield new_rank, ref
+            news.append(new_rank)
+            refs.append(ref)
             mapped[new_rank] = True
-            mapped_order.append(new_rank)
-            n_mapped += 1
             placed_for_ref += 1
             if placed_for_ref >= self.update_after:
                 ref = new_rank
                 placed_for_ref = 0
+        return news, refs

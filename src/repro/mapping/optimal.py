@@ -21,6 +21,7 @@ import numpy as np
 from repro.mapping.base import Mapper
 from repro.mapping.patterns import PatternGraph
 from repro.util.rng import RngLike
+from repro.util.validation import check_layout
 
 __all__ = ["OptimalMapper", "MAX_OPTIMAL_P"]
 
@@ -44,7 +45,7 @@ class OptimalMapper(Mapper):
 
     def map(self, layout: Sequence[int], D: np.ndarray, rng: RngLike = 0) -> np.ndarray:
         """Find the hop-bytes-optimal assignment with rank 0 pinned."""
-        L = np.asarray(layout, dtype=np.int64)
+        L = check_layout(layout)
         p = L.size
         if p != self.graph.p:
             raise ValueError(

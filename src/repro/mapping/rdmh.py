@@ -16,7 +16,7 @@ largest-message stage *and* its partner already touches two mapped ranks.
 
 from __future__ import annotations
 
-from typing import Iterator, Tuple
+from typing import List, Tuple
 
 from repro.mapping.base import GreedyPlacementMapper
 from repro.util.bits import is_power_of_two
@@ -40,10 +40,12 @@ class RDMH(GreedyPlacementMapper):
         if p > 1 and not is_power_of_two(p):
             raise ValueError(f"RDMH requires a power-of-two process count, got {p}")
 
-    def placements(self, p: int) -> Iterator[Tuple[int, int]]:
+    def program(self, p: int) -> Tuple[List[int], List[int]]:
         """Partners in decreasing stage order with reference promotion."""
+        news: List[int] = []
+        refs: List[int] = []
         if p == 1:
-            return
+            return news, refs
         mapped = [False] * p
         mapped[0] = True
         mapped_order = [0]
@@ -67,7 +69,8 @@ class RDMH(GreedyPlacementMapper):
                 placed_for_ref = 0
                 continue
             new_rank = ref ^ i
-            yield new_rank, ref
+            news.append(new_rank)
+            refs.append(ref)
             mapped[new_rank] = True
             mapped_order.append(new_rank)
             n_mapped += 1
@@ -76,6 +79,7 @@ class RDMH(GreedyPlacementMapper):
                 ref = new_rank       # promote the newest placement
                 i = p // 2           # and restart from the last stage
                 placed_for_ref = 0
+        return news, refs
 
     @staticmethod
     def _rewind(mapped_order, mapped, p: int) -> int:

@@ -35,6 +35,7 @@ from repro.mapping.rmh import RMH
 from repro.mapping.scotch import ScotchLikeMapper
 from repro.util.lru import LRU
 from repro.util.rng import RngLike
+from repro.util.validation import check_layout
 
 __all__ = [
     "HEURISTICS",
@@ -151,12 +152,14 @@ def reorder_ranks(
         Forwarded to the mapper constructor (e.g. ``tie_break="first"``,
         ``traversal=...``, ``update_after=...``).
 
-    An unknown pattern or a keyword the mapper does not take raises
-    before the cache is consulted, so a refused call counts no miss.
+    An unknown pattern, a keyword the mapper does not take or a layout
+    that is not a non-empty 1-D integer array (floats and bools are
+    refused, not truncated) raises before the cache is consulted, so a
+    refused call counts no miss.
     """
     if kind not in MAPPER_KINDS:
         raise ValueError(f"kind must be one of {MAPPER_KINDS}, got {kind!r}")
-    L = np.asarray(layout, dtype=np.int64)
+    L = check_layout(layout)
     p = L.size
 
     # Resolve the mapper before the lookup; a graph mapper's pattern graph
@@ -250,7 +253,7 @@ def reorder_all(
     unknown = [pt for pt in patterns if pt not in HEURISTICS]
     if unknown:
         raise KeyError(f"no fine-tuned heuristic for pattern(s) {unknown!r}")
-    L = np.asarray(layout, dtype=np.int64)
+    L = check_layout(layout)  # before any lookup: a refused layout counts no miss
     if isinstance(rng, Mapping):
         missing_rng = [pt for pt in patterns if pt not in rng]
         if missing_rng:

@@ -8,7 +8,7 @@ updating the reference at every step.
 
 from __future__ import annotations
 
-from typing import Iterator, Tuple
+from typing import List, Tuple
 
 from repro.mapping.base import GreedyPlacementMapper
 
@@ -21,7 +21,6 @@ class RMH(GreedyPlacementMapper):
     pattern = "ring"
     name = "rmh"
 
-    def placements(self, p: int) -> Iterator[Tuple[int, int]]:
+    def program(self, p: int) -> Tuple[List[int], List[int]]:
         """The chain: each rank placed next to its ring predecessor."""
-        for ref in range(p - 1):
-            yield ref + 1, ref
+        return list(range(1, p)), list(range(p - 1))

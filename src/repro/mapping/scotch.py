@@ -28,6 +28,7 @@ import numpy as np
 from repro.mapping.base import Mapper, as_distance_lookup
 from repro.mapping.patterns import PatternGraph
 from repro.util.rng import RngLike, make_rng
+from repro.util.validation import check_layout
 
 __all__ = ["ScotchLikeMapper"]
 
@@ -54,7 +55,7 @@ class ScotchLikeMapper(Mapper):
 
     # ------------------------------------------------------------------
     def map(self, layout: Sequence[int], D: np.ndarray, rng: RngLike = 0) -> np.ndarray:
-        L = np.asarray(layout, dtype=np.int64)
+        L = check_layout(layout)
         if L.size != self.graph.p:
             raise ValueError(
                 f"layout has {L.size} processes but the pattern graph has {self.graph.p}"

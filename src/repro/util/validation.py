@@ -12,6 +12,7 @@ __all__ = [
     "same_multiset",
     "same_value_set",
     "check_permutation",
+    "check_layout",
     "check_positive",
     "check_nonnegative",
     "check_in_range",
@@ -96,6 +97,23 @@ def check_symmetric_matrix(name: str, matrix, atol: float = 1e-6) -> np.ndarray:
                 f"[{j},{i}]={arr[j, i]:g}"
             )
     return arr
+
+
+def check_layout(layout) -> np.ndarray:
+    """Return a layout of core ids as a 1-D int64 array, or raise :class:`ValueError`.
+
+    ``layout`` must be non-empty, 1-D and of an integer dtype.  Floats and
+    bools are refused rather than cast: ``np.asarray(..., dtype=np.int64)``
+    would truncate ``1.5`` to core 1 and read ``True`` as core 1.
+    """
+    arr = np.asarray(layout)
+    if arr.ndim != 1:
+        raise ValueError(f"layout must be 1-D, got shape {arr.shape}")
+    if arr.size == 0:
+        raise ValueError("empty layout")
+    if arr.dtype.kind not in "iu":
+        raise ValueError(f"layout must hold integer core ids, got dtype {arr.dtype}")
+    return arr.astype(np.int64, copy=False)
 
 
 def check_permutation(perm: Sequence[int], n: int, name: str = "mapping") -> np.ndarray:

@@ -9,9 +9,13 @@ from repro.mapping.cache import (
     global_mapping_cache,
     mapping_cache_key,
 )
+from repro.mapping.greedy import GreedyGraphMapper
 from repro.mapping.initial import make_layout
-from repro.mapping.patterns import PATTERN_BUILDERS
+from repro.mapping.patterns import PATTERN_BUILDERS, build_pattern
 from repro.mapping.reorder import ReorderResult, reorder_all, reorder_ranks
+from repro.mapping.rmh import RMH
+from repro.mapping.scotch import ScotchLikeMapper
+from repro.topology.gpc import gpc_cluster
 from repro.util.lru import LRU
 from repro.util.rng import make_rng
 
@@ -159,6 +163,55 @@ class TestReorderRanksCaching:
         with pytest.raises(TypeError, match="bogus"):
             reorder_all(L, impl, rng=1, cache=cache, bogus=1)
         assert (cache.hits, cache.misses, len(cache)) == (0, 0, 0)
+
+    #: layouts that are not a non-empty 1-D integer array of core ids
+    BAD_LAYOUTS = {
+        "float-list": [0.0, 1.5, 2, 3],
+        "float-array": np.array([0.9, 5.7, 2.2, 3.0]),
+        "bool-array": np.array([True, False]),
+        "2-d-list": [[0, 1], [2, 3]],
+        "empty": [],
+    }
+
+    @pytest.mark.parametrize("bad", sorted(BAD_LAYOUTS))
+    def test_non_integer_layout_refused_before_lookup(self, bad):
+        """Floats were truncated (``[0.0, 1.5, 2, 3]`` was served the
+        mapping cached for ``[0, 1, 2, 3]``) and bools read as cores 1, 0;
+        each is now refused before the cache or the rng is touched."""
+        impl = gpc_cluster(n_nodes=4).implicit_distances()
+        cache = LRU(MAPPING_CACHE_SIZE)
+        reorder_ranks("ring", [0, 1, 2, 3], impl, rng=0, cache=cache)
+        stats = cache.stats()
+        layout = self.BAD_LAYOUTS[bad]
+        g = make_rng(3)
+        state = g.bit_generator.state
+        with pytest.raises(ValueError, match="layout"):
+            reorder_ranks("ring", layout, impl, rng=0, cache=cache)
+        with pytest.raises(ValueError, match="layout"):
+            reorder_all(layout, impl, patterns=["ring"], rng=0, cache=cache)
+        with pytest.raises(ValueError, match="layout"):
+            reorder_all(layout, impl, patterns=["ring"], rng=g, cache="off")
+        with pytest.raises(ValueError, match="layout"):
+            RMH().map(layout, impl, rng=g)
+        for graph_mapper in (ScotchLikeMapper, GreedyGraphMapper):
+            with pytest.raises(ValueError, match="layout"):
+                graph_mapper(build_pattern("ring", 4)).map(layout, impl, rng=g)
+        assert cache.stats() == stats
+        assert g.bit_generator.state == state
+
+    def test_integer_layouts_map_as_before(self):
+        impl = gpc_cluster(n_nodes=4).implicit_distances()
+        cores = [5, 0, 17, 9, 30, 2, 11, 24]
+        forms = [cores, np.array(cores, dtype=np.int32), np.array(cores, dtype=np.int64)]
+        maps = [
+            reorder_all(L, impl, rng=3, cache="off")["binomial-gather"].mapping for L in forms
+        ]
+        maps += [reorder_ranks("ring", L, impl, rng=3, cache="off").mapping for L in forms]
+        for m in maps[1:3]:
+            assert np.array_equal(m, maps[0])
+        for m in maps[4:]:
+            assert np.array_equal(m, maps[3])
+        assert all(m.dtype == np.int64 for m in maps)
 
     @pytest.mark.parametrize("kind", ["scotch", "greedy"])
     def test_hit_builds_no_pattern_graph(self, mid_cluster, monkeypatch, kind):

@@ -267,15 +267,18 @@ class TestBulkTieBreaks:
         vect = HierarchicalFreePool(impl, cores, rng=g2)
         steps = [(i, (i - 1) // 3) for i in range(1, 120)]  # 119 > 95 free
         M1 = [-1] * 120
-        M2 = [-1] * 120
-        M1[0] = M2[0] = int(cores[0])
+        M1[0] = int(cores[0])
         naive.take(M1[0])
-        vect.take(M2[0])
+        vect.take(M1[0])
+        # the vectorised walk fills pool positions: P[0] = 0 is cores[0]
+        P = [-1] * 120
+        P[0] = 0
         with pytest.raises(PoolExhaustedError):
             for new, ref in steps:
                 M1[new] = naive.place_closest(M1[ref])
         with pytest.raises(PoolExhaustedError):
-            vect.execute_program(iter(steps), M2)
+            vect.execute_program(([n for n, _ in steps], [r for _, r in steps]), P)
+        M2 = [int(cores[pos]) if pos >= 0 else -1 for pos in P]
         assert M1 == M2
         assert g1.bit_generator.state == g2.bit_generator.state
         assert g1.integers(1 << 62) == g2.integers(1 << 62)
