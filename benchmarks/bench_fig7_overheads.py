@@ -19,9 +19,11 @@ one wall-clock sample.
 
 import statistics
 import time
+import tracemalloc
 
 import pytest
 
+from repro.mapping.base import _PoolStructure
 from repro.mapping.initial import make_layout
 from repro.mapping.reorder import HEURISTICS, reorder_ranks
 from repro.topology.distances import DistanceExtractor
@@ -136,7 +138,10 @@ def test_fig7b_all_heuristics_similar(benchmark, save_report):
     overhead' — report all four plus the Bruck extension at the top p,
     and their median CPU time on implicit distances at ``SPREAD_P``,
     split into the placement program's build and the rest of the map
-    (the walk over the free-core pool, checks included)."""
+    (the walk over the free-core pool, checks included).  Below the
+    table: the pool structure the five maps share, its build CPU and its
+    size (the first map of a job pays the build; the maps here run on a
+    warm one)."""
     p = P_VALUES[-1]
     cluster = cluster_for(p)
     D = cluster.distance_matrix()
@@ -155,13 +160,24 @@ def test_fig7b_all_heuristics_similar(benchmark, save_report):
     def build(pat):
         return HEURISTICS[pat]().program(SPREAD_P)
 
+    def structure():
+        return _PoolStructure(implicit, big_L)
+
     run("ring")  # builds the pool structure every heuristic shares
     medians = median_cpu_seconds(
         *(lambda pat=pat: run(pat) for pat in patterns),
         *(lambda pat=pat: build(pat) for pat in patterns),
+        structure,
     )
     cpu = dict(zip(patterns, medians[: len(patterns)]))
-    program = dict(zip(patterns, medians[len(patterns) :]))
+    program = dict(zip(patterns, medians[len(patterns) : 2 * len(patterns)]))
+    tracemalloc.start()
+    try:
+        kept = structure()
+        structure_bytes, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kept.cores.size == SPREAD_P
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     lines = [f"per-heuristic mapping time at p={p}:"]
     lines += [f"  {pat:>20}: {t:8.4f} s" for pat, t in times.items()]
@@ -175,6 +191,9 @@ def test_fig7b_all_heuristics_similar(benchmark, save_report):
         for pat, t in cpu.items()
     ]
     lines.append(f"  {'slowest / fastest':>20}: {max(cpu.values()) / min(cpu.values()):8.1f}x")
+    lines.append(f"shared pool structure at p={SPREAD_P} (built once per backend and core set):")
+    lines.append(f"  {'build CPU':>20}: {medians[-1]:8.4f} s  (median of {GAP_ROUNDS} rounds)")
+    lines.append(f"  {'size':>20}: {structure_bytes / 2**20:8.2f} MiB (tracemalloc)")
     save_report("fig7b_per_heuristic.txt", "\n".join(lines))
     for spent in (times, cpu):
         vals = sorted(spent.values())

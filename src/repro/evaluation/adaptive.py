@@ -21,6 +21,7 @@ from typing import Dict, Sequence
 import numpy as np
 
 from repro.evaluation.evaluator import AllgatherEvaluator, LatencyReport
+from repro.util.validation import check_layout
 
 __all__ = ["AdaptiveDecision", "AdaptiveReorderer"]
 
@@ -57,7 +58,7 @@ class AdaptiveReorderer:
         intra: str = "binomial",
     ) -> None:
         self.evaluator = evaluator
-        self.layout = np.asarray(layout, dtype=np.int64)
+        self.layout = check_layout(layout)
         self.kind = kind
         self.strategy = strategy
         self.hierarchical = hierarchical

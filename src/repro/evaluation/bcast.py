@@ -23,8 +23,6 @@ import hashlib
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-import numpy as np
-
 from repro.collectives.bcast_binomial import BinomialBroadcast
 from repro.collectives.registry import DEFAULT_RD_THRESHOLD_BYTES
 from repro.collectives.scatter_allgather import ScatterAllgatherBroadcast
@@ -35,6 +33,7 @@ from repro.simmpi.engine import TimingEngine
 from repro.topology.cluster import ClusterTopology
 from repro.util.bits import is_power_of_two
 from repro.util.rng import RngLike, make_rng
+from repro.util.validation import check_layout
 
 __all__ = ["BcastEvaluator", "BcastReport", "select_bcast"]
 
@@ -123,7 +122,7 @@ class BcastEvaluator:
     # ------------------------------------------------------------------
     def default_latency(self, layout: Sequence[int], message_bytes: float) -> BcastReport:
         """Broadcast latency under the raw layout."""
-        L = np.asarray(layout, dtype=np.int64)
+        L = check_layout(layout)
         alg = select_bcast(L.size, message_bytes, self.tree_threshold, self.rd_threshold)
         return BcastReport(
             seconds=self._evaluate(alg, L, L.size, message_bytes),
@@ -137,7 +136,7 @@ class BcastEvaluator:
         kind: str = "heuristic",
     ) -> BcastReport:
         """Broadcast latency under topology-aware rank reordering."""
-        L = np.asarray(layout, dtype=np.int64)
+        L = check_layout(layout)
         p = L.size
         alg = select_bcast(p, message_bytes, self.tree_threshold, self.rd_threshold)
         pattern = self._pattern_for(alg)

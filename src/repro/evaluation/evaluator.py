@@ -59,6 +59,7 @@ from repro.simmpi.costmodel import CostModel
 from repro.simmpi.engine import TimingEngine
 from repro.topology.cluster import ClusterTopology
 from repro.util.rng import RngLike, make_rng
+from repro.util.validation import check_layout
 
 __all__ = ["AllgatherEvaluator", "LatencyReport"]
 
@@ -147,7 +148,7 @@ class AllgatherEvaluator:
         Mirrors what an MPI library's shared-memory communicator split
         produces (lowest world rank on each node becomes the leader).
         """
-        ranks, sizes = self._node_partition(np.asarray(layout, dtype=np.int64))
+        ranks, sizes = self._node_partition(check_layout(layout))
         flat = ranks.tolist()
         ends = np.cumsum(sizes).tolist()
         return [flat[end - m : end] for end, m in zip(ends, sizes.tolist())]
@@ -218,7 +219,7 @@ class AllgatherEvaluator:
         over the memo's schedule, so routes and unit loads are computed
         once per algorithm instead of once per size.
         """
-        L = np.asarray(layout, dtype=np.int64)
+        L = check_layout(layout)
         p = L.size
         sizes = list(sizes)
         out: List[Optional[LatencyReport]] = [None] * len(sizes)
@@ -260,7 +261,7 @@ class AllgatherEvaluator:
         derived from that key, so results do not depend on call order;
         schedules come from the memo and pricing tables are built once per partition.
         """
-        L = np.asarray(layout, dtype=np.int64)
+        L = check_layout(layout)
         strat = OrderStrategy.parse(strategy)
         sizes = list(sizes)
         lk = _layout_key(L)

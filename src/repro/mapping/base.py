@@ -201,14 +201,18 @@ class _PoolStructure:
     groups the pool's cores occupy, in order of first member), so the member
     lists and free-count templates are sized by the pool, not the
     cluster.  Each list has one trailing slot more — an empty member list
-    with a zero count — which index ``-1`` reaches: ``local_ids`` maps a
-    global group id to its local id, and a group the pool does not touch
-    maps to ``-1``.
+    with a zero count — which index ``-1`` reaches: ``local_ids[level]``
+    maps a global group id to its local id, and a group the pool does not
+    touch reads ``-1``.
+
+    Kept lean, since a backend's LRU holds up to 32 of these: the member
+    lists share ``all_positions``' one int object per position, the
+    positions of a socket share one key tuple, and the core lookups are
+    int32 arrays (``pos``: core -> position, ``-1`` outside the pool).
     """
 
     __slots__ = (
         "cores",
-        "cores_l",
         "pos",
         "keys_l",
         "by_sock",
@@ -233,51 +237,58 @@ class _PoolStructure:
         n_cores_total = _n_rows(backend)
         if cores.max() >= n_cores_total or cores.min() < 0:
             raise ValueError("core id outside the distance matrix")
-        self.cores_l = cores.tolist()
-        self.pos: Dict[int, int] = {c: i for i, c in enumerate(self.cores_l)}
+        self.pos = np.full(n_cores_total, -1, dtype=np.int32)
+        self.pos[cores] = np.arange(cores.size, dtype=np.int32)
+        positions = self.all_positions = list(range(cores.size))
 
         coords = backend.coords(cores)
-        self.by_sock, sock_l, sock_ids = self._group_members(coords.gsock)
-        self.by_node, node_l, node_ids = self._group_members(coords.node)
-        self.by_leaf, leaf_l, leaf_ids = self._group_members(coords.leaf)
-        self.by_line, line_l, line_ids = self._group_members(coords.line)
+        self.by_sock, sock_l, sock_ids = self._group_members(coords.gsock, positions)
+        self.by_node, node_l, node_ids = self._group_members(coords.node, positions)
+        self.by_leaf, leaf_l, leaf_ids = self._group_members(coords.leaf, positions)
+        self.by_line, line_l, line_ids = self._group_members(coords.line, positions)
         self.local_ids = (sock_ids, node_ids, leaf_ids, line_ids)
-        # One (sock, node, leaf, line) local-id tuple per pool position:
-        # the hot path unpacks a single list slot instead of four lists.
-        self.keys_l = list(zip(sock_l, node_l, leaf_l, line_l))
+        # One (sock, node, leaf, line) local-id tuple per socket, shared by
+        # its positions (a socket lies in one node, leaf and line): the hot
+        # path unpacks a single list slot instead of four lists.
+        firsts = [m[0] for m in self.by_sock[:-1]]
+        sock_keys = [(sock_l[i], node_l[i], leaf_l[i], line_l[i]) for i in firsts]
+        self.keys_l = [sock_keys[s] for s in sock_l]
         # Free-count templates, list-indexed by local id (list indexing
         # beats dict hashing on the hot path); the trailing slot is 0.
         self.sock_sizes = [len(m) for m in self.by_sock]
         self.node_sizes = [len(m) for m in self.by_node]
         self.leaf_sizes = [len(m) for m in self.by_leaf]
         self.line_sizes = [len(m) for m in self.by_line]
-        self.all_positions = list(range(cores.size))
         # numpy mirrors of large member lists, built lazily on first gather
         # (shared across pools: contents are as immutable as the lists)
         self.np_members: Dict[int, np.ndarray] = {}
 
     @staticmethod
-    def _group_members(keys: np.ndarray) -> Tuple[list, list, Dict[int, int]]:
+    def _group_members(keys: np.ndarray, positions: list) -> Tuple[list, list, np.ndarray]:
         """Pool-local grouping of one level's global group ids.
 
         Returns the ascending member positions per local id (plus the
-        trailing empty slot), each position's local id, and the global ->
-        local id map.  One pass in position order: a plain loop beats
-        numpy's fixed costs on the 8-core pools of intra-node mapping and
-        stays within noise of it on a whole 16k-core cluster.
+        trailing empty slot; the entries are ``positions``' own int
+        objects), each position's local id, and the global -> local id
+        table (``-1`` for a group without pool cores).  One pass in
+        position order: a plain loop beats numpy's fixed costs on the
+        8-core pools of intra-node mapping and stays within noise of it on
+        a whole 16k-core cluster.
         """
-        local_ids: Dict[int, int] = {}
+        local_of: Dict[int, int] = {}
         members: list = []
         local = []
-        for pos, g in enumerate(keys.tolist()):
-            i = local_ids.get(g)
+        for pos, g in zip(positions, keys.tolist()):
+            i = local_of.get(g)
             if i is None:
-                i = local_ids[g] = len(members)
+                i = local_of[g] = len(members)
                 members.append([])
             members[i].append(pos)
             local.append(i)
         members.append([])
-        return members, local, local_ids
+        table = np.full(max(local_of) + 1, -1, dtype=np.int32)
+        table[list(local_of)] = np.arange(len(local_of), dtype=np.int32)
+        return members, local, table
 
 
 class _TieBreakDraws:
@@ -439,23 +450,13 @@ class HierarchicalFreePool:
         self.cores = st.cores
         self.rng = make_rng(rng)
         self.tie_break = tie_break
-        n = len(st.cores_l)
+        n = st.cores.size
         self._free_np = np.ones(n, dtype=bool)
         # positions taken since the numpy mask was last synced (the mask
         # is only needed for large-group gathers, so scalar stores are
         # batched into one fancy-index per gather instead)
         self._dirty: list = []
         self._free_l = [True] * n
-        self._pos = st.pos
-
-        # Pure-int coordinate arithmetic constants (the hot path must not
-        # touch numpy for single-core coordinate lookups).
-        cl = backend.cluster
-        self._cpn = int(cl.cores_per_node)
-        self._cps = int(cl.machine.cores_per_socket)
-        self._nspn = int(cl.machine.n_sockets)
-        self._npl = int(cl.network.config.nodes_per_leaf)
-        self._nlines = int(cl.network.config.lines_per_core)
 
         # Mutable per-run state: free flags + per-group free counts
         # (list-indexed by local group id; see _PoolStructure).
@@ -488,22 +489,33 @@ class HierarchicalFreePool:
             )
         return per_backend.get_or_build(arr.tobytes(), lambda: _PoolStructure(backend, arr))
 
-    def _coords_of(self, core: int) -> Tuple[int, int, int, int]:
-        """Local (sock, node, leaf, line) ids of any core — integer-only.
+    def _position(self, core: int) -> int:
+        """Pool position of a cluster core, ``-1`` if the pool lacks it.
 
-        A group the pool does not touch maps to ``-1``: the trailing slot,
-        whose free count is always zero.
+        Raises
+        ------
+        KeyError
+            ``core`` is not a core of the cluster (a negative id would
+            otherwise read the position array from its end).
         """
-        node = core // self._cpn
-        gsock = node * self._nspn + (core % self._cpn) // self._cps
-        leaf = node // self._npl
-        sock_ids, node_ids, leaf_ids, line_ids = self._st.local_ids
-        return (
-            sock_ids.get(gsock, -1),
-            node_ids.get(node, -1),
-            leaf_ids.get(leaf, -1),
-            line_ids.get(leaf % self._nlines, -1),
-        )
+        pos = self._st.pos
+        if not 0 <= core < pos.size:
+            raise KeyError(f"core {core} is outside the cluster ({pos.size} cores)")
+        return int(pos[core])
+
+    def _coords_of(self, core: int) -> Tuple[int, int, int, int]:
+        """Local (sock, node, leaf, line) ids of any cluster core.
+
+        The backend's coordinates, looked up in the pool's local-id
+        tables.  A group the pool does not touch maps to ``-1``: the
+        trailing slot, whose free count is always zero.
+        """
+        c = self.D.coords([core])
+        out = []
+        for table, ids in zip(self._st.local_ids, (c.gsock, c.node, c.leaf, c.line)):
+            g = int(ids[0])
+            out.append(int(table[g]) if g < table.size else -1)
+        return tuple(out)
 
     @property
     def free(self) -> np.ndarray:
@@ -527,8 +539,8 @@ class HierarchicalFreePool:
 
     def take(self, core: int) -> None:
         """Mark ``core`` as assigned (O(1) group-count updates)."""
-        pos = self._pos.get(int(core))
-        if pos is None:
+        pos = self._position(int(core))
+        if pos < 0:
             raise KeyError(f"core {core} is not in the pool")
         if not self._free_l[pos]:
             raise ValueError(f"core {core} already taken")
@@ -589,22 +601,24 @@ class HierarchicalFreePool:
 
         Raises
         ------
+        KeyError
+            ``ref_core`` is not a core of the cluster.
         PoolExhaustedError
             Every pool core is already assigned.
         """
         core = int(ref_core)
-        pos = self._pos.get(core)
-        if pos is not None and self._free_l[pos]:
+        pos = self._position(core)
+        if pos >= 0 and self._free_l[pos]:
             self.take(core)
             return core
-        if pos is None:
+        if pos < 0:
             # a core outside the pool: its groups from its coordinates
             keys, pos = [self._coords_of(core)], 0
         else:
             keys = self._st.keys_l
         P = [pos, -1]
         self._walk([1], [0], P, keys)
-        return self._st.cores_l[P[1]]
+        return int(self.cores[P[1]])
 
     def execute_program(self, program: Tuple[List[int], List[int]], P: list) -> None:
         """Run a placement program over pool positions.

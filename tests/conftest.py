@@ -1,10 +1,25 @@
-"""Shared fixtures: small clusters and cached distance matrices."""
+"""Shared fixtures: small clusters and cached distance matrices.
+
+Hypothesis runs under the ``derandomized`` profile by default: each
+property test draws the same examples on every run (seeded from the test
+itself, with no example database), so the tier-1 gate is deterministic.
+``pytest --hypothesis-profile=random-seed`` explores fresh examples.
+"""
 
 import pytest
 
 from repro.simmpi.costmodel import CostModel
 from repro.simmpi.engine import TimingEngine
 from repro.topology.gpc import gpc_cluster, single_node_cluster, small_cluster
+
+try:
+    from hypothesis import settings
+except ImportError:  # only the property tests need it, and they import it
+    pass
+else:
+    settings.register_profile("derandomized", derandomize=True, database=None)
+    settings.register_profile("random-seed", derandomize=False)
+    settings.load_profile("derandomized")
 
 
 @pytest.fixture(scope="session")

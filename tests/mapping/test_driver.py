@@ -194,6 +194,68 @@ class TestHierarchicalFreePool:
         assert a.rng.bit_generator.state == b.rng.bit_generator.state
 
 
+class TestLeanStructure:
+    """A backend's LRU keeps up to 32 pool structures, so their size is
+    pinned: one int object per position, one key tuple per socket, and
+    int arrays for the core lookups (a core->position dict, a core list
+    and four local-id dicts held 6.5 MiB at 16,384 cores)."""
+
+    @staticmethod
+    def _traced_size(n_nodes: int) -> int:
+        import tracemalloc
+
+        impl = gpc_cluster(n_nodes=n_nodes).implicit_distances()
+        cores = np.arange(impl.shape[0], dtype=np.int64)
+        base._PoolStructure(impl, cores)  # pays the backend's lazy set-up
+        tracemalloc.start()
+        try:
+            st = base._PoolStructure(impl, cores)
+            size, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert st.cores.size == cores.size
+        return size
+
+    @pytest.mark.parametrize("n_nodes, bound_mib", [(512, 0.8), (2048, 3.0)])
+    def test_structure_size(self, n_nodes, bound_mib):
+        size = self._traced_size(n_nodes)
+        assert size < bound_mib * 2**20, f"{size / 2**20:.2f} MiB"
+
+    def test_positions_and_socket_keys_shared(self, big_cluster):
+        impl = big_cluster.implicit_distances()
+        cores = make_rng(5).permutation(big_cluster.n_cores)[:200]
+        st = base._PoolStructure(impl, cores)
+        positions = st.all_positions
+        for level in (st.by_sock, st.by_node, st.by_leaf, st.by_line):
+            assert all(pos is positions[pos] for members in level for pos in members)
+        for members in st.by_sock[:-1]:
+            assert all(st.keys_l[pos] is st.keys_l[members[0]] for pos in members)
+        assert st.pos.dtype == np.int32 and st.pos.size == big_cluster.n_cores
+        assert np.array_equal(st.pos[cores], np.arange(cores.size))
+        assert np.count_nonzero(st.pos >= 0) == cores.size
+
+    def test_core_ids_outside_the_cluster_refused(self, big_cluster):
+        """The last node's pool: a negative id read from the end of the
+        position array would name a pool core."""
+        n = big_cluster.n_cores
+        cpn = big_cluster.cores_per_node
+        pool = HierarchicalFreePool(
+            big_cluster.implicit_distances(), np.arange(n - cpn, n), rng=3
+        )
+        state = pool.rng.bit_generator.state
+        for core in (-1, -cpn, -n, n, n + 5):
+            with pytest.raises(KeyError, match="outside the cluster"):
+                pool.take(core)
+            with pytest.raises(KeyError, match="outside the cluster"):
+                pool.place_closest(core)
+        assert pool.n_free == cpn
+        assert pool.rng.bit_generator.state == state
+        with pytest.raises(KeyError, match="not in the pool"):
+            pool.take(0)
+        assert pool.place_closest(0) in range(n - cpn, n)  # outside the pool: a reference
+        assert pool.n_free == cpn - 1
+
+
 def _same_state(a, b) -> bool:
     """Deep equality of two ``bit_generator.state`` values (arrays inside)."""
     if isinstance(a, dict):
