@@ -17,17 +17,20 @@ of a few rounds per mapper, which a busy neighbour moves far less than
 one wall-clock sample.
 """
 
+import copy
 import statistics
 import time
 import tracemalloc
 
 import pytest
 
-from repro.mapping.base import _PoolStructure
+from repro.evaluation.evaluator import AllgatherEvaluator, _layout_key, _seed_for
+from repro.mapping.base import HierarchicalFreePool, _PoolStructure
 from repro.mapping.initial import make_layout
 from repro.mapping.reorder import HEURISTICS, reorder_ranks
 from repro.topology.distances import DistanceExtractor
 from repro.topology.gpc import gpc_cluster
+from repro.util.rng import make_rng
 
 from conftest import SMALL
 
@@ -194,7 +197,58 @@ def test_fig7b_all_heuristics_similar(benchmark, save_report):
     lines.append(f"shared pool structure at p={SPREAD_P} (built once per backend and core set):")
     lines.append(f"  {'build CPU':>20}: {medians[-1]:8.4f} s  (median of {GAP_ROUNDS} rounds)")
     lines.append(f"  {'size':>20}: {structure_bytes / 2**20:8.2f} MiB (tracemalloc)")
+    lines += hierarchical_miss_lines()
     save_report("fig7b_per_heuristic.txt", "\n".join(lines))
     for spent in (times, cpu):
         vals = sorted(spent.values())
         assert vals[-1] < 25 * vals[0]  # same order of magnitude
+
+
+#: Process counts of the hierarchical reordering split
+HIER_P_VALUES = [512, 2048] if SMALL else [4096, 16384]
+
+
+def hierarchical_miss_split(p):
+    """CPU of one hierarchical reordering on a fresh evaluator (block-scatter,
+    heuristic, binomial intra phase, both leader patterns): what a
+    mapping-cache miss computes and a hit skips.
+
+    Returns the per-node pass's seconds, the two leader maps' seconds,
+    the pool structures the two phases built and the CPU of building
+    them again on the warm backend.
+    """
+    cluster = gpc_cluster(n_nodes=p // 8)
+    ev = AllgatherEvaluator(cluster, rng=0)
+    L = make_layout("block-scatter", cluster, p)
+    # the evaluator's seed and generator hand-off
+    gen = make_rng(_seed_for("reorder", _layout_key(L), "heuristic", True, "binomial"))
+    groups = ev.groups_from_layout(L)
+    t0 = time.process_time()
+    per_group, _ = ev._intra_reordering(L, groups, "heuristic", "binomial", gen)
+    t1 = time.process_time()
+    for pattern in ("recursive-doubling", "ring"):
+        ev._leader_reordering(L, per_group, "heuristic", pattern, copy.deepcopy(gen), 0.0)
+    t2 = time.process_time()
+    structures = HierarchicalFreePool._structure_caches[ev.distances]
+    t3 = time.process_time()
+    for st in structures.values():
+        _PoolStructure(ev.distances, st.cores)
+    t4 = time.process_time()
+    return t1 - t0, t2 - t1, structures.stats()["misses"], t4 - t3
+
+
+def hierarchical_miss_lines():
+    """Report lines: :func:`hierarchical_miss_split`, median of
+    :data:`GAP_ROUNDS` rounds at each of :data:`HIER_P_VALUES`."""
+    lines = [
+        "hierarchical reordering of block-scatter on a fresh evaluator (a mapping-cache miss; "
+        f"median CPU of {GAP_ROUNDS} rounds; leader maps = RD + ring):",
+        f"  {'p':>6}  {'per-node pass':>13}  {'leader maps':>11}  {'pool structures':>22}",
+    ]
+    for p in HIER_P_VALUES:
+        rounds = [hierarchical_miss_split(p) for _ in range(GAP_ROUNDS)]
+        intra, leader, builds, build_s = (statistics.median(col) for col in zip(*rounds))
+        lines.append(
+            f"  {p:>6}  {intra:>11.4f} s  {leader:>9.4f} s  {builds:>3.0f} built, {build_s:6.4f} s"
+        )
+    return lines

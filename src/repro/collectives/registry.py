@@ -17,6 +17,7 @@ a node partition, so one bounded memo per process serves every caller.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from typing import Any, Dict, Sequence
 
@@ -31,7 +32,7 @@ from repro.collectives.bcast_binomial import BinomialBroadcast
 from repro.collectives.gather_binomial import BinomialGather
 from repro.collectives.hierarchical import HierarchicalAllgather
 from repro.collectives.reduce import BinomialReduce
-from repro.collectives.scatter_allgather import BinomialScatter
+from repro.collectives.scatter_allgather import BinomialScatter, ScatterAllgatherBroadcast
 from repro.collectives.schedule import CollectiveAlgorithm, Schedule
 from repro.util.bits import is_power_of_two
 from repro.util.lru import LRU
@@ -86,6 +87,15 @@ _ALGORITHM_FACTORIES = {
 }
 
 
+#: Unregistered algorithms the memo serves by name: each instance name
+#: encodes the one constructor argument.  They have no pattern of their
+#: own, so they stay out of :func:`registered_algorithm_names`.
+_NAMED_VARIANTS = {
+    f"scatter-allgather-bcast[{kind}]": functools.partial(ScatterAllgatherBroadcast, kind)
+    for kind in ("rd", "ring")
+}
+
+
 def registered_algorithm_names() -> list:
     """Names of every registered (pattern-dispatchable) algorithm."""
     return sorted(_ALGORITHM_FACTORIES)
@@ -111,10 +121,12 @@ def compiled_schedule(name: str, p: int) -> Schedule:
     """``make_algorithm(name).schedule(p)``, built once per process.
 
     Keyed on ``(name, p)``, so never built from a caller's instance: a
-    name does not encode constructor arguments.
+    registered name does not encode constructor arguments.  The
+    scatter-allgather broadcasts, whose names do, are served too.
     """
     p = int(p)
-    return _MEMO.get_or_build((name, p), lambda: make_algorithm(name).schedule(p))
+    build = _NAMED_VARIANTS.get(name, functools.partial(make_algorithm, name))
+    return _MEMO.get_or_build((name, p), lambda: build().schedule(p))
 
 
 def hierarchical_schedule(
@@ -122,8 +134,9 @@ def hierarchical_schedule(
 ) -> Schedule:
     """``HierarchicalAllgather.from_partition(...)``'s schedule, built once per process.
 
-    Keyed on the partition's content: the rank array's SHA-1, the group
-    sizes, ``leader_alg`` and ``intra``.
+    Keyed on the partition's content: the group sizes, ``leader_alg`` and
+    ``intra``, plus the rank array's SHA-1 unless the ranks are
+    ``0 .. p - 1`` in order (the sizes then fix the partition).
     """
     ranks = np.ascontiguousarray(ranks, dtype=np.int64)
     sizes = tuple(np.asarray(sizes, dtype=np.int64).tolist())
@@ -132,7 +145,10 @@ def hierarchical_schedule(
         alg = HierarchicalAllgather.from_partition(ranks, sizes, leader_alg, intra)
         return alg.schedule(alg.p)
 
-    return _MEMO.get_or_build((hashlib.sha1(ranks).digest(), sizes, leader_alg, intra), build)
+    key: tuple = (sizes, leader_alg, intra)
+    if not np.array_equal(ranks, np.arange(sum(sizes))):
+        key = (hashlib.sha1(ranks).digest(),) + key
+    return _MEMO.get_or_build(key, build)
 
 
 def schedule_memo_stats() -> Dict[str, Any]:

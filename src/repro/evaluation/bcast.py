@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.collectives.bcast_binomial import BinomialBroadcast
-from repro.collectives.registry import DEFAULT_RD_THRESHOLD_BYTES
+from repro.collectives.registry import DEFAULT_RD_THRESHOLD_BYTES, compiled_schedule
 from repro.collectives.scatter_allgather import ScatterAllgatherBroadcast
 from repro.collectives.schedule import CollectiveAlgorithm
 from repro.mapping.reorder import reorder_ranks
@@ -116,7 +116,9 @@ class BcastEvaluator:
         unit_bytes = (
             message_bytes if isinstance(alg, BinomialBroadcast) else message_bytes / p
         )
-        batch = self.engine.evaluate_sizes(alg.schedule(p), mapping, [unit_bytes])
+        # from the memo: select_bcast builds each instance as its name does
+        sched = compiled_schedule(alg.name, p)
+        batch = self.engine.evaluate_sizes(sched, mapping, [unit_bytes])
         return float(batch.total_seconds[0])
 
     # ------------------------------------------------------------------

@@ -8,8 +8,9 @@ evaluator:
    variants with RD/ring leader exchanges);
 2. computes a rank reordering with the requested mapper (the paper's
    fine-tuned heuristics, the Scotch-like baseline, or the greedy
-   baseline) — cached per (pattern, layout, mapper), since "the whole
-   rank reordering process happens only once at run-time";
+   baseline) — kept per (pattern, layout, mapper) by the evaluator and,
+   flat or hierarchical, in the process-wide mapping cache, since "the
+   whole rank reordering process happens only once at run-time";
 3. prices the collective under the reordered mapping, plus the
    order-restoration mechanism (initComm priced as one extra message
    stage, endShfl as local copies, the ring's inline fix as free);
@@ -51,9 +52,10 @@ from repro.collectives.registry import (
 from repro.collectives.schedule import Schedule
 from repro.mapping.base import Mapper
 from repro.mapping.bgmh import BGMH
+from repro.mapping.cache import global_mapping_cache, mapping_cache_key
 from repro.mapping.greedy import GreedyGraphMapper
 from repro.mapping.patterns import build_pattern
-from repro.mapping.reorder import ReorderResult, reorder_all, reorder_ranks
+from repro.mapping.reorder import ReorderResult, _cached, reorder_all, reorder_ranks
 from repro.mapping.scotch import ScotchLikeMapper
 from repro.simmpi.costmodel import CostModel
 from repro.simmpi.engine import TimingEngine
@@ -104,6 +106,12 @@ def _seed_for(*parts) -> int:
     return int.from_bytes(hashlib.sha1(blob).digest()[:4], "big")
 
 
+def _run_lengths(keys: np.ndarray) -> np.ndarray:
+    """Lengths of the runs of equal adjacent values in ``keys``."""
+    cuts = np.flatnonzero(keys[1:] != keys[:-1]) + 1
+    return np.diff(np.concatenate(([0], cuts, [keys.size])))
+
+
 class AllgatherEvaluator:
     """Prices MPI_Allgather on a simulated cluster under rank reordering."""
 
@@ -130,7 +138,9 @@ class AllgatherEvaluator:
         # the topology fingerprint that keys the mapping cache.
         self.distances = cluster.implicit_distances()
         self._D: Optional[np.ndarray] = None
-        self._reorder_cache: Dict[Tuple, object] = {}
+        # First-level memo of flat and hierarchical reorderings: a repeat
+        # on this evaluator makes no mapping-cache lookup.
+        self._reorder_cache: Dict[Tuple, ReorderResult] = {}
 
     @property
     def D(self) -> np.ndarray:
@@ -157,9 +167,7 @@ class AllgatherEvaluator:
         """:meth:`groups_from_layout` flat: ranks in group order, group sizes."""
         nodes = self.cluster.node_of(L)
         order = np.argsort(nodes, kind="stable")
-        by_node = nodes[order]
-        cuts = np.flatnonzero(by_node[1:] != by_node[:-1]) + 1
-        return order, np.diff(np.concatenate(([0], cuts, [L.size])))
+        return order, _run_lengths(nodes[order])
 
     def _restore(
         self,
@@ -304,7 +312,7 @@ class AllgatherEvaluator:
             alg = algs[idxs[0]]
             pattern = pattern_of(alg)
             key = ("flat", pattern, lk, kind)
-            res: ReorderResult = self._reorder_cache.get(key)  # type: ignore[assignment]
+            res = self._reorder_cache.get(key)
             if res is None:
                 res = reorder_ranks(pattern, L, self.distances, kind=kind, rng=rng)
                 self._reorder_cache[key] = res
@@ -348,25 +356,17 @@ class AllgatherEvaluator:
             plan.append((leader_alg, idxs, leader_pattern, key))
         missing = [(pt, key) for _, _, pt, key in plan if key not in self._reorder_cache]
         if missing:
-            # Every leader pattern starts from the same seed, so the intra
-            # phase is identical: run it once and give each leader reorder
-            # its own copy of the generator state it leaves behind.
-            gen = make_rng(rng)
-            per_group, intra_s = self._intra_reordering(
-                L, self.groups_from_layout(L), kind, intra, gen
-            )
-            for leader_pattern, key in missing:
-                self._reorder_cache[key] = self._leader_reordering(
-                    L, per_group, kind, leader_pattern, copy.deepcopy(gen), intra_s
-                )
+            self._hierarchical_reorderings(L, kind, intra, rng, missing)
         for leader_alg, idxs, _, key in plan:
-            reordering, group_sizes, overhead = self._reorder_cache[key]  # type: ignore[misc]
+            res = self._reorder_cache[key]
             sub = [sizes[i] for i in idxs]
-            # The new ranks enumerate the permuted groups, so the partition
-            # is contiguous.
+            # The new ranks enumerate whole node groups, one group per node,
+            # so the partition is contiguous and its sizes are the runs of
+            # the mapping's nodes.
+            group_sizes = _run_lengths(self.cluster.node_of(res.mapping))
             sched = hierarchical_schedule(np.arange(L.size), group_sizes, leader_alg, intra)
-            batch = self.engine.evaluate_sizes(sched, reordering.mapping, sub)
-            strategy_name, restores = self._restore(strat, sched.name, reordering, sub)
+            batch = self.engine.evaluate_sizes(sched, res.mapping, sub)
+            strategy_name, restores = self._restore(strat, sched.name, res.reordering, sub)
             for j, i in enumerate(idxs):
                 coll = float(batch.total_seconds[j])
                 out[i] = LatencyReport(
@@ -375,10 +375,56 @@ class AllgatherEvaluator:
                     strategy=strategy_name,
                     collective_seconds=coll,
                     restore_seconds=float(restores[j]),
-                    reorder_seconds=overhead,
+                    reorder_seconds=res.total_seconds,
                     mapper=kind,
                 )
         return out  # type: ignore[return-value]
+
+    def _hierarchical_reorderings(
+        self,
+        L: np.ndarray,
+        kind: str,
+        intra: str,
+        seed: int,
+        missing: List[Tuple[str, Tuple]],
+    ) -> None:
+        """Fill the memo's ``(leader pattern, memo key)`` entries in ``missing``.
+
+        Each world reordering is a pure function of the topology
+        fingerprint, the layout, ``kind``, ``intra``, the intra-node
+        heuristic, the leader pattern and ``seed``, so the process-wide
+        mapping cache keeps it under those fields and a fresh evaluator
+        on an equal cluster maps nothing.  Misses are computed as one
+        pass: every leader pattern starts from the same seed, so the
+        intra phase is identical; it runs once and each leader reorder
+        gets its own copy of the generator state it leaves behind.
+        """
+        cache = global_mapping_cache()
+        kwargs = {"intra": intra, "intra_heuristic": self.intra_heuristic}
+        todo = []
+        for leader_pattern, key in missing:
+            pattern = f"hierarchical[{leader_pattern}]"  # no flat pattern is named so
+            ckey = mapping_cache_key(self.distances.fingerprint, pattern, kind, L, seed, kwargs)
+            hit = _cached(cache, ckey, L)
+            if hit is not None:
+                self._reorder_cache[key] = hit
+            else:
+                todo.append((leader_pattern, pattern, key, ckey))
+        if not todo:
+            return
+        gen = make_rng(seed)
+        per_group, intra_s = self._intra_reordering(
+            L, self.groups_from_layout(L), kind, intra, gen
+        )
+        for leader_pattern, pattern, key, ckey in todo:
+            world, _, seconds = self._leader_reordering(
+                L, per_group, kind, leader_pattern, copy.deepcopy(gen), intra_s
+            )
+            res = ReorderResult(
+                reordering=world, pattern=pattern, mapper_name=kind, map_seconds=seconds
+            )
+            cache.put(ckey, res)
+            self._reorder_cache[key] = res
 
     def default_latency(
         self,

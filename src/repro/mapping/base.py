@@ -202,17 +202,21 @@ class _PoolStructure:
     lists and free-count templates are sized by the pool, not the
     cluster.  Each list has one trailing slot more — an empty member list
     with a zero count — which index ``-1`` reaches: ``local_ids[level]``
-    maps a global group id to its local id, and a group the pool does not
-    touch reads ``-1``.
+    is a ``(first, table)`` pair whose ``table[g - first]`` is the local id
+    of global group ``g``, and a group the pool does not touch reads ``-1``.
 
     Kept lean, since a backend's LRU holds up to 32 of these: the member
     lists share ``all_positions``' one int object per position, the
     positions of a socket share one key tuple, and the core lookups are
-    int32 arrays (``pos``: core -> position, ``-1`` outside the pool).
+    int32 arrays spanning only the pool's id ranges (``pos[core - base]``:
+    position, ``-1`` for a core between pool cores), so a small pool on a
+    large cluster stays small.
     """
 
     __slots__ = (
         "cores",
+        "n_cores",
+        "base",
         "pos",
         "keys_l",
         "by_sock",
@@ -234,11 +238,13 @@ class _PoolStructure:
             raise ValueError("empty core set")
         if np.unique(cores).size != cores.size:
             raise ValueError("duplicate cores in pool")
-        n_cores_total = _n_rows(backend)
-        if cores.max() >= n_cores_total or cores.min() < 0:
+        self.n_cores = _n_rows(backend)
+        self.base = lo = int(cores.min())
+        hi = int(cores.max())
+        if hi >= self.n_cores or lo < 0:
             raise ValueError("core id outside the distance matrix")
-        self.pos = np.full(n_cores_total, -1, dtype=np.int32)
-        self.pos[cores] = np.arange(cores.size, dtype=np.int32)
+        self.pos = np.full(hi - lo + 1, -1, dtype=np.int32)
+        self.pos[cores - lo] = np.arange(cores.size, dtype=np.int32)
         positions = self.all_positions = list(range(cores.size))
 
         coords = backend.coords(cores)
@@ -264,13 +270,16 @@ class _PoolStructure:
         self.np_members: Dict[int, np.ndarray] = {}
 
     @staticmethod
-    def _group_members(keys: np.ndarray, positions: list) -> Tuple[list, list, np.ndarray]:
+    def _group_members(
+        keys: np.ndarray, positions: list
+    ) -> Tuple[list, list, Tuple[int, np.ndarray]]:
         """Pool-local grouping of one level's global group ids.
 
         Returns the ascending member positions per local id (plus the
         trailing empty slot; the entries are ``positions``' own int
-        objects), each position's local id, and the global -> local id
-        table (``-1`` for a group without pool cores).  One pass in
+        objects), each position's local id, and the smallest global id
+        with the global -> local id table from it on (``-1`` for a group
+        without pool cores).  One pass in
         position order: a plain loop beats numpy's fixed costs on the
         8-core pools of intra-node mapping and stays within noise of it on
         a whole 16k-core cluster.
@@ -286,9 +295,10 @@ class _PoolStructure:
             members[i].append(pos)
             local.append(i)
         members.append([])
-        table = np.full(max(local_of) + 1, -1, dtype=np.int32)
-        table[list(local_of)] = np.arange(len(local_of), dtype=np.int32)
-        return members, local, table
+        first = min(local_of)
+        table = np.full(max(local_of) - first + 1, -1, dtype=np.int32)
+        table[np.array(list(local_of)) - first] = np.arange(len(local_of), dtype=np.int32)
+        return members, local, (first, table)
 
 
 class _TieBreakDraws:
@@ -495,13 +505,13 @@ class HierarchicalFreePool:
         Raises
         ------
         KeyError
-            ``core`` is not a core of the cluster (a negative id would
-            otherwise read the position array from its end).
+            ``core`` is not a core of the cluster.
         """
-        pos = self._st.pos
-        if not 0 <= core < pos.size:
-            raise KeyError(f"core {core} is outside the cluster ({pos.size} cores)")
-        return int(pos[core])
+        st = self._st
+        if not 0 <= core < st.n_cores:
+            raise KeyError(f"core {core} is outside the cluster ({st.n_cores} cores)")
+        i = core - st.base
+        return int(st.pos[i]) if 0 <= i < st.pos.size else -1
 
     def _coords_of(self, core: int) -> Tuple[int, int, int, int]:
         """Local (sock, node, leaf, line) ids of any cluster core.
@@ -512,9 +522,9 @@ class HierarchicalFreePool:
         """
         c = self.D.coords([core])
         out = []
-        for table, ids in zip(self._st.local_ids, (c.gsock, c.node, c.leaf, c.line)):
-            g = int(ids[0])
-            out.append(int(table[g]) if g < table.size else -1)
+        for (first, table), ids in zip(self._st.local_ids, (c.gsock, c.node, c.leaf, c.line)):
+            g = int(ids[0]) - first
+            out.append(int(table[g]) if 0 <= g < table.size else -1)
         return tuple(out)
 
     @property

@@ -19,6 +19,7 @@ from repro.collectives.allgather_rd import RecursiveDoublingAllgather
 from repro.collectives.allgather_ring import RingAllgather
 from repro.collectives.bcast_binomial import BinomialBroadcast
 from repro.collectives.hierarchical import HierarchicalAllgather, contiguous_groups
+from repro.collectives.scatter_allgather import ScatterAllgatherBroadcast
 from repro.util.rng import make_rng
 
 
@@ -126,6 +127,15 @@ class TestCompiledSchedule:
         assert after["hits"] - before["hits"] >= 1
         assert after["entries"] <= after["capacity"]
 
+    @pytest.mark.parametrize("kind", ["rd", "ring"])
+    def test_scatter_allgather_broadcasts_served_by_name(self, kind):
+        """Their names encode their one argument; they stay unregistered."""
+        name = f"scatter-allgather-bcast[{kind}]"
+        assert name not in registered_algorithm_names()
+        sched = compiled_schedule(name, 16)
+        assert compiled_schedule(name, 16) is sched
+        assert _same_schedule(sched, ScatterAllgatherBroadcast(kind).schedule(16))
+
     def test_unknown_name_and_bad_p_store_nothing(self):
         before = schedule_memo_stats()
         with pytest.raises(KeyError):
@@ -165,6 +175,26 @@ class TestHierarchicalSchedule:
             base["ranks"], base["sizes"], base["leader_alg"], base["intra"]
         )
         assert _same_schedule(b, alg.schedule(alg.p))
+
+    @pytest.mark.parametrize("sizes", [(3, 5), (5, 3)])
+    @pytest.mark.parametrize("contiguous_first", [True, False])
+    def test_contiguous_and_permuted_partitions_differ(self, sizes, contiguous_first):
+        """A contiguous partition is keyed on its sizes alone; a permuted
+        one with equal sizes still gets its own schedule."""
+        ranks = {"contiguous": np.arange(8), "permuted": self.RANKS}
+        order = ["contiguous", "permuted"] if contiguous_first else ["permuted", "contiguous"]
+        got = {k: hierarchical_schedule(ranks[k], sizes, "ring", "binomial") for k in order}
+        assert got["contiguous"] is not got["permuted"]
+        assert got["contiguous"].digest != got["permuted"].digest
+        for k, sched in got.items():
+            assert hierarchical_schedule(ranks[k].copy(), sizes, "ring", "binomial") is sched
+            alg = HierarchicalAllgather.from_partition(ranks[k], sizes, "ring", "binomial")
+            assert _same_schedule(sched, alg.schedule(8))
+
+    def test_contiguous_ranks_not_covered_by_sizes_are_refused(self):
+        hierarchical_schedule(np.arange(8), (4, 4), "rd", "binomial")
+        with pytest.raises(ValueError, match="partition"):
+            hierarchical_schedule(np.arange(9), (4, 4), "rd", "binomial")
 
     @pytest.mark.parametrize("leader_alg", ["rd", "ring"])
     @pytest.mark.parametrize("intra", ["binomial", "linear"])

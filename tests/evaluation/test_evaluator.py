@@ -200,7 +200,9 @@ class TestSharedIntraPhase:
 
     @pytest.mark.parametrize("kind", ["heuristic", "scotch"])
     @pytest.mark.parametrize("intra", ["binomial", "linear"])
-    def test_both_leader_patterns_match_separate_calls(self, mid_cluster, kind, intra):
+    def test_both_leader_patterns_match_separate_calls(
+        self, mid_cluster, kind, intra, empty_mapping_cache
+    ):
         L = self._layout(mid_cluster)
         both = AllgatherEvaluator(mid_cluster, rng=0)
         sizes = list(OSU_SIZES)
@@ -213,13 +215,15 @@ class TestSharedIntraPhase:
         large = [bb for bb in sizes if bb >= both.rd_threshold]
         solo = {}
         for part in (small, large):
+            empty_mapping_cache()  # each evaluator computes its own reorderings
             ev = AllgatherEvaluator(mid_cluster, rng=0)
             reps = ev.reordered_latencies(L, part, kind, hierarchical=True, intra=intra)
             solo.update(zip(part, reps))
-            for key, (ro, groups, _) in ev._reorder_cache.items():
-                mine, my_groups, _ = both._reorder_cache[key]
-                assert np.array_equal(mine.mapping, ro.mapping), key
-                assert my_groups == groups, key
+            for key, res in ev._reorder_cache.items():
+                mine = both._reorder_cache[key]
+                assert not (res.cached or mine.cached), key
+                assert np.array_equal(mine.mapping, res.mapping), key
+                assert mine.pattern == res.pattern, key
         for bb, rep in zip(sizes, reports):
             # reorder_seconds is measured wall clock; every other field is exact
             assert dataclasses.replace(rep, reorder_seconds=0.0) == dataclasses.replace(

@@ -201,11 +201,12 @@ class TestLeanStructure:
     and four local-id dicts held 6.5 MiB at 16,384 cores)."""
 
     @staticmethod
-    def _traced_size(n_nodes: int) -> int:
+    def _traced_size(n_nodes: int, cores=None) -> int:
         import tracemalloc
 
         impl = gpc_cluster(n_nodes=n_nodes).implicit_distances()
-        cores = np.arange(impl.shape[0], dtype=np.int64)
+        if cores is None:
+            cores = np.arange(impl.shape[0], dtype=np.int64)
         base._PoolStructure(impl, cores)  # pays the backend's lazy set-up
         tracemalloc.start()
         try:
@@ -221,6 +222,13 @@ class TestLeanStructure:
         size = self._traced_size(n_nodes)
         assert size < bound_mib * 2**20, f"{size / 2**20:.2f} MiB"
 
+    @pytest.mark.parametrize("first", [0, 16376])
+    def test_small_pool_sized_by_the_pool(self, first):
+        """8 cores at either end of a 16,384-core cluster: the lookups
+        span the pool's ids, not the cluster's (65-90 KiB when they did)."""
+        size = self._traced_size(2048, np.arange(first, first + 8, dtype=np.int64))
+        assert size < 8 * 2**10, f"{size / 2**10:.1f} KiB"
+
     def test_positions_and_socket_keys_shared(self, big_cluster):
         impl = big_cluster.implicit_distances()
         cores = make_rng(5).permutation(big_cluster.n_cores)[:200]
@@ -230,8 +238,9 @@ class TestLeanStructure:
             assert all(pos is positions[pos] for members in level for pos in members)
         for members in st.by_sock[:-1]:
             assert all(st.keys_l[pos] is st.keys_l[members[0]] for pos in members)
-        assert st.pos.dtype == np.int32 and st.pos.size == big_cluster.n_cores
-        assert np.array_equal(st.pos[cores], np.arange(cores.size))
+        assert st.pos.dtype == np.int32 and st.n_cores == big_cluster.n_cores
+        assert st.base == cores.min() and st.pos.size == cores.max() - cores.min() + 1
+        assert np.array_equal(st.pos[cores - st.base], np.arange(cores.size))
         assert np.count_nonzero(st.pos >= 0) == cores.size
 
     def test_core_ids_outside_the_cluster_refused(self, big_cluster):
@@ -254,6 +263,30 @@ class TestLeanStructure:
             pool.take(0)
         assert pool.place_closest(0) in range(n - cpn, n)  # outside the pool: a reference
         assert pool.n_free == cpn - 1
+
+    @pytest.mark.parametrize("node", [0, 1, 31])
+    def test_cores_around_a_small_pool(self, big_cluster, node):
+        """A one-node pool's lookups span its own ids only: cluster cores
+        below, between and above them are outside the pool, not errors,
+        and each references the pick :class:`CorePool` makes."""
+        n = big_cluster.n_cores
+        cpn = big_cluster.cores_per_node
+        cores = np.arange(node * cpn, (node + 1) * cpn)[::2]  # every other core
+        refs = [0, int(cores[0]) + 1, int(cores[-1]) + 1, n - 1]
+        refs = [r for r in refs if r not in cores]
+        pool = HierarchicalFreePool(big_cluster.implicit_distances(), cores, rng=4)
+        ref_pool = CorePool(big_cluster.distance_matrix(), cores, rng=4)
+        for core in (-1, n):
+            with pytest.raises(KeyError, match="outside the cluster"):
+                pool.take(core)
+            with pytest.raises(KeyError, match="outside the cluster"):
+                pool.place_closest(core)
+        for core in refs:
+            with pytest.raises(KeyError, match="not in the pool"):
+                pool.take(core)
+            assert pool.place_closest(core) == ref_pool.place_closest(core)
+        assert pool.n_free == cores.size - len(refs)
+        assert pool.rng.bit_generator.state == ref_pool.rng.bit_generator.state
 
 
 def _same_state(a, b) -> bool:
